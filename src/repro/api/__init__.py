@@ -24,9 +24,8 @@ The facade is covenanted: additions only within one
 of ``DeprecationWarning`` shims behind.
 """
 
-from .facade import (ArtifactCache, ArtifactStore, BACKENDS, CacheStats,
-                     DEFAULT_BACKEND, HttpStore, LocalStore,
-                     STORE_URL_ENV, make_store,
+from .facade import (ArtifactCache, ArtifactStore, CacheStats,
+                     HttpStore, LocalStore, STORE_URL_ENV, make_store,
                      Evaluation, LatencyHistogram, MatrixCell,
                      PARTITIONER_PARAMS, PLACERS, Parallelization,
                      TECHNIQUES, TOPOLOGIES, TUNABLE_MACHINE_FIELDS,
@@ -40,8 +39,7 @@ from .facade import (ArtifactCache, ArtifactStore, BACKENDS, CacheStats,
                      parallelize, pool_payload, reset_global_telemetry,
                      run_cell_payload, technique_config, topology_names,
                      resolve_program, tune, unknown_workload_message,
-                     validate_backend, validate_overrides,
-                     workload_names)
+                     validate_overrides, workload_names)
 from .client import ServiceClient, ServiceError
 from .types import (ALIAS_MODES, API_SCHEMA_VERSION, LOCAL_SCHEDULES,
                     MAX_INLINE_PROGRAM_BYTES, PROGRAM_KINDS, SCALES,
@@ -66,9 +64,8 @@ __all__ = [
     "MatrixCell", "build_cells", "evaluate_matrix",
     "pool_payload", "run_cell_payload",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
-    # machine topology / placement / backend registries
+    # machine topology / placement registries
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",
-    "BACKENDS", "DEFAULT_BACKEND", "validate_backend",
     # infrastructure
     "ArtifactCache", "CacheStats", "configure_cache",
     "default_cache_dir", "get_cache",

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 # Re-exported pipeline surface (the facade's stability boundary).
-from ..machine.backend import BACKENDS, DEFAULT_BACKEND, validate_backend
 from ..machine.config import TUNABLE_MACHINE_FIELDS
 from ..machine.placement import PLACERS
 from ..machine.topology import TOPOLOGIES, get_topology, topology_names
@@ -60,7 +59,6 @@ __all__ = [
     "pool_payload", "run_cell_payload",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",
-    "BACKENDS", "DEFAULT_BACKEND", "validate_backend",
     "LatencyHistogram", "Telemetry", "global_telemetry",
     "reset_global_telemetry",
     "all_workloads", "get_workload", "workload_names",

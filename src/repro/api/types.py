@@ -20,18 +20,17 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..machine.backend import BACKENDS, DEFAULT_BACKEND
 from ..pipeline.fingerprint import SCHEMA_VERSION as PIPELINE_SCHEMA
 from ..pipeline.fingerprint import digest
 from ..pipeline.matrix import MatrixCell, Overrides, validate_overrides
-from ..pipeline.stages import TECHNIQUES
+from ..pipeline.stages import BACKENDS, TECHNIQUES
 
 #: Bumped on any incompatible change to the request/response layout.
 API_SCHEMA_VERSION = "repro.api/v1"
 
 #: Bumped on any incompatible change to the tune request/leaderboard
 #: layout (the tune schema evolves independently of the evaluate one).
-TUNE_SCHEMA_VERSION = "repro.tune/v1"
+TUNE_SCHEMA_VERSION = "repro.tune/v2"
 
 SCALES = ("train", "ref")
 ALIAS_MODES = ("annotated", "provenance", "none")
@@ -176,7 +175,13 @@ class EvaluateRequest:
     trace: bool = False
     topology: Optional[str] = None
     placer: str = "identity"
-    backend: str = DEFAULT_BACKEND
+    #: The oracle seam: ``"reference"`` makes an in-process
+    #: :func:`repro.api.evaluate` run the reference simulator loop
+    #: instead of the production core.  Bit-identical by contract, so
+    #: it is in neither the request key nor the matrix cell (pooled
+    #: evaluations — ``evaluate_many``, ``repro serve`` workers — always
+    #: run the production core); validated and echoed for the wire.
+    backend: str = "fast"
     #: Namespaced ``(knob, value)`` tuning overrides — ``machine.<field>``
     #: or ``partitioner.<param>`` pairs (see
     #: :func:`repro.pipeline.matrix.validate_overrides`).  Part of the
@@ -287,8 +292,7 @@ class EvaluateRequest:
         return MatrixCell(self.workload, self.technique, self.coco,
                           self.n_threads, self.scale, self.alias_mode,
                           self.local_schedule, self.mt_check,
-                          self.topology, self.placer, self.backend,
-                          overrides)
+                          self.topology, self.placer, overrides)
 
     @classmethod
     def from_cell(cls, cell: MatrixCell, check: bool = True,
@@ -305,8 +309,7 @@ class EvaluateRequest:
                    local_schedule=cell.local_schedule,
                    mt_check=cell.mt_check, check=check,
                    topology=cell.topology, placer=cell.placer,
-                   backend=cell.backend, overrides=cell.overrides,
-                   program=program)
+                   overrides=cell.overrides, program=program)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "EvaluateRequest":
@@ -341,9 +344,9 @@ class EvaluateRequest:
         schema, the API schema, and every cell-identifying field.  Two
         requests for the same work always collide; any bump of either
         schema invalidates memoized responses.  ``backend`` is *not*
-        part of the key — backends are bit-identical, so a memoized
-        reference response answers a fast request and vice versa (and
-        keys stay byte-compatible with pre-backend clients)."""
+        part of the key — the simulator and its oracle are
+        bit-identical, so one memoized response answers both (and keys
+        stay byte-compatible with clients that predate the field)."""
         cell = self.cell()
         return digest("api:evaluate", PIPELINE_SCHEMA, API_SCHEMA_VERSION,
                       repr(cell.identity()), repr(self.check),
@@ -441,8 +444,6 @@ class TuneRequest:
 
     ``knobs`` optionally restricts the search to a subset of the knob
     space (empty = every knob of :data:`repro.tune.space.DEFAULT_SPACE`).
-    ``backend`` is excluded from :meth:`request_key` — like evaluation
-    requests, tuning over bit-identical backends is the same work.
     """
 
     workloads: Tuple[str, ...] = ()
@@ -451,7 +452,6 @@ class TuneRequest:
     seed: int = 0
     n_threads: int = 2
     scale: str = "train"
-    backend: str = DEFAULT_BACKEND
     knobs: Tuple[str, ...] = ()
     schema_version: str = TUNE_SCHEMA_VERSION
 
@@ -493,10 +493,6 @@ class TuneRequest:
             raise RequestValidationError(
                 "unknown scale %r (use one of %s)"
                 % (self.scale, ", ".join(SCALES)))
-        if self.backend not in BACKENDS:
-            raise RequestValidationError(
-                "unknown backend %r (use one of %s)"
-                % (self.backend, ", ".join(BACKENDS)))
         knobs = tuple(self.knobs)
         if knobs:
             # Validated against the live space lazily: repro.tune sits
@@ -537,8 +533,8 @@ class TuneRequest:
     def request_key(self) -> str:
         """Deterministic key over everything that shapes the search
         outcome: schemas, workloads, strategy, budget, seed, threads,
-        scale, and the knob subset — but not ``backend`` (backends are
-        bit-identical) and not ``--jobs`` (results are pool-invariant).
+        scale, and the knob subset — but not ``--jobs`` (results are
+        pool-invariant).
         The per-candidate artifact-cache memo keys derive from this
         plus each candidate's :meth:`EvaluateRequest.request_key`."""
         return digest("api:tune", TUNE_SCHEMA_VERSION, PIPELINE_SCHEMA,

@@ -18,9 +18,8 @@ workflow.
 """
 
 from .compare import Comparison, MetricDelta, compare
-from .harness import (BENCH_ORDER, active_backend, clear_memo,
-                      evaluation, prewarm, relative_communication,
-                      set_backend)
+from .harness import (BENCH_ORDER, clear_memo, evaluation, prewarm,
+                      relative_communication)
 from .results import SCHEMA, BenchResults, SchemaError, SpecResult
 from .runner import run_bench, select_specs
 from .spec import (EXACT, FULL, MODES, SMOKE, STRICT_TIME_BAND,
@@ -35,7 +34,7 @@ __all__ = [
     "all_specs", "spec_ids",
     # harness
     "BENCH_ORDER", "evaluation", "prewarm", "relative_communication",
-    "clear_memo", "set_backend", "active_backend",
+    "clear_memo",
     # results + comparison
     "SCHEMA", "BenchResults", "SpecResult", "SchemaError",
     "Comparison", "MetricDelta", "compare",

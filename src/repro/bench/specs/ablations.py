@@ -23,7 +23,9 @@ from ...interp.state import bind_params, make_memory
 from ...ir import Opcode
 from ...ir.outline import OutlineError, outline_hottest_loop
 from ...machine import DEFAULT_CONFIG, run_mt_program
-from ...machine.backend import simulate_program_fn, simulate_single_fn
+from ...machine.fast_timing import (
+    simulate_program_fast as simulate_program,
+    simulate_single_fast as simulate_single)
 from ...mtcg import generate
 from ...opt.scheduler import (CommPriority, schedule_function,
                               schedule_program)
@@ -33,18 +35,8 @@ from ...api import (MatrixCell, make_partitioner, normalize,
                     technique_config)
 from ...stats import geomean, overhead_breakdown
 from ...workloads import get_workload
-from ..harness import active_backend, evaluation
+from ..harness import evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
-
-
-def simulate_program(*args, **kwargs):
-    """The bench session's active simulator backend (bit-identical to
-    the reference; see tests/test_backend_equivalence.py)."""
-    return simulate_program_fn(active_backend())(*args, **kwargs)
-
-
-def simulate_single(*args, **kwargs):
-    return simulate_single_fn(active_backend())(*args, **kwargs)
 
 
 # Per-process memo of the derivation chain every ablation repeats for a

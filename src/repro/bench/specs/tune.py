@@ -17,7 +17,6 @@ the baselines are seeded into the search before any strategy proposal.
 from __future__ import annotations
 
 from ...api import TuneRequest, tune
-from ..harness import active_backend
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
 #: Fixed search shape: the CLI ``--smoke`` configuration (so the CI
@@ -33,7 +32,7 @@ def _request(mode: BenchMode) -> TuneRequest:
         workloads=tuple(mode.pick(list(TUNE_WORKLOADS))),
         strategy=TUNE_STRATEGY,
         budget=TUNE_BUDGET["smoke" if mode.is_smoke else "full"],
-        seed=TUNE_SEED, scale=mode.scale, backend=active_backend())
+        seed=TUNE_SEED, scale=mode.scale)
 
 
 @bench_spec(

@@ -26,7 +26,7 @@ See ``docs/correctness.md`` for the invariants and workflow.
 from .differential_backend import (CaseResult, DifferentialReport,
                                    diff_snapshots, run_differential,
                                    run_fuzz_case, run_workload_case,
-                                   snapshot_result, snapshot_trace)
+                                   snapshot_result)
 from .fuzz import FuzzFailure, FuzzReport, run_fuzz
 from .generate import (MEM_SIZE, SAFE_BINOPS, ProgramSketch, random_args,
                        random_partition, random_sketch, render_program,
@@ -56,5 +56,5 @@ __all__ = [
     # backend equivalence
     "CaseResult", "DifferentialReport", "diff_snapshots",
     "run_differential", "run_fuzz_case", "run_workload_case",
-    "snapshot_result", "snapshot_trace",
+    "snapshot_result",
 ]

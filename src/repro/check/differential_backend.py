@@ -1,12 +1,13 @@
-"""Differential backend-equivalence checker.
+"""Differential simulator-equivalence checker.
 
-The fast simulator backend (:mod:`repro.machine.fast_timing`) promises
-**bit-identical** results to the reference (:mod:`repro.machine.timing`)
-— not "close", identical: every cycle count, every per-core stall
-attribution, every queue timestamp, every live-out, down to the int/
-float type of each number (the reference mixes both deliberately, and a
-``1635`` silently becoming ``1635.0`` would change downstream repr-based
-fingerprints).  This module is the executable form of that contract:
+The production simulator core (:mod:`repro.machine.fast_timing`)
+promises **bit-identical** results to its oracle, the line-for-line
+reference loop (:mod:`repro.machine.timing`) — not "close", identical:
+every cycle count, every per-core stall attribution, every queue
+timestamp, every live-out, down to the int/float type of each number
+(the reference mixes both deliberately, and a ``1635`` silently becoming
+``1635.0`` would change downstream repr-based fingerprints).  This
+module is the executable form of that contract:
 
 * :func:`snapshot_result` flattens a
   :class:`~repro.machine.timing.TimedResult` into a JSON-able tree
@@ -15,19 +16,18 @@ fingerprints).  This module is the executable form of that contract:
 * :func:`diff_snapshots` returns path-labelled differences
   (``cycles: ('int', '1635') != ('float', '1635.0')``);
 * :func:`run_workload_case` / :func:`run_fuzz_case` execute one
-  comparison — a registry workload under a (technique, topology,
-  trace) configuration, or a seeded random program from
-  :mod:`repro.check.generate` — on **both** backends and report the
-  divergences plus per-backend host seconds;
+  comparison — a registry workload under a (technique, topology)
+  configuration, or a seeded random program from
+  :mod:`repro.check.generate` — on **both** loops and report the
+  divergences plus per-loop host seconds;
 * :func:`run_differential` sweeps the whole grid (all workloads x
-  topology presets x partitioners x trace on/off, plus N fuzz seeds)
-  and aggregates a machine-readable report —
-  ``tools/check_backend_equivalence.py`` turns it into the CI
-  ``backend-equivalence`` job and uploads the report on failure.
+  topology presets x partitioners, plus N fuzz seeds) and aggregates a
+  machine-readable report — ``tools/check_backend_equivalence.py``
+  turns it into the CI ``backend-equivalence`` job and uploads the
+  report on failure.
 
-Traced cases lock down the delegation contract (a tracer forces the
-reference implementation, so event streams are trivially identical —
-but a regression that breaks the delegation would surface here first).
+Only untraced runs are compared: the fast core cannot trace, and the
+pipeline runs the reference loop for every traced simulation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ import random
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..machine.backend import simulate_program_fn, simulate_single_fn
+from ..machine import timing
+from ..machine.fast_timing import (simulate_program_fast,
+                                   simulate_single_fast)
 from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
 from ..pipeline.stages import normalize
@@ -97,23 +99,10 @@ def snapshot_result(result) -> Dict[str, object]:
     })
 
 
-def snapshot_trace(collector) -> Dict[str, object]:
-    """The observable surface of a TraceCollector: the full event
-    stream plus the aggregate tables the reports are built from."""
-    return _typed({
-        "events": [event.as_dict() for event in collector.events],
-        "dropped": collector.events.dropped,
-        "core_table": collector.core_table(),
-        "class_table": collector.class_table(),
-        "stall_totals": collector.stall_totals(),
-        "total_cycles": collector.total_cycles,
-    })
-
-
 def diff_snapshots(reference, fast, path: str = "",
                    limit: int = 50) -> List[str]:
     """Path-labelled differences between two snapshots (both sides
-    produced by :func:`snapshot_result` / :func:`snapshot_trace`)."""
+    produced by :func:`snapshot_result`)."""
     diffs: List[str] = []
     _diff(reference, fast, path, diffs)
     return diffs[:limit]
@@ -144,7 +133,7 @@ def _is_leaf(value) -> bool:
 
 class CaseResult:
     """One executed comparison: a label, the divergences (empty =
-    bit-identical), and the per-backend host seconds."""
+    bit-identical), and the per-loop host seconds."""
 
     def __init__(self, label: str, divergences: List[str],
                  reference_seconds: float, fast_seconds: float):
@@ -169,22 +158,21 @@ class CaseResult:
             "%d divergences" % len(self.divergences))
 
 
-def _capture(run, snapshot) -> Dict[str, object]:
-    """Run one backend; an exception is an observable too — both
-    backends must raise the same type with the same message (fuzz
-    programs trap by design: division by zero, undefined registers)."""
+def _capture(run) -> Dict[str, object]:
+    """Run one loop; an exception is an observable too — both must
+    raise the same type with the same message (fuzz programs trap by
+    design: division by zero, undefined registers)."""
     try:
-        return {"result": snapshot(run())}
+        return {"result": snapshot_result(run())}
     except Exception as error:
         return {"error": _typed([type(error).__name__, str(error)])}
 
 
-def _compare(label: str, run_reference, run_fast,
-             snapshot=snapshot_result) -> CaseResult:
+def _compare(label: str, run_reference, run_fast) -> CaseResult:
     started = time.perf_counter()
-    reference = _capture(run_reference, snapshot)
+    reference = _capture(run_reference)
     mid = time.perf_counter()
-    fast = _capture(run_fast, snapshot)
+    fast = _capture(run_fast)
     done = time.perf_counter()
     divergences = diff_snapshots(reference, fast)
     return CaseResult(label, divergences, mid - started, done - mid)
@@ -194,60 +182,43 @@ def run_workload_case(workload_name: str,
                       technique: Optional[str] = None,
                       topology: Optional[str] = None,
                       n_threads: int = 2,
-                      scale: str = "train",
-                      trace: bool = False) -> CaseResult:
-    """Compare both backends on one registry workload.
+                      scale: str = "train") -> CaseResult:
+    """Compare both loops on one registry workload.
 
     ``technique=None`` runs the single-threaded simulator; otherwise the
-    workload is parallelized once (the build side is backend-agnostic)
-    and the resulting MT program timed by both backends.  ``trace=True``
-    attaches an independent TraceCollector to each backend run and
-    compares the event streams too.
+    workload is parallelized once (the build side does not simulate)
+    and the resulting MT program timed by both.
     """
     workload = get_workload(workload_name)
     inputs = workload.make_inputs(scale)
-    label = "%s/%s/%s/%dT%s" % (workload_name, technique or "st",
-                                topology or "flat", n_threads,
-                                "/trace" if trace else "")
+    label = "%s/%s/%s/%dT" % (workload_name, technique or "st",
+                              topology or "flat", n_threads)
     if technique is None:
-        def run(backend):
-            def go():
-                return simulate_single_fn(backend)(
-                    workload.build(), inputs.args, inputs.memory)
-            return go
-        return _compare(label, run("reference"), run("fast"))
+        return _compare(
+            label,
+            lambda: timing.simulate_single(
+                workload.build(), inputs.args, inputs.memory),
+            lambda: simulate_single_fast(
+                workload.build(), inputs.args, inputs.memory))
 
     train = workload.make_inputs("train")
     built = parallelize(workload.build(), technique=technique,
                         n_threads=n_threads, profile_args=train.args,
                         profile_memory=train.memory, cache=False,
                         topology=topology)
-    if trace:
-        from ..trace import TraceCollector
-
-        def run_traced(backend):
-            def go():
-                collector = TraceCollector()
-                simulate_program_fn(backend)(
-                    built.program, inputs.args, inputs.memory,
-                    config=built.config, tracer=collector)
-                return collector
-            return go
-        return _compare(label, run_traced("reference"),
-                        run_traced("fast"), snapshot=snapshot_trace)
-
-    def run(backend):
-        def go():
-            return simulate_program_fn(backend)(
-                built.program, inputs.args, inputs.memory,
-                config=built.config)
-        return go
-    return _compare(label, run("reference"), run("fast"))
+    return _compare(
+        label,
+        lambda: timing.simulate_program(
+            built.program, inputs.args, inputs.memory,
+            config=built.config),
+        lambda: simulate_program_fast(
+            built.program, inputs.args, inputs.memory,
+            config=built.config))
 
 
 def run_fuzz_case(seed: int, depth: int = 2,
                   max_threads: int = 3) -> CaseResult:
-    """Compare both backends on one seeded random program: the
+    """Compare both loops on one seeded random program: the
     single-threaded run, plus an MTCG program built from a random
     partition of the same function (the adversarial shapes the
     workload registry never produces)."""
@@ -258,26 +229,18 @@ def run_fuzz_case(seed: int, depth: int = 2,
 
     function = render_program(sketch)
     normalize(function)
-
-    def run_st(backend):
-        def go():
-            return simulate_single_fn(backend)(function, args)
-        return go
-    st = _compare("fuzz-%d/st" % seed, run_st("reference"),
-                  run_st("fast"))
+    st = _compare("fuzz-%d/st" % seed,
+                  lambda: timing.simulate_single(function, args),
+                  lambda: simulate_single_fast(function, args))
 
     from ..analysis.pdg import build_pdg
     pdg = build_pdg(function)
     partition = random_partition(random.Random(seed * 7919 + 13),
                                  function, n_threads=n_threads)
     program = generate(function, pdg, partition)
-
-    def run_mt(backend):
-        def go():
-            return simulate_program_fn(backend)(program, args)
-        return go
     mt = _compare("fuzz-%d/random-%dT" % (seed, n_threads),
-                  run_mt("reference"), run_mt("fast"))
+                  lambda: timing.simulate_program(program, args),
+                  lambda: simulate_program_fast(program, args))
 
     return CaseResult(
         "fuzz-%d" % seed, st.divergences + mt.divergences,
@@ -333,12 +296,11 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
                      = DEFAULT_TOPOLOGIES,
                      techniques: Sequence[str] = DEFAULT_TECHNIQUES,
                      scale: str = "train",
-                     trace_modes: Sequence[bool] = (False,),
                      fuzz_seeds: Iterable[int] = (),
                      progress: ProgressFn = None) -> DifferentialReport:
     """Sweep the full equivalence grid and aggregate the report.
 
-    Every (workload x topology x technique x trace) cell plus the
+    Every (workload x topology x technique) cell plus the
     single-threaded run per workload, then one :func:`run_fuzz_case`
     per seed.  Any divergence makes ``report.ok`` false; nothing short-
     circuits, so the report always carries the complete failure list.
@@ -351,14 +313,13 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
         for topology in topologies:
             n_threads = _TOPOLOGY_THREADS.get(topology, 2)
             for technique in techniques:
-                for trace in trace_modes:
-                    case = run_workload_case(
-                        name, technique=technique, topology=topology,
-                        n_threads=n_threads, scale=scale, trace=trace)
-                    report.add(case)
-                    if progress:
-                        progress("%s: %s" % (case.label,
-                                             "ok" if case.ok else "FAIL"))
+                case = run_workload_case(
+                    name, technique=technique, topology=topology,
+                    n_threads=n_threads, scale=scale)
+                report.add(case)
+                if progress:
+                    progress("%s: %s" % (case.label,
+                                         "ok" if case.ok else "FAIL"))
     for seed in fuzz_seeds:
         case = run_fuzz_case(seed)
         report.add(case)

@@ -55,10 +55,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .api import (BACKENDS, DEFAULT_BACKEND, PLACERS, STRATEGIES,
-                  TECHNIQUES, TOPOLOGIES, build_cells, configure_cache,
-                  evaluate_matrix, evaluate_workload, get_cache,
-                  get_topology, global_telemetry, normalize, parallelize,
+from .api import (PLACERS, STRATEGIES, TECHNIQUES, TOPOLOGIES,
+                  build_cells, configure_cache, evaluate_matrix,
+                  evaluate_workload, get_cache, get_topology,
+                  global_telemetry, normalize, parallelize,
                   reset_global_telemetry)
 from .ir.printer import format_function
 from .machine.config import config_table
@@ -102,20 +102,6 @@ def _program_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _backend_parent() -> argparse.ArgumentParser:
-    """``--backend``, declared once for every simulating command
-    (run/sweep/bench/trace/serve).  Backends are bit-identical (see
-    docs/performance.md); the flag trades host wall time only."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--backend", default=DEFAULT_BACKEND,
-                        choices=BACKENDS,
-                        help="simulator implementation: the line-for-line "
-                             "reference, or the batched-dispatch fast "
-                             "backend (bit-identical results; "
-                             "default: %(default)s)")
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -124,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     cache_parent = _cache_parent()
     jobs_parent = _jobs_parent()
-    backend_parent = _backend_parent()
     program_parent = _program_parent()
 
     sub.add_parser("list", help="list the benchmark workloads")
@@ -136,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: the papers' flat dual-core)")
 
     run = sub.add_parser("run", help="parallelize one workload",
-                         parents=[cache_parent, backend_parent,
-                                  program_parent])
+                         parents=[cache_parent, program_parent])
     _common_options(run)
     run.add_argument("workload", nargs="?", default=None,
                      help="workload name (see `list`); omit with "
@@ -154,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="evaluate every workload",
                            parents=[cache_parent, jobs_parent,
-                                    backend_parent, program_parent])
+                                    program_parent])
     _common_options(sweep)
 
     fuzz = sub.add_parser(
@@ -183,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the machine-readable benchmark specs and "
                       "emit/compare BENCH_RESULTS.json",
-        parents=[cache_parent, jobs_parent, backend_parent])
+        parents=[cache_parent, jobs_parent])
     mode = bench.add_mutually_exclusive_group()
     mode.add_argument("--smoke", action="store_true",
                       help="CI configuration: train inputs, truncated "
@@ -224,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="trace one workload's MT simulation: emit a "
                       "Perfetto-loadable trace.json plus a stall-"
                       "attribution / critical-path report",
-        parents=[cache_parent, backend_parent, program_parent])
+        parents=[cache_parent, program_parent])
     trace.add_argument("workload", nargs="?", default=None,
                        help="workload name (see `list`); omit with "
                             "--source/--ir")
@@ -270,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "space for configurations beating the paper "
                      "defaults; emits schema-versioned JSON "
                      "leaderboards plus a markdown summary",
-        parents=[cache_parent, jobs_parent, backend_parent])
-    tune.set_defaults(backend="fast")
+        parents=[cache_parent, jobs_parent])
     tune.add_argument("--workloads", nargs="+", default=None,
                       metavar="NAME",
                       help="workloads to tune (default: all; see "
@@ -310,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the scheduling service: a JSON-over-HTTP "
                       "daemon with a bounded worker pool, admission "
                       "control, and /healthz + /metrics",
-        parents=[cache_parent, backend_parent])
+        parents=[cache_parent])
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8184,
@@ -458,7 +441,7 @@ def _run_one(args) -> int:
                            scale=args.scale, alias_mode=args.alias_mode,
                            local_schedule=args.schedule,
                            mt_check=args.check, topology=args.topology,
-                           placer=args.placer, backend=args.backend)
+                           placer=args.placer)
     rows = [
         ("single-threaded cycles", "%.0f" % ev.st_result.cycles),
         ("multi-threaded cycles", "%.0f" % ev.mt_result.cycles),
@@ -513,8 +496,7 @@ def _trace(args) -> int:
                            n_threads=args.threads, coco=args.coco,
                            scale=args.scale, trace=True,
                            trace_limit=args.limit,
-                           topology=args.topology, placer=args.placer,
-                           backend=args.backend)
+                           topology=args.topology, placer=args.placer)
     analysis = ev.trace
     write_chrome_trace(args.out, analysis.collector)
     print("wrote %s (%d events, %d dropped; %.0f simulated cycles)"
@@ -550,7 +532,7 @@ def _sweep(args) -> int:
                         scale=args.scale, alias_mode=args.alias_mode,
                         local_schedule=args.schedule,
                         mt_check=args.check, topology=args.topology,
-                        placer=args.placer, backend=args.backend)
+                        placer=args.placer)
     evaluations = evaluate_matrix(cells, jobs=args.jobs)
     rows = []
     speedups = {technique: [] for technique in techniques}
@@ -686,7 +668,6 @@ def _bench(args) -> int:
 
     mode = MODES["full" if args.full else "smoke"]
     results = run_bench(mode, jobs=args.jobs, spec_ids=args.spec,
-                        backend=args.backend,
                         progress=lambda line: print("bench: " + line))
     results.save(args.out)
     print("bench: %d specs, %d metrics -> %s (%.1fs, mode=%s)"
@@ -735,7 +716,6 @@ def _serve(args) -> int:
                            queue_limit=args.queue_limit,
                            request_timeout=args.request_timeout,
                            max_retries=args.max_retries,
-                           backend=args.backend,
                            role=args.role,
                            coordinator_url=args.coordinator,
                            node_id=args.node_id,
@@ -818,8 +798,7 @@ def _tune(args) -> int:
         knobs = tuple(args.knobs) if args.knobs else ()
     request = TuneRequest(workloads=workloads, strategy=strategy,
                           budget=budget, seed=args.seed,
-                          n_threads=args.threads, scale=scale,
-                          backend=args.backend, knobs=knobs)
+                          n_threads=args.threads, scale=scale, knobs=knobs)
     try:
         result = tune(request, jobs=args.jobs, out_dir=args.out,
                       top=args.top, progress=print)

@@ -1,4 +1,4 @@
-"""Batched-dispatch fast backend of the timing simulator.
+"""The production timing simulator: a batched-dispatch core.
 
 This module re-implements :func:`repro.machine.timing.simulate_threads`
 as a *fused* functional+timing interpreter over precompiled dispatch
@@ -6,7 +6,7 @@ records.  The reference simulator pays, per dynamic instruction, for a
 ``ThreadContext.step()`` (operand list allocation, ``StepResult``
 allocation, an opcode ``is``-chain) plus a second dispatch in
 ``_time_plain_instruction`` (a ``SIGNATURES`` lookup per ``kind`` read,
-``Counter`` port accounting, several method calls).  The fast backend
+``Counter`` port accounting, several method calls).  The fast core
 compiles each thread's CFG once into flat per-block record tuples —
 integer op-class codes, pre-resolved branch targets, pre-computed port
 indices/limits/latencies, pre-bound value-semantics callables — and runs
@@ -14,10 +14,10 @@ one loop that executes and times each instruction directly against
 array-backed core state.
 
 Equivalence contract: the results are **bit-identical** to the reference
-backend — cycles, per-core finish times, stall attribution, cache and
+loop — cycles, per-core finish times, stall attribution, cache and
 queue statistics, memory, live-outs, even the ``int`` vs ``float``
 types the reference's mixed arithmetic produces (cached artifacts are
-shared across backends, so object equality must survive pickling).
+shared between the two, so object equality must survive pickling).
 Every timing expression below mirrors the corresponding line of
 ``timing.py``; when editing one, edit both.  The differential harness
 (:mod:`repro.check.differential_backend`,
@@ -29,27 +29,27 @@ reuses the reference classes outright: their behaviour is
 interleaving-sensitive, so sharing the implementation removes a whole
 class of divergence.
 
-Tracing is *not* reimplemented: with a tracer attached the fast entry
-points delegate to the reference simulator (documented in
-``docs/performance.md``), so traced runs cost reference speed but stay
-exactly reconciled.
+Tracing is *not* reimplemented: nothing here takes a tracer.  The one
+place that picks a loop (``repro.pipeline.stages``) runs the reference
+for traced simulations, so those cost reference speed but stay exactly
+reconciled (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import List, Mapping, Optional, Sequence
 
 from ..interp.context import _BINARY, _UNARY, TrapError
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
 from ..ir.instructions import COMM_OPCODES, OpKind, Opcode
-from ..mtcg.program import MTProgram
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
 from .functional import DeadlockError, MTExecutionLimitExceeded
 from .timing import (SAPortSchedule, TimedQueues, TimedResult,
-                     queue_crossing_penalties, simulate_threads)
+                     simulate_program, simulate_single)
 
 # Op-class codes of the compiled dispatch records.  Ordered roughly by
 # dynamic frequency so the dispatch chain tests the hot classes first.
@@ -95,7 +95,7 @@ class _FastCore:
     """Array-backed in-order issue state of one core.
 
     Field-for-field mirror of :class:`repro.machine.timing.CoreTiming`
-    minus the trace-only bookkeeping (the fast backend never traces);
+    minus the trace-only bookkeeping (the fast core never traces);
     ``port_use`` is a fixed 4-slot list indexed by port class instead of
     a ``Counter`` keyed by port name.
     """
@@ -121,32 +121,6 @@ class _FastCore:
         self.backpressure_cycles = 0.0
         self.operand_wait_cycles = 0.0
         self.sa_port_delays = 0
-
-
-def _issue(core, earliest, pidx, limit, issue_width):
-    """``CoreTiming.find_issue_slot(earliest, port, uses_sa=False)``."""
-    mi = core.min_issue
-    if earliest > mi:
-        t = int(earliest)
-        if earliest > t:
-            t += 1
-    else:
-        t = mi
-    pu = core.port_use
-    while True:
-        if t > core.cycle:
-            core.cycle = t
-            core.issued_in_cycle = 0
-            pu[0] = pu[1] = pu[2] = pu[3] = 0
-        if core.issued_in_cycle < issue_width and pu[pidx] < limit:
-            core.issued_in_cycle += 1
-            pu[pidx] += 1
-            core.min_issue = t
-            tf = t + 1.0
-            if tf > core.finish:
-                core.finish = tf
-            return t
-        t += 1
 
 
 def _issue_sa(core, earliest, limit, issue_width):
@@ -292,25 +266,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                           config: MachineConfig = DEFAULT_CONFIG,
                           n_queues: int = 0,
                           max_steps: int = 200_000_000,
-                          tracer=None,
                           placement: Optional[Sequence[int]] = None,
                           queue_crossing: Optional[Sequence[int]] = None
                           ) -> TimedResult:
-    """Drop-in, bit-identical replacement for
-    :func:`repro.machine.timing.simulate_threads`.
-
-    With a ``tracer`` the reference implementation runs instead: trace
-    instrumentation is deeply interleaved with the reference loop and
-    duplicating it would double the equivalence surface for no timed-run
-    benefit (traced runs are diagnostics, not sweeps).
-    """
-    if tracer is not None:
-        return simulate_threads(functions, exit_thread, memory_owner, args,
-                                initial_memory, config, n_queues=n_queues,
-                                max_steps=max_steps, tracer=tracer,
-                                placement=placement,
-                                queue_crossing=queue_crossing)
-
+    """Bit-identical replacement for the untraced
+    :func:`repro.machine.timing.simulate_threads`."""
     memory = make_memory(memory_owner, initial_memory)
     queues = TimedQueues(n_queues, config.sa_queue_size) if n_queues else None
     hierarchy = MemoryHierarchy(config)
@@ -410,10 +370,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             pos = cur_idx[index]
             executed = 0
             # Local mirrors of the core's issue state: the inlined
-            # find-issue-slot logic below (the body of ``_issue``,
-            # repeated per op class) runs entirely on locals, written
-            # back once per burst.  ``_issue_sa`` still runs out of line
-            # — its call sites sync the mirrors around the call.
+            # find-issue-slot logic below (``CoreTiming.find_issue_slot``
+            # without the SA port, repeated per op class) runs entirely
+            # on locals, written back once per burst.  ``_issue_sa``
+            # still runs out of line — its call sites sync the mirrors
+            # around the call.
             c_cycle = core.cycle
             c_issued = core.issued_in_cycle
             c_min_issue = core.min_issue
@@ -922,37 +883,10 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                        memory, hierarchy.stats(), queues, comm_stats)
 
 
-def simulate_program_fast(program: MTProgram,
-                          args: Optional[Mapping[str, object]] = None,
-                          initial_memory: Optional[
-                              Mapping[str, object]] = None,
-                          config: MachineConfig = DEFAULT_CONFIG,
-                          max_steps: int = 200_000_000,
-                          tracer=None,
-                          placement=None) -> TimedResult:
-    """Fast-backend counterpart of
-    :func:`repro.machine.timing.simulate_program`."""
-    cores = getattr(placement, "cores", placement)
-    if config.topology is None:
-        config = config.with_cores(max(program.n_threads, 1))
-    return simulate_threads_fast(
-        program.threads, program.exit_thread, program.original, args,
-        initial_memory, config, n_queues=program.n_queues,
-        max_steps=max_steps, tracer=tracer, placement=cores,
-        queue_crossing=queue_crossing_penalties(program, config, cores))
-
-
-def simulate_single_fast(function: Function,
-                         args: Optional[Mapping[str, object]] = None,
-                         initial_memory: Optional[
-                             Mapping[str, object]] = None,
-                         config: MachineConfig = DEFAULT_CONFIG,
-                         max_steps: int = 200_000_000,
-                         tracer=None) -> TimedResult:
-    """Fast-backend counterpart of
-    :func:`repro.machine.timing.simulate_single`."""
-    if config.topology is None:
-        config = config.with_cores(1)
-    return simulate_threads_fast([function], 0, function, args,
-                                 initial_memory, config, n_queues=0,
-                                 max_steps=max_steps, tracer=tracer)
+#: The program- and function-level entry points over the fast core: the
+#: reference wrappers (machine sizing, placement, crossing penalties),
+#: handed this module's thread loop.
+simulate_program_fast = partial(simulate_program,
+                                simulate_threads=simulate_threads_fast)
+simulate_single_fast = partial(simulate_single,
+                               simulate_threads=simulate_threads_fast)

@@ -667,26 +667,37 @@ def queue_crossing_penalties(program: MTProgram, config: MachineConfig,
     return penalties
 
 
+def _tracer_kwarg(tracer) -> dict:
+    """``tracer`` reaches the thread loop only when set: the reference
+    loop is the one implementation that can trace, so the fast core has
+    no such parameter and a traced call onto it fails loudly."""
+    return {} if tracer is None else {"tracer": tracer}
+
+
 def simulate_program(program: MTProgram,
                      args: Optional[Mapping[str, object]] = None,
                      initial_memory: Optional[Mapping[str, object]] = None,
                      config: MachineConfig = DEFAULT_CONFIG,
                      max_steps: int = 200_000_000,
                      tracer=None,
-                     placement=None) -> TimedResult:
+                     placement=None,
+                     simulate_threads=simulate_threads) -> TimedResult:
     """Timed simulation of MTCG output.  ``placement`` (a
     :class:`~repro.machine.placement.Placement` or a raw thread->core
     sequence) selects the cores; identity on a machine sized to the
-    thread count otherwise."""
+    thread count otherwise.  ``simulate_threads`` is the thread loop to
+    run: this module's reference, or
+    :func:`repro.machine.fast_timing.simulate_threads_fast`."""
     cores = getattr(placement, "cores", placement)
     if config.topology is None:
         config = config.with_cores(max(program.n_threads, 1))
     return simulate_threads(program.threads, program.exit_thread,
                             program.original, args, initial_memory, config,
                             n_queues=program.n_queues, max_steps=max_steps,
-                            tracer=tracer, placement=cores,
+                            placement=cores,
                             queue_crossing=queue_crossing_penalties(
-                                program, config, cores))
+                                program, config, cores),
+                            **_tracer_kwarg(tracer))
 
 
 def simulate_single(function: Function,
@@ -694,10 +705,12 @@ def simulate_single(function: Function,
                     initial_memory: Optional[Mapping[str, object]] = None,
                     config: MachineConfig = DEFAULT_CONFIG,
                     max_steps: int = 200_000_000,
-                    tracer=None) -> TimedResult:
-    """Timed simulation of the original single-threaded code on one core."""
+                    tracer=None,
+                    simulate_threads=simulate_threads) -> TimedResult:
+    """Timed simulation of the original single-threaded code on one core
+    (``simulate_threads`` as in :func:`simulate_program`)."""
     if config.topology is None:
         config = config.with_cores(1)
     return simulate_threads([function], 0, function, args, initial_memory,
                             config, n_queues=0, max_steps=max_steps,
-                            tracer=tracer)
+                            **_tracer_kwarg(tracer))

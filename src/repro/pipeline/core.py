@@ -23,15 +23,14 @@ from ..analysis.pdg import PDG
 from ..coco.driver import CocoResult
 from ..interp.profile import EdgeProfile
 from ..ir.cfg import Function
-from ..machine.backend import DEFAULT_BACKEND, validate_backend
 from ..machine.config import MachineConfig
 from ..machine.timing import TimedResult
 from ..mtcg.program import MTProgram
 from ..partition.base import Partition
 from ..workloads.common import Workload
 from .cache import ArtifactCache, get_cache
-from .stages import (EVALUATE_STAGES, PARALLELIZE_STAGES, PipelineContext,
-                     execute, technique_config)
+from .stages import (BACKENDS, EVALUATE_STAGES, PARALLELIZE_STAGES,
+                     PipelineContext, execute, technique_config)
 from .telemetry import Telemetry, global_telemetry
 
 CacheOption = Union[ArtifactCache, bool, None]
@@ -243,7 +242,7 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
                       trace_limit: Optional[int] = None,
                       topology: Optional[str] = None,
                       placer: str = "identity",
-                      backend: str = DEFAULT_BACKEND,
+                      backend: str = "fast",
                       partitioner_args: Optional[
                           Mapping[str, object]] = None) -> Evaluation:
     """Run the full methodology for one workload: profile on `train`,
@@ -270,10 +269,12 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     ``placer`` chooses the thread->core placer ("identity"/"affinity").
     Both default to the flat legacy machine, which is cycle-invariant.
 
-    ``backend`` selects the simulator implementation ("reference" or
-    "fast", see :mod:`repro.machine.backend`).  Backends are
-    bit-identical by contract, so the choice never enters cache
-    fingerprints or request keys — it only trades host wall time.
+    ``backend="reference"`` is the oracle seam: it runs the
+    line-for-line reference loop where the production fast core would
+    run (see :func:`repro.pipeline.stages._simulator`; traced MT
+    simulations run the reference either way).  The two are
+    bit-identical by contract, so the value never enters cache
+    fingerprints or request keys.
 
     ``partitioner_args`` forwards tunable cost-model parameters (e.g.
     ``split_threshold``) to the technique's partitioner; they enter the
@@ -281,7 +282,9 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     cache entries (see
     :data:`repro.pipeline.stages.PARTITIONER_PARAMS`).
     """
-    validate_backend(backend)
+    if backend not in BACKENDS:
+        raise ValueError("unknown backend %r (expected one of %s)"
+                         % (backend, ", ".join(BACKENDS)))
     function = workload.build()
     train = workload.make_inputs("train")
     measure = workload.make_inputs(scale)

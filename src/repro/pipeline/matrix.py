@@ -25,13 +25,13 @@ import warnings
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..machine.backend import DEFAULT_BACKEND
 from ..machine.config import TUNABLE_MACHINE_FIELDS, MachineConfig
 from ..workloads import get_workload, workload_names
 from ..workloads.common import Workload
 from .cache import configure_cache, get_cache
 from .core import Evaluation, evaluate_workload
 from .stages import PARTITIONER_PARAMS, technique_config
+from .store import store_url_from_env
 from .telemetry import Telemetry, global_telemetry
 
 Overrides = Tuple[Tuple[str, object], ...]
@@ -120,12 +120,8 @@ def overrides_config(technique: str,
 class MatrixCell(NamedTuple):
     """One point of the evaluation matrix.
 
-    ``backend`` picks the simulator implementation; backends are
-    bit-identical, so it is not part of the cell's *identity* —
-    :meth:`identity` strips it, and request keys/baselines built from
-    it are backend-invariant.  ``overrides`` optionally carries
-    ``(knob, value)`` pairs (see :func:`validate_overrides`); it *is*
-    identity when non-empty, and the empty default keeps the identity
+    ``overrides`` optionally carries ``(knob, value)`` pairs (see
+    :func:`validate_overrides`); the empty default keeps the identity
     tuple byte-compatible with pre-override cells."""
 
     workload: str
@@ -138,13 +134,11 @@ class MatrixCell(NamedTuple):
     mt_check: bool = False
     topology: Optional[str] = None
     placer: str = "identity"
-    backend: str = DEFAULT_BACKEND
     overrides: Overrides = ()
 
     def identity(self) -> tuple:
-        """The fields that determine this cell's results (everything but
-        ``backend``) — the key for caches, baselines, and the daemon."""
-        base = tuple(self[:10])
+        """The cell as the key for caches, baselines, and the daemon."""
+        base = tuple(self[:-1])
         if self.overrides:
             return base + (("overrides",
                             tuple(sorted(self.overrides))),)
@@ -162,7 +156,6 @@ def build_cells(workloads: Optional[
                 mt_check: bool = False,
                 topology: Optional[str] = None,
                 placer: str = "identity",
-                backend: str = DEFAULT_BACKEND,
                 overrides: Overrides = ()) -> List[MatrixCell]:
     """The cross product, in deterministic workload-major order."""
     if workloads is None:
@@ -172,7 +165,7 @@ def build_cells(workloads: Optional[
                  for w in workloads]
     return [MatrixCell(name, technique, use_coco, threads, scale,
                        alias_mode, local_schedule, mt_check,
-                       topology, placer, backend, overrides)
+                       topology, placer, overrides)
             for name in names
             for technique in techniques
             for use_coco in coco
@@ -194,7 +187,6 @@ def evaluate_matrix(cells: Optional[Iterable[MatrixCell]] = None,
                     telemetry: Optional[Telemetry] = None,
                     topology: Optional[str] = None,
                     placer: str = "identity",
-                    backend: str = DEFAULT_BACKEND,
                     overrides: Overrides = ()
                     ) -> List[Evaluation]:
     """Evaluate every cell and return the evaluations in cell order.
@@ -208,7 +200,7 @@ def evaluate_matrix(cells: Optional[Iterable[MatrixCell]] = None,
     if cells is None:
         cells = build_cells(workloads, techniques, coco, n_threads, scale,
                             alias_mode, local_schedule, mt_check,
-                            topology, placer, backend, overrides)
+                            topology, placer, overrides)
     cells = [cell if isinstance(cell, MatrixCell) else MatrixCell(*cell)
              for cell in cells]
 
@@ -242,7 +234,6 @@ def _run_cell(cell: MatrixCell, check: bool,
                              telemetry=telemetry,
                              topology=cell.topology,
                              placer=cell.placer,
-                             backend=cell.backend,
                              partitioner_args=partitioner_args)
 
 
@@ -257,17 +248,21 @@ def pool_payload(cell: MatrixCell, check: bool = True,
 
 
 def run_cell_payload(payload) -> Evaluation:
-    """Execute one :func:`pool_payload` in the current process,
-    re-pointing the process-wide cache at the parent's directory first
-    (a no-op under fork, required under spawn)."""
+    """Execute one :func:`pool_payload` in the current process, on the
+    parent's cache.  The active cache is kept — with its memory tier,
+    which is what lets back-to-back cells of one workload share their
+    front-end artifacts — unless it points somewhere else (another
+    directory or enabled flag under spawn, another ``REPRO_STORE_URL``
+    once a cluster worker has exported one)."""
     cell, check, cache_dir, cache_enabled = payload
-    configure_cache(cache_dir, cache_enabled)
+    cache = get_cache()
+    active = (cache.directory, cache.enabled,
+              getattr(cache.store_backend, "remote_url", None))
+    store_url = store_url_from_env()
+    if active != (cache_dir, cache_enabled,
+                  store_url and store_url.rstrip("/")):
+        configure_cache(cache_dir, cache_enabled)
     return _run_cell(cell, check, telemetry=None)
-
-
-# Kept under the historical name: pickled pool entry points must stay
-# importable across versions for in-flight spawn workers.
-_pool_worker = run_cell_payload
 
 
 def _run_batch_payload(batch) -> List[Evaluation]:

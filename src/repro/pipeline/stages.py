@@ -32,9 +32,9 @@ from ..interp.profile import static_profile
 from ..ir.cfg import Function
 from ..ir.interning import intern_program
 from ..ir.transforms import renumber_iids, split_critical_edges
-from ..machine.backend import (DEFAULT_BACKEND, simulate_program_fn,
-                               simulate_single_fn)
+from ..machine import timing
 from ..machine.config import DEFAULT_CONFIG, MachineConfig
+from ..machine.fast_timing import simulate_threads_fast
 from ..machine.placement import make_placement
 from ..mtcg.codegen import generate
 from ..partition.base import Partitioner
@@ -394,16 +394,29 @@ def _fp_simulate_st(ctx: PipelineContext) -> str:
                   repr(ctx.options.get("local_schedule")))
 
 
+#: Values of the ``backend`` option: the production core, and the
+#: line-for-line reference kept as its oracle.
+BACKENDS = ("fast", "reference")
+
+
+def _simulator(ctx: PipelineContext, traced: bool = False):
+    """The thread loop for one simulation: the only place an
+    implementation is picked.  The reference loop runs when the run is
+    traced (only it can trace) or when the caller asked for the oracle;
+    everything else runs the fast core.  The two are bit-identical
+    (tests/test_backend_equivalence.py), so the choice is absent from
+    the stage fingerprints and both share cache entries."""
+    if traced or ctx.options.get("backend") == "reference":
+        return timing.simulate_threads
+    return simulate_threads_fast
+
+
 def _run_simulate_st(ctx: PipelineContext) -> dict:
     config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    # The backend is deliberately absent from the stage fingerprint:
-    # backends are bit-identical (tests/test_backend_equivalence.py), so
-    # reference and fast runs share one cache namespace.
-    simulate_single = simulate_single_fn(
-        ctx.options.get("backend", DEFAULT_BACKEND))
-    result = simulate_single(ctx.function, ctx.options.get("measure_args"),
-                             ctx.options.get("measure_memory"),
-                             config=config)
+    result = timing.simulate_single(
+        ctx.function, ctx.options.get("measure_args"),
+        ctx.options.get("measure_memory"), config=config,
+        simulate_threads=_simulator(ctx))
     return {"st_result": result}
 
 
@@ -427,23 +440,18 @@ def _fp_simulate_mt(ctx: PipelineContext) -> Optional[str]:
 
 def _run_simulate_mt(ctx: PipelineContext) -> dict:
     config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    simulate_program = simulate_program_fn(
-        ctx.options.get("backend", DEFAULT_BACKEND))
+    collector = None
     if ctx.options.get("trace"):
         from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
         limit = ctx.options.get("trace_limit") or DEFAULT_EVENT_LIMIT
         collector = TraceCollector(limit=limit)
-        result = simulate_program(ctx.values["program"],
-                                  ctx.options.get("measure_args"),
-                                  ctx.options.get("measure_memory"),
-                                  config=config, tracer=collector,
-                                  placement=ctx.values.get("placement"))
+    result = timing.simulate_program(
+        ctx.values["program"], ctx.options.get("measure_args"),
+        ctx.options.get("measure_memory"), config=config,
+        tracer=collector, placement=ctx.values.get("placement"),
+        simulate_threads=_simulator(ctx, traced=collector is not None))
+    if collector is not None:
         return {"mt_result": result, "mt_trace": analyze(collector)}
-    result = simulate_program(ctx.values["program"],
-                              ctx.options.get("measure_args"),
-                              ctx.options.get("measure_memory"),
-                              config=config,
-                              placement=ctx.values.get("placement"))
     return {"mt_result": result}
 
 

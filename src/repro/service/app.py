@@ -23,10 +23,9 @@ daemon restarts.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..api import (EvaluateRequest, RequestValidationError, get_cache)
 from .admission import AdmissionQueue, DEFAULT_TENANT, QueueFullError
@@ -81,11 +80,6 @@ class SchedulerService:
             return (HTTP_BAD_REQUEST,
                     {"error": str(error), "kind": "validation"},
                     "invalid")
-        if isinstance(body, Mapping) and "backend" not in body:
-            # Requests that don't name a backend inherit the daemon's
-            # (results and the request key are backend-invariant).
-            request = dataclasses.replace(request,
-                                          backend=self.config.backend)
         key = request.request_key()
 
         memoized = self._memo_lookup(key)

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..machine.backend import DEFAULT_BACKEND, validate_backend
-
 #: Roles ``repro serve`` can assume (see :mod:`repro.cluster`).
 ROLES = ("standalone", "coordinator", "worker")
 
@@ -46,10 +44,6 @@ class ServiceConfig:
     #: ``quiet=True`` drops request logs entirely (tests).
     log_stream: Optional[object] = None
     quiet: bool = False
-    #: Simulator backend applied to requests that do not name one
-    #: (see :mod:`repro.machine.backend`).  Backends are bit-identical,
-    #: so this changes host latency only — never results or memo keys.
-    backend: str = DEFAULT_BACKEND
     #: Test seam: replaces the evaluation callable in *inline* mode
     #: (process workers always run the real facade path).
     evaluate_fn: Optional[Callable] = field(default=None, repr=False)
@@ -73,7 +67,6 @@ class ServiceConfig:
     tenant_limit: int = 0
 
     def validate(self) -> "ServiceConfig":
-        validate_backend(self.backend)
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.queue_limit < 1:

@@ -45,8 +45,7 @@ def markdown_summary(result: TuneResult) -> str:
         "",
         "- strategy: `%s`, budget: %d per workload, seed: %d"
         % (request.strategy, request.budget, request.seed),
-        "- scale: `%s`, threads: %d, backend: `%s`"
-        % (request.scale, request.n_threads, request.backend),
+        "- scale: `%s`, threads: %d" % (request.scale, request.n_threads),
         "- candidates evaluated: %d" % result.evaluated,
         "",
         "| workload | best source | best cycles | vs gremio | vs dswp "

@@ -28,6 +28,23 @@ class TestParser:
             args = build_parser().parse_args(command + ["--jobs", "3"])
             assert args.jobs == 3, command
 
+    def test_simulator_is_not_an_option(self, capsys):
+        """One production simulator: no command takes ``--backend``, and
+        no config object or cell carries the choice."""
+        import dataclasses
+        from repro.api import MatrixCell, TuneRequest
+        from repro.service.config import ServiceConfig
+        for command in (["run", "ks"], ["sweep"], ["bench"],
+                        ["trace", "ks"], ["tune"], ["serve"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--backend", "fast"])
+            assert "unrecognized arguments: --backend" \
+                in capsys.readouterr().err, command
+        for config in (ServiceConfig, TuneRequest):
+            assert "backend" not in {
+                field.name for field in dataclasses.fields(config)}
+        assert "backend" not in MatrixCell._fields
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"

@@ -13,7 +13,9 @@ from repro.api import configure_cache, get_cache, get_workload
 from repro.check.differential_backend import diff_snapshots, \
     snapshot_result
 from repro.pipeline.core import evaluate_workload
-from repro.pipeline.matrix import build_cells, evaluate_matrix
+from repro.pipeline.matrix import (_run_batch_payload, build_cells,
+                                   evaluate_matrix, pool_payload,
+                                   run_cell_payload)
 
 #: One workload, four cells: two techniques x two thread counts.  Every
 #: cell shares the normalize/profile/pdg front of the pipeline.
@@ -30,10 +32,9 @@ def cache(tmp_path):
     configure_cache(previous.directory, previous.enabled)
 
 
-def _sweep(jobs=1, backend="reference"):
+def _sweep(jobs=1):
     cells = build_cells(workloads=[WORKLOAD], techniques=TECHNIQUES,
-                        n_threads=THREADS, scale="train",
-                        backend=backend)
+                        n_threads=THREADS, scale="train")
     assert len(cells) == 4
     return cells, evaluate_matrix(cells=cells, jobs=jobs, check=False)
 
@@ -88,13 +89,48 @@ def test_fresh_process_reuses_disk_artifacts(cache):
     assert stats.memory_hits > 0, stats.as_dict()
 
 
+def test_pool_worker_keeps_its_cache_between_cells(cache, tmp_path,
+                                                   monkeypatch):
+    """A worker evaluating one workload's batch reuses the shared
+    front-end artifacts through its memory tier: the payload's cache
+    settings match the active cache, so it is kept, not rebuilt."""
+    cells = build_cells(workloads=[WORKLOAD], techniques=TECHNIQUES,
+                        n_threads=THREADS, scale="train")
+    _run_batch_payload([pool_payload(cell, check=False)
+                        for cell in cells])
+    assert get_cache() is cache
+    assert cache.stats.memory_hits > 0, cache.stats.as_dict()
+
+    # A payload naming another directory still re-points the process...
+    elsewhere = str(tmp_path / "elsewhere")
+    payload = (cells[0], False, elsewhere, True)
+    run_cell_payload(payload)
+    moved = get_cache()
+    assert moved is not cache and moved.directory == elsewhere
+    # ...and so does a remote store exported after the cache was built
+    # (the blobs are local by now, so the dead URL is never dialled).
+    monkeypatch.setenv("REPRO_STORE_URL", "http://127.0.0.1:9/store/")
+    run_cell_payload(payload)
+    remote = get_cache()
+    assert remote is not moved
+    assert remote.store_backend.remote_url == "http://127.0.0.1:9/store"
+    run_cell_payload(payload)
+    assert get_cache() is remote
+
+
 def test_fast_backend_sweep_shares_the_same_cache(cache):
-    """Backends share one cache namespace (fingerprints exclude the
-    backend), so a fast sweep after a reference sweep recomputes
-    nothing and the results are bit-identical."""
-    _cells, reference = _sweep(backend="reference")
+    """The simulator and its oracle share one cache namespace
+    (fingerprints exclude ``backend``), so a sweep after the same cells
+    were evaluated on the reference loop recomputes nothing and the
+    results are bit-identical."""
+    workload = get_workload(WORKLOAD)
+    reference = [
+        evaluate_workload(workload, technique=technique,
+                          n_threads=n_threads, scale="train",
+                          check=False, backend="reference")
+        for technique in TECHNIQUES for n_threads in THREADS]
     cache.stats.reset()
-    _cells, fast = _sweep(backend="fast")
+    _cells, fast = _sweep()
     stats = cache.stats
     assert stats.stores == 0, stats.as_dict()
     assert stats.misses == 0, stats.as_dict()

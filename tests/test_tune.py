@@ -18,7 +18,7 @@ SMALL_KNOBS = ("machine.comm_latency", "partitioner.split_threshold")
 
 def _request(**overrides):
     fields = dict(workloads=(WORKLOAD,), strategy="greedy", budget=6,
-                  seed=0, scale="train", backend="fast",
+                  seed=0, scale="train",
                   knobs=SMALL_KNOBS)
     fields.update(overrides)
     return TuneRequest(**fields)

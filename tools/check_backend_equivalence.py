@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""CI gate for the fast simulator backend (the ``backend-equivalence``
-job): run the differential sweep of
+"""CI gate for the simulator against its oracle (the
+``backend-equivalence`` job): run the differential sweep of
 :mod:`repro.check.differential_backend` — every workload x topology
-preset x partitioner (plus single-threaded and traced runs) and N
-seeded fuzz programs — on both backends and require **zero**
+preset x partitioner (plus single-threaded runs) and N seeded fuzz
+programs — on the fast core and the reference loop and require **zero**
 divergences.  Results must be bit-identical down to numeric types; any
 difference fails the job and the full machine-readable divergence
 report is written to ``--report`` for upload as a CI artifact.
 
 Usage: PYTHONPATH=src python tools/check_backend_equivalence.py \
-           [--fuzz-seeds 25] [--scale train] [--trace] \
+           [--fuzz-seeds 25] [--scale train] \
            [--report backend_divergences.json]
 """
 
@@ -32,9 +32,6 @@ def main() -> int:
                         help="workload input scale (default: "
                              "%(default)s; ref is the full-methodology "
                              "sweep)")
-    parser.add_argument("--trace", action="store_true",
-                        help="also compare traced runs (event streams "
-                             "and stall tables)")
     parser.add_argument("--report", default="backend_divergences.json",
                         metavar="PATH",
                         help="where to write the JSON report "
@@ -42,10 +39,8 @@ def main() -> int:
                              "CI uploads it on failure)")
     args = parser.parse_args()
 
-    trace_modes = (False, True) if args.trace else (False,)
     report = run_differential(
-        scale=args.scale, trace_modes=trace_modes,
-        fuzz_seeds=range(args.fuzz_seeds),
+        scale=args.scale, fuzz_seeds=range(args.fuzz_seeds),
         progress=lambda line: print("backend-equivalence: " + line))
     with open(args.report, "w", encoding="utf-8") as handle:
         json.dump(report.as_dict(), handle, indent=2, sort_keys=True)

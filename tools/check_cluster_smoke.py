@@ -38,14 +38,10 @@ BOOT_TIMEOUT = 90.0
 
 #: 8 distinct cells; CELLS[0] is re-posted afterwards to check cluster
 #: memoization, so the sweep itself is deduplicated by request key.
-#: The backend is pinned because the daemon fills its own default into
-#: requests that omit one — the echoed request would differ from the
-#: in-process baseline on that field alone (results never differ:
-#: backends are bit-identical).
 CELLS = [
     {"program": {"kind": "registry", "value": "ks"},
      "technique": "gremio", "n_threads": n, "scale": "train",
-     "coco": coco, "backend": "fast"}
+     "coco": coco}
     for n in (1, 2, 3, 4) for coco in (False, True)
 ]
 
