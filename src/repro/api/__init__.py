@@ -16,8 +16,10 @@ from here.  The surface is:
   :func:`evaluate_workload`, :func:`evaluate_matrix`,
   :func:`build_cells`, and the workload registry;
 * **infrastructure handles**: the artifact cache
-  (:func:`get_cache`/:func:`configure_cache`) and telemetry
-  (:class:`Telemetry`, :func:`global_telemetry`).
+  (:func:`get_cache`/:func:`configure_cache`/:func:`ensure_cache`),
+  telemetry (:class:`Telemetry`, :func:`global_telemetry`) and the one
+  HTTP client transport (:func:`http_request`, under
+  :class:`ServiceClient` and :class:`HttpStore` alike).
 
 The facade is covenanted: additions only within one
 ``API_SCHEMA_VERSION``; renames/removals bump it and leave one release
@@ -30,12 +32,14 @@ from .facade import (ArtifactCache, ArtifactStore, CacheStats,
                      PARTITIONER_PARAMS, PLACERS, Parallelization,
                      TECHNIQUES, TOPOLOGIES, TUNABLE_MACHINE_FIELDS,
                      Telemetry, all_workloads, build_cells,
-                     configure_cache, default_cache_dir, digest, evaluate,
-                     evaluate_many, evaluate_matrix, evaluate_workload,
+                     configure_cache, default_cache_dir, digest,
+                     ensure_cache, evaluate, evaluate_many,
+                     evaluate_matrix, evaluate_workload,
                      fingerprint_config, fingerprint_function,
                      fingerprint_inputs, fingerprint_profile, get_cache,
                      get_topology, get_workload, global_telemetry,
-                     make_partitioner, normalize, overrides_config,
+                     http_request, make_partitioner, normalize,
+                     overrides_config,
                      parallelize, pool_payload, reset_global_telemetry,
                      run_cell_payload, technique_config, topology_names,
                      resolve_program, tune, unknown_workload_message,
@@ -68,9 +72,9 @@ __all__ = [
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",
     # infrastructure
     "ArtifactCache", "CacheStats", "configure_cache",
-    "default_cache_dir", "get_cache",
+    "default_cache_dir", "ensure_cache", "get_cache",
     "ArtifactStore", "HttpStore", "LocalStore", "make_store",
-    "STORE_URL_ENV",
+    "STORE_URL_ENV", "http_request",
     "digest", "fingerprint_config", "fingerprint_function",
     "fingerprint_inputs", "fingerprint_profile",
     "LatencyHistogram", "Telemetry", "global_telemetry",

@@ -5,17 +5,18 @@ URL is a standalone daemon, a cluster coordinator, or one worker node —
 that symmetry is the point: callers switch from single-host to sharded
 serving by changing a URL, nothing else.  ``tenant`` is forwarded as
 the ``X-Repro-Tenant`` fairness header (it never affects results or
-request keys).  Only the standard library is used, like everything
-else in the repo.
+request keys).  Bytes travel through the repo's one HTTP transport,
+:func:`repro.api.http_request`; any HTTP status is an answer
+(``evaluate_raw`` hands it back, the typed methods raise
+:class:`ServiceError`), and only a connection failure raises through.
 """
 
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from typing import Dict, Optional, Tuple
 
+from ..pipeline.store import http_request
 from .types import EvaluateRequest, EvaluateResult
 
 
@@ -38,29 +39,17 @@ class ServiceClient:
         self.tenant = tenant
         self.timeout = timeout
 
-    # -- raw transport -----------------------------------------------------
-
-    def _request(self, method: str, path: str,
-                 body: Optional[Dict[str, object]] = None
-                 ) -> Tuple[int, bytes]:
-        data = (json.dumps(body).encode("utf-8")
-                if body is not None else None)
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json",
-                     "X-Repro-Tenant": self.tenant})
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as reply:
-                return reply.status, reply.read()
-        except urllib.error.HTTPError as error:
-            with error:
-                return error.code, error.read()
+    # -- transport -------------------------------------------------------
 
     def _json(self, method: str, path: str,
               body: Optional[Dict[str, object]] = None
               ) -> Tuple[int, Dict[str, object]]:
-        status, raw = self._request(method, path, body)
+        data = (json.dumps(body).encode("utf-8")
+                if body is not None else None)
+        status, raw = http_request(
+            method, self.base_url + path, data,
+            {"Content-Type": "application/json",
+             "X-Repro-Tenant": self.tenant}, self.timeout)
         try:
             return status, json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -84,20 +73,19 @@ class ServiceClient:
             raise ServiceError(status, document)
         return EvaluateResult.from_dict(document)
 
-    def metrics(self) -> Dict[str, object]:
-        status, document = self._json("GET", "/metrics")
+    def get(self, path: str) -> Dict[str, object]:
+        """``GET`` one JSON document (``/cluster/nodes``, ...); raises
+        :class:`ServiceError` on any non-200 answer."""
+        status, document = self._json("GET", path)
         if status != 200:
             raise ServiceError(status, document)
         return document
+
+    def metrics(self) -> Dict[str, object]:
+        return self.get("/metrics")
 
     def health(self) -> Dict[str, object]:
-        status, document = self._json("GET", "/healthz")
-        if status != 200:
-            raise ServiceError(status, document)
-        return document
+        return self.get("/healthz")
 
     def schema(self) -> Dict[str, object]:
-        status, document = self._json("GET", "/v1/schema")
-        if status != 200:
-            raise ServiceError(status, document)
-        return document
+        return self.get("/v1/schema")

@@ -22,9 +22,9 @@ from ..machine.config import TUNABLE_MACHINE_FIELDS
 from ..machine.placement import PLACERS
 from ..machine.topology import TOPOLOGIES, get_topology, topology_names
 from ..pipeline.cache import (ArtifactCache, CacheStats, configure_cache,
-                              default_cache_dir, get_cache)
+                              default_cache_dir, ensure_cache, get_cache)
 from ..pipeline.store import (ArtifactStore, HttpStore, LocalStore,
-                              STORE_URL_ENV, make_store)
+                              STORE_URL_ENV, http_request, make_store)
 from ..pipeline.core import (Evaluation, Parallelization,
                              evaluate_workload, parallelize)
 from ..pipeline.fingerprint import (digest, fingerprint_config,
@@ -51,7 +51,7 @@ __all__ = [
     "TUNABLE_MACHINE_FIELDS", "PARTITIONER_PARAMS",
     "validate_overrides", "overrides_config",
     "ArtifactCache", "CacheStats", "configure_cache",
-    "default_cache_dir", "get_cache",
+    "default_cache_dir", "ensure_cache", "get_cache", "http_request",
     "digest", "fingerprint_config", "fingerprint_function",
     "fingerprint_inputs", "fingerprint_profile",
     "Evaluation", "Parallelization", "evaluate_workload", "parallelize",

@@ -6,22 +6,27 @@ each admitted request is routed to the worker node that rendezvous-
 hashing ranks highest for its ``request_key()`` and the node's response
 bytes are passed through **verbatim** — the coordinator never re-shapes
 a result document, which is what makes cluster results byte-identical
-to single-node serve.  A connection-level failure (the node died
-mid-request) marks the node, walks to the next node in the same
-deterministic ranking, and counts a failover; an HTTP *error document*
-from a live node (400/429/504...) is a real answer and passes through.
+to single-node serve.  The request travels the same way: the node is
+sent the body bytes the client sent, not a re-encoding.  A
+connection-level failure (the node died mid-request) marks the node,
+walks to the next node in the same deterministic ranking, and counts a
+failover; an HTTP *error document* from a live node (400/429/504...)
+is a real answer and passes through.
 
-Beyond routing the coordinator serves:
+:class:`CoordinatorDaemon` is a :class:`repro.service.wire.HttpDaemon`
+— the server, framing, error documents and request log are the ones a
+node uses — whose route table adds, beyond ``/healthz``, ``/metrics``,
+``/v1/schema`` and ``/v1/evaluate``:
 
-* ``POST /cluster/register`` / ``/cluster/heartbeat`` — membership
-  (:mod:`~repro.cluster.registry`);
+* ``POST /cluster/register`` / ``/cluster/heartbeat``, ``GET
+  /cluster/nodes`` — membership (:mod:`~repro.cluster.registry`);
 * ``POST /cluster/events`` — the monitoring channel ingest
   (:mod:`~repro.cluster.monitor`);
 * ``GET``/``PUT /store/<stage>/<key>`` — the remote artifact store
   workers read through (:mod:`repro.pipeline.store`);
-* ``GET /metrics`` — cluster-wide aggregate (nodes, shard
-  distribution, tenant queues, store traffic, recent events);
-* ``GET /dashboard`` — the same aggregate as server-rendered HTML.
+* ``GET /dashboard`` — the ``/metrics`` aggregate (nodes, shard
+  distribution, tenant queues, store traffic, recent events) as
+  server-rendered HTML.
 
 Admission is *queueing*, not shedding: a bounded per-tenant FIFO pool
 drained round-robin (:mod:`~repro.cluster.fairqueue`), so a flooding
@@ -31,21 +36,17 @@ of dispatch slots.
 
 from __future__ import annotations
 
-import json
 import re
-import socket
-import sys
 import threading
 import time
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
-from ..api import (API_SCHEMA_VERSION, EvaluateRequest, LocalStore,
-                   RequestValidationError, default_cache_dir)
+from ..api import (API_SCHEMA_VERSION, LocalStore, default_cache_dir,
+                   http_request)
 from ..service.admission import DEFAULT_TENANT
 from ..service.config import ServiceConfig
+from ..service.wire import (HttpDaemon, Reply, Request, Route, answers,
+                            intake, not_found)
 from .dashboard import render_dashboard
 from .fairqueue import TenantFairQueue, TenantQueueFullError
 from .hashring import rank_nodes
@@ -53,8 +54,6 @@ from .monitor import MonitoringChannel
 from .registry import MISSED_HEARTBEATS, NodeRegistry
 
 METRICS_SCHEMA = "repro.cluster.metrics/v1"
-
-MAX_BODY_BYTES = 1 << 20
 
 #: Allowed characters in store stage/key path segments (anything else
 #: is a 400 — keys are hex digests, stages are short slugs).
@@ -71,10 +70,6 @@ COUNTERS = (
     "validation_errors", "store_gets", "store_get_misses", "store_puts",
     "events_received",
 )
-
-
-def _json_bytes(document: Dict[str, object]) -> bytes:
-    return json.dumps(document).encode("utf-8")
 
 
 class CoordinatorService:
@@ -100,6 +95,9 @@ class CoordinatorService:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + amount
 
+    def close(self) -> None:
+        """Nothing to release: the coordinator owns no worker pool."""
+
     # -- membership --------------------------------------------------------
 
     def register_node(self, node_id: str, url: str) -> Dict[str, object]:
@@ -122,51 +120,41 @@ class CoordinatorService:
 
     # -- request routing ---------------------------------------------------
 
-    def handle_evaluate(self, body: object,
-                        tenant: str = DEFAULT_TENANT
-                        ) -> Tuple[int, bytes, str, Optional[str]]:
-        """Admit, shard, and proxy one evaluation request.  Returns
-        ``(status, response_bytes, outcome, request_key)`` — response
-        bytes are the owning node's answer verbatim."""
-        self.incr("requests_total")
-        try:
-            request = EvaluateRequest.from_dict(body)
-        except RequestValidationError as error:
-            self.incr("validation_errors")
-            return (400, _json_bytes({"error": str(error),
-                                      "kind": "validation"}),
-                    "invalid", None)
-        key = request.request_key()
+    def handle_evaluate(self, body: object, raw: bytes,
+                        tenant: str = DEFAULT_TENANT) -> Reply:
+        """Admit, shard, and proxy one evaluation request: ``body`` is
+        the decoded document (validated and keyed here), ``raw`` the
+        same body as the client sent it (what the node is sent).
+        Returns ``(status, response_bytes, outcome, request_key)`` —
+        response bytes are the owning node's answer verbatim."""
+        _request, key, rejection = intake(body, self.incr)
+        if rejection is not None:
+            return rejection
         try:
             ticket = self.queue.submit(tenant)
         except TenantQueueFullError as error:
             self.incr("shed_total")
-            return (429, _json_bytes({"error": str(error), "kind": "shed",
-                                      "tenant": tenant,
-                                      "queue_limit": error.limit}),
+            return (429, {"error": str(error), "kind": "shed",
+                          "tenant": tenant, "queue_limit": error.limit},
                     "shed", key)
         granted = ticket.wait(self.config.request_timeout + PROXY_SLACK)
         if not granted:
             self.queue.cancel(ticket)
             self.incr("shed_total")
-            return (503, _json_bytes({"error": "admission wait timed out",
-                                      "kind": "overload",
-                                      "tenant": tenant}),
+            return (503, {"error": "admission wait timed out",
+                          "kind": "overload", "tenant": tenant},
                     "overload", key)
         try:
-            return self._route(body, tenant, key)
+            return self._route(raw, tenant, key)
         finally:
             self.queue.release(ticket)
 
-    def _route(self, body: object, tenant: str, key: str
-               ) -> Tuple[int, bytes, str, Optional[str]]:
+    def _route(self, payload: bytes, tenant: str, key: str) -> Reply:
         nodes = self.registry.healthy()
         if not nodes:
             self.incr("no_nodes_total")
-            return (503, _json_bytes({"error": "no healthy worker nodes",
-                                      "kind": "no-nodes"}),
-                    "no-nodes", key)
-        payload = _json_bytes(body if isinstance(body, dict) else {})
+            return (503, {"error": "no healthy worker nodes",
+                          "kind": "no-nodes"}, "no-nodes", key)
         attempts = 0
         for node_id in rank_nodes(key, nodes):
             url = self.registry.url_of(node_id)
@@ -174,7 +162,13 @@ class CoordinatorService:
                 continue
             attempts += 1
             try:
-                status, raw = self._post_node(url, payload, tenant)
+                # Any status line from a live node is an answer
+                # (400/429/504...), not a transport failure.
+                status, answer = http_request(
+                    "POST", url + "/v1/evaluate", payload,
+                    {"Content-Type": "application/json",
+                     "X-Repro-Tenant": tenant},
+                    self.config.request_timeout + PROXY_SLACK)
             except Exception:
                 # Connection-level failure: the node is gone or wedged
                 # — mark it and fail over along the same ranking.
@@ -186,32 +180,11 @@ class CoordinatorService:
             with self._lock:
                 self._shards[node_id] = self._shards.get(node_id, 0) + 1
             outcome = "ok" if status == 200 else "node-%d" % status
-            return status, raw, outcome, key
+            return status, answer, outcome, key
         self.incr("proxy_errors_total")
-        return (503,
-                _json_bytes({"error": "all %d candidate nodes failed"
-                             % attempts,
-                             "kind": "failover-exhausted"}),
+        return (503, {"error": "all %d candidate nodes failed" % attempts,
+                      "kind": "failover-exhausted"},
                 "failover-exhausted", key)
-
-    def _post_node(self, url: str, payload: bytes,
-                   tenant: str) -> Tuple[int, bytes]:
-        request = urllib.request.Request(
-            url + "/v1/evaluate", data=payload, method="POST",
-            headers={"Content-Type": "application/json",
-                     "X-Repro-Tenant": tenant})
-        timeout = self.config.request_timeout + PROXY_SLACK
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=timeout) as reply:
-                return reply.status, reply.read()
-        except urllib.error.HTTPError as error:
-            # A status line from a live node is an answer (400/429/
-            # 504...), not a transport failure — pass it through.
-            with error:
-                return error.code, error.read()
-        except (urllib.error.URLError, socket.timeout, OSError):
-            raise
 
     # -- store -------------------------------------------------------------
 
@@ -226,10 +199,6 @@ class CoordinatorService:
     def store_put(self, stage: str, key: str, blob: bytes) -> None:
         self.store.put(stage, key, blob)
         self.incr("store_puts")
-
-    @staticmethod
-    def valid_segment(segment: str) -> bool:
-        return bool(_SEGMENT.match(segment))
 
     # -- observability -----------------------------------------------------
 
@@ -262,247 +231,89 @@ class CoordinatorService:
         }
 
 
-class CoordinatorDaemon:
-    """HTTP front end owning one :class:`CoordinatorService`."""
+def _store_segments(path: str) -> Optional[Tuple[str, str]]:
+    parts = path.split("/")  # ['', 'store', stage, key]
+    if (len(parts) != 4 or not _SEGMENT.match(parts[2])
+            or not _SEGMENT.match(parts[3])):
+        return None
+    return parts[2], parts[3]
+
+
+def _fields(request: Request) -> Dict[str, object]:
+    """The JSON-object body (``{}`` for any other JSON value)."""
+    return request.body if isinstance(request.body, dict) else {}
+
+
+def _text(fields: Dict[str, object], name: str) -> str:
+    return str(fields.get(name, "")).strip()
+
+
+class CoordinatorDaemon(HttpDaemon):
+    """HTTP surface of one :class:`CoordinatorService`."""
+
+    server_name = "repro-coordinator"
 
     def __init__(self, config: ServiceConfig,
                  store_directory: Optional[str] = None):
-        self.config = config
-        self.service = CoordinatorService(config, store_directory)
-        handler = _make_handler(self)
-        self.server = ThreadingHTTPServer((config.host, config.port),
-                                          handler)
-        self.server.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
+        service = CoordinatorService(config, store_directory)
+        super().__init__(config, service, {
+            ("GET", "/healthz"): answers(service.health, "health"),
+            ("GET", "/metrics"): answers(service.metrics_document,
+                                         "metrics"),
+            ("GET", "/v1/schema"): answers(
+                lambda: {"schema": API_SCHEMA_VERSION,
+                         "role": "coordinator"}, "schema"),
+            ("POST", "/v1/evaluate"): Route(
+                lambda request: service.handle_evaluate(
+                    request.body, request.raw, request.tenant)),
+            ("GET", "/dashboard"): answers(
+                lambda: render_dashboard(
+                    service.metrics_document()).encode("utf-8"),
+                "dashboard", "text/html; charset=utf-8"),
+            ("GET", "/cluster/nodes"): answers(
+                lambda: {"nodes": service.registry.snapshot()}, "nodes"),
+            ("POST", "/cluster/register"): Route(self._register),
+            ("POST", "/cluster/heartbeat"): Route(self._heartbeat),
+            ("POST", "/cluster/events"): Route(self._events),
+            ("GET", "/store/"): Route(self._store_get,
+                                      "application/octet-stream"),
+            ("PUT", "/store/"): Route(self._store_put),
+        })
 
-    @property
-    def port(self) -> int:
-        return self.server.server_address[1]
+    def _register(self, request: Request) -> Reply:
+        fields = _fields(request)
+        node_id, url = _text(fields, "node_id"), _text(fields, "url")
+        if not node_id or not url:
+            return (400, {"error": "node_id and url required",
+                          "kind": "validation"}, "register-invalid", None)
+        return (200, self.service.register_node(node_id, url),
+                "register", None)
 
-    @property
-    def address(self) -> str:
-        return "http://%s:%d" % (self.server.server_address[0],
-                                 self.port)
+    def _heartbeat(self, request: Request) -> Reply:
+        node_id = _text(_fields(request), "node_id")
+        known = self.service.registry.heartbeat(node_id)
+        return 200, {"ok": known, "node_id": node_id}, "heartbeat", None
 
-    def start(self) -> "CoordinatorDaemon":
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True,
-            name="repro-coordinator-http")
-        self._thread.start()
-        return self
+    def _events(self, request: Request) -> Reply:
+        fields = _fields(request)
+        return (200, self.service.ingest_events(
+            _text(fields, "node_id"), fields.get("events")),
+            "events", None)
 
-    def serve_forever(self) -> None:
-        self.log_event({"event": "serving", "role": "coordinator",
-                        "address": self.address, "port": self.port,
-                        "queue_limit": self.config.queue_limit,
-                        "schema": API_SCHEMA_VERSION})
-        try:
-            self.server.serve_forever()
-        finally:
-            self.close()
+    def _store_get(self, request: Request) -> Reply:
+        segments = _store_segments(request.path)
+        if segments is None:
+            return (400, {"error": "bad store path", "kind": "store"},
+                    "store-bad-path", None)
+        blob = self.service.store_get(*segments)
+        if blob is None:
+            return (404, {"error": "no such artifact", "kind": "store"},
+                    "store-miss", None)
+        return 200, blob, "store-hit", None
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.server.shutdown()
-        self.server.server_close()
-        if self._thread is not None:
-            self._thread.join(2.0)
-        self.log_event({"event": "stopped", "role": "coordinator"})
-
-    def log_event(self, fields: Dict[str, object]) -> None:
-        if self.config.quiet:
-            return
-        stream = self.config.log_stream or sys.stderr
-        record = {"ts": round(time.time(), 3)}
-        record.update(fields)
-        try:
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-            stream.flush()
-        except Exception:
-            pass
-
-
-def _make_handler(daemon: CoordinatorDaemon):
-    service = daemon.service
-
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-coordinator/" + API_SCHEMA_VERSION
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002
-            pass
-
-        # -- plumbing ------------------------------------------------------
-
-        def _send(self, status: int, body: bytes,
-                  content_type: str = "application/json",
-                  retry_after: bool = False) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if retry_after:
-                self.send_header("Retry-After", "1")
-            self.end_headers()
-            try:
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-
-        def _send_json(self, status: int,
-                       document: Dict[str, object]) -> None:
-            self._send(status, _json_bytes(document),
-                       retry_after=(status == 429))
-
-        def _log(self, status: int, outcome: str, started: float,
-                 request_key: Optional[str] = None) -> None:
-            daemon.log_event({
-                "event": "request", "method": self.command,
-                "path": self.path, "status": status,
-                "seconds": round(time.perf_counter() - started, 4),
-                "outcome": outcome, "request_key": request_key})
-
-        def _read_body(self) -> Tuple[Optional[bytes], Optional[str]]:
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                return None, "invalid Content-Length"
-            if length <= 0:
-                return None, "missing request body"
-            if length > MAX_BODY_BYTES:
-                return None, "request body too large"
-            return self.rfile.read(length), None
-
-        def _read_json(self) -> Tuple[Optional[object], Optional[str]]:
-            raw, error = self._read_body()
-            if error is not None:
-                return None, error
-            try:
-                return json.loads(raw.decode("utf-8")), None
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                return None, "invalid JSON body: %s" % (error,)
-
-        def _store_segments(self) -> Optional[Tuple[str, str]]:
-            parts = self.path.split("?", 1)[0].split("/")
-            # ['', 'store', stage, key]
-            if (len(parts) != 4 or parts[1] != "store"
-                    or not service.valid_segment(parts[2])
-                    or not service.valid_segment(parts[3])):
-                return None
-            return parts[2], parts[3]
-
-        # -- routes --------------------------------------------------------
-
-        def do_GET(self) -> None:
-            started = time.perf_counter()
-            path = self.path.split("?", 1)[0]
-            if path == "/healthz":
-                self._send_json(200, service.health())
-                self._log(200, "health", started)
-            elif path == "/metrics":
-                self._send_json(200, service.metrics_document())
-                self._log(200, "metrics", started)
-            elif path == "/dashboard":
-                page = render_dashboard(service.metrics_document())
-                self._send(200, page.encode("utf-8"),
-                           content_type="text/html; charset=utf-8")
-                self._log(200, "dashboard", started)
-            elif path == "/v1/schema":
-                self._send_json(200, {"schema": API_SCHEMA_VERSION,
-                                      "role": "coordinator"})
-                self._log(200, "schema", started)
-            elif path == "/cluster/nodes":
-                self._send_json(200,
-                                {"nodes": service.registry.snapshot()})
-                self._log(200, "nodes", started)
-            elif path.startswith("/store/"):
-                segments = self._store_segments()
-                if segments is None:
-                    self._send_json(400, {"error": "bad store path",
-                                          "kind": "store"})
-                    self._log(400, "store-bad-path", started)
-                    return
-                blob = service.store_get(*segments)
-                if blob is None:
-                    self._send_json(404, {"error": "no such artifact",
-                                          "kind": "store"})
-                    self._log(404, "store-miss", started)
-                else:
-                    self._send(200, blob,
-                               content_type="application/octet-stream")
-                    self._log(200, "store-hit", started)
-            else:
-                self._send_json(404,
-                                {"error": "no such endpoint: %s" % path,
-                                 "kind": "routing"})
-                self._log(404, "not-found", started)
-
-        def do_PUT(self) -> None:
-            started = time.perf_counter()
-            segments = self._store_segments()
-            if segments is None:
-                self._send_json(404, {"error": "no such endpoint",
-                                      "kind": "routing"})
-                self._log(404, "not-found", started)
-                return
-            raw, error = self._read_body()
-            if error is not None:
-                self._send_json(400, {"error": error, "kind": "body"})
-                self._log(400, "store-bad-body", started)
-                return
-            service.store_put(segments[0], segments[1], raw)
-            self._send_json(200, {"ok": True})
-            self._log(200, "store-put", started)
-
-        def do_POST(self) -> None:
-            started = time.perf_counter()
-            path = self.path.split("?", 1)[0]
-            if path == "/v1/evaluate":
-                body, error = self._read_json()
-                if error is not None:
-                    self._send_json(400, {"error": error, "kind": "body"})
-                    self._log(400, "invalid", started)
-                    return
-                tenant = (self.headers.get("X-Repro-Tenant")
-                          or "default").strip() or "default"
-                status, raw, outcome, key = \
-                    service.handle_evaluate(body, tenant)
-                self._send(status, raw, retry_after=(status == 429))
-                self._log(status, outcome, started, key)
-                return
-            body, error = self._read_json()
-            if error is not None:
-                self._send_json(400, {"error": error, "kind": "body"})
-                self._log(400, "invalid", started)
-                return
-            if path == "/cluster/register":
-                node_id = str((body or {}).get("node_id", "")).strip()
-                url = str((body or {}).get("url", "")).strip()
-                if not node_id or not url:
-                    self._send_json(400,
-                                    {"error": "node_id and url required",
-                                     "kind": "validation"})
-                    self._log(400, "register-invalid", started)
-                    return
-                self._send_json(200, service.register_node(node_id, url))
-                self._log(200, "register", started)
-            elif path == "/cluster/heartbeat":
-                node_id = str((body or {}).get("node_id", "")).strip()
-                known = service.registry.heartbeat(node_id)
-                self._send_json(200, {"ok": known, "node_id": node_id})
-                self._log(200, "heartbeat", started)
-            elif path == "/cluster/events":
-                node_id = str((body or {}).get("node_id", "")).strip()
-                document = service.ingest_events(
-                    node_id, (body or {}).get("events"))
-                self._send_json(200, document)
-                self._log(200, "events", started)
-            else:
-                self._send_json(404,
-                                {"error": "no such endpoint: %s" % path,
-                                 "kind": "routing"})
-                self._log(404, "not-found", started)
-
-    return Handler
+    def _store_put(self, request: Request) -> Reply:
+        segments = _store_segments(request.path)
+        if segments is None:
+            return not_found(request.path)
+        self.service.store_put(*segments, request.raw)
+        return 200, {"ok": True}, "store-put", None

@@ -17,7 +17,10 @@ pool, admission, memo, metrics) and wires it into the cluster:
   the node's gauge document on the monitoring channel each period.
 
 All cluster plumbing is best-effort: an unreachable coordinator never
-stops the node from answering direct ``/v1/evaluate`` traffic.
+stops the node from answering direct ``/v1/evaluate`` traffic.  The
+node's own HTTP surface is the wrapped daemon's
+(:mod:`repro.service.wire`); its calls *to* the coordinator go through
+the shared client transport, :func:`repro.api.http_request`.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-import urllib.error
-import urllib.request
 from typing import Dict, Optional
 
-from ..api import STORE_URL_ENV, configure_cache
+from ..api import STORE_URL_ENV, configure_cache, http_request
 from ..service.config import ServiceConfig
 from ..service.daemon import ServiceDaemon
 from .monitor import EventPublisher
@@ -79,12 +80,14 @@ class WorkerNode:
 
     def _post(self, path: str, document: Dict[str, object],
               timeout: float = 5.0) -> Dict[str, object]:
-        request = urllib.request.Request(
-            self.coordinator_url + path,
-            data=json.dumps(document).encode("utf-8"), method="POST",
-            headers={"Content-Type": "application/json"})
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return json.loads(reply.read().decode("utf-8"))
+        status, raw = http_request(
+            "POST", self.coordinator_url + path,
+            json.dumps(document).encode("utf-8"),
+            {"Content-Type": "application/json"}, timeout)
+        if status != 200:
+            raise OSError("coordinator answered %d to %s"
+                          % (status, path))
+        return json.loads(raw.decode("utf-8"))
 
     def register(self, attempts: int = REGISTER_ATTEMPTS) -> bool:
         """Announce this node; retries cover a coordinator that is

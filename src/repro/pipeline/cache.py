@@ -38,7 +38,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from .fingerprint import SCHEMA_VERSION
-from .store import ArtifactStore, make_store
+from .store import ArtifactStore, make_store, store_url_from_env
 
 _DISABLE_VALUES = ("0", "off", "no", "false")
 
@@ -255,3 +255,19 @@ def configure_cache(directory: Optional[str] = None,
     global _ACTIVE
     _ACTIVE = ArtifactCache(directory, enabled, memory_budget)
     return _ACTIVE
+
+
+def ensure_cache(directory: str, enabled: bool) -> None:
+    """Point the process-wide cache where a pool payload asks.  The
+    active cache is kept — with its memory tier, stats and store counters,
+    which is what lets a long-lived worker share front-end artifacts
+    between requests — unless it points somewhere else: another
+    directory or enabled flag (spawned workers), or another
+    ``REPRO_STORE_URL`` once a cluster worker has exported one."""
+    cache = get_cache()
+    active = (cache.directory, cache.enabled,
+              getattr(cache.store_backend, "remote_url", None))
+    store_url = store_url_from_env()
+    if active != (directory, enabled,
+                  store_url and store_url.rstrip("/")):
+        configure_cache(directory, enabled)

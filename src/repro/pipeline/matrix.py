@@ -28,10 +28,9 @@ from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
 from ..machine.config import TUNABLE_MACHINE_FIELDS, MachineConfig
 from ..workloads import get_workload, workload_names
 from ..workloads.common import Workload
-from .cache import configure_cache, get_cache
+from .cache import ensure_cache, get_cache
 from .core import Evaluation, evaluate_workload
 from .stages import PARTITIONER_PARAMS, technique_config
-from .store import store_url_from_env
 from .telemetry import Telemetry, global_telemetry
 
 Overrides = Tuple[Tuple[str, object], ...]
@@ -249,19 +248,11 @@ def pool_payload(cell: MatrixCell, check: bool = True,
 
 def run_cell_payload(payload) -> Evaluation:
     """Execute one :func:`pool_payload` in the current process, on the
-    parent's cache.  The active cache is kept — with its memory tier,
-    which is what lets back-to-back cells of one workload share their
-    front-end artifacts — unless it points somewhere else (another
-    directory or enabled flag under spawn, another ``REPRO_STORE_URL``
-    once a cluster worker has exported one)."""
+    parent's cache (:func:`~repro.pipeline.cache.ensure_cache`: kept
+    when it already matches, so back-to-back cells of one workload
+    share their front-end artifacts through its memory tier)."""
     cell, check, cache_dir, cache_enabled = payload
-    cache = get_cache()
-    active = (cache.directory, cache.enabled,
-              getattr(cache.store_backend, "remote_url", None))
-    store_url = store_url_from_env()
-    if active != (cache_dir, cache_enabled,
-                  store_url and store_url.rstrip("/")):
-        configure_cache(cache_dir, cache_enabled)
+    ensure_cache(cache_dir, cache_enabled)
     return _run_cell(cell, check, telemetry=None)
 
 

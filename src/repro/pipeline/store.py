@@ -25,6 +25,12 @@ pool payloads: when ``REPRO_STORE_URL`` names a remote store, every
 :func:`~repro.pipeline.cache.configure_cache` inside a forked worker)
 reads through it.  Cluster worker daemons set the variable from their
 ``--coordinator`` URL at startup.
+
+:func:`http_request` is the repo's one HTTP client transport — the
+only ``urlopen`` call under ``src/repro``.  :class:`HttpStore`, the
+:class:`repro.api.ServiceClient`, the coordinator's proxy and the
+worker's cluster RPC all go through it, so connection reuse is one
+edit here.
 """
 
 from __future__ import annotations
@@ -33,10 +39,7 @@ import os
 import tempfile
 import urllib.error
 import urllib.request
-from typing import Dict, Optional
-
-#: Store kinds :func:`make_store` understands.
-STORES = ("local", "http")
+from typing import Dict, Optional, Tuple
 
 #: Environment variable naming the remote artifact store's base URL
 #: (e.g. ``http://coordinator:8184/store``).  Empty/unset = local-only.
@@ -46,6 +49,23 @@ STORE_URL_ENV = "REPRO_STORE_URL"
 #: small (pickled stage payloads); a slow coordinator should degrade
 #: the read to a recompute, not wedge the evaluation.
 REMOTE_TIMEOUT = float(os.environ.get("REPRO_STORE_TIMEOUT", "10") or 10)
+
+
+def http_request(method: str, url: str, body: Optional[bytes] = None,
+                 headers: Optional[Dict[str, str]] = None,
+                 timeout: float = REMOTE_TIMEOUT) -> Tuple[int, bytes]:
+    """One HTTP exchange: ``(status, response_bytes)``.  Any status a
+    live server sends is an *answer* (400/404/429/504 included); only
+    a connection-level failure raises (``OSError``, or
+    ``http.client.HTTPException`` for a reply torn mid-way)."""
+    request = urllib.request.Request(url, data=body, method=method,
+                                     headers=headers or {})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as reply:
+            return reply.status, reply.read()
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, error.read()
 
 
 class ArtifactStore:
@@ -156,21 +176,14 @@ class HttpStore(ArtifactStore):
         if blob is not None:
             self._counters["local_hits"] += 1
             return blob
-        request = urllib.request.Request(self._url(stage, key),
-                                         method="GET")
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as reply:
-                blob = reply.read()
-        except urllib.error.HTTPError as error:
-            error.close()
-            if error.code == 404:
-                self._counters["remote_misses"] += 1
-            else:
-                self._counters["remote_errors"] += 1
-            return None
+            status, blob = http_request("GET", self._url(stage, key),
+                                        timeout=self.timeout)
         except Exception:
-            self._counters["remote_errors"] += 1
+            status = None
+        if status != 200:
+            self._counters["remote_misses" if status == 404
+                           else "remote_errors"] += 1
             return None
         self._counters["remote_hits"] += 1
         try:
@@ -182,17 +195,15 @@ class HttpStore(ArtifactStore):
 
     def put(self, stage: str, key: str, blob: bytes) -> None:
         self.local.put(stage, key, blob)
-        request = urllib.request.Request(
-            self._url(stage, key), data=blob, method="PUT",
-            headers={"Content-Type": "application/octet-stream"})
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as reply:
-                reply.read()
+            status, _ = http_request(
+                "PUT", self._url(stage, key), blob,
+                {"Content-Type": "application/octet-stream"},
+                self.timeout)
         except Exception:
-            self._counters["remote_errors"] += 1
-            return
-        self._counters["remote_stores"] += 1
+            status = None
+        self._counters["remote_stores" if status == 200
+                       else "remote_errors"] += 1
 
     def delete(self, stage: str, key: str) -> None:
         # Invalidations are local-only: a corrupt local blob says

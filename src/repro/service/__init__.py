@@ -11,6 +11,8 @@ artifacts when a fresh evaluation times out.  ``/healthz`` and
 ``/metrics`` expose queue depth, in-flight count, per-stage latency
 histograms, and cache traffic.
 
+Everything HTTP — the server, framing, error documents, the request
+log — is :mod:`repro.service.wire`, shared with the cluster coordinator.
 The service consumes the pipeline exclusively through the
 :mod:`repro.api` facade; see ``docs/architecture.md`` §12 and
 ``docs/api.md`` for the wire schemas.
@@ -19,7 +21,7 @@ The service consumes the pipeline exclusively through the
 from .admission import AdmissionQueue, DEFAULT_TENANT, QueueFullError
 from .app import RESULT_STAGE, SchedulerService
 from .config import ROLES, ServiceConfig
-from .daemon import ServiceDaemon, serve
+from .daemon import ServiceDaemon
 from .metrics import METRICS_SCHEMA, ServiceMetrics
 from .workers import (InlineWorkerPool, ProcessWorkerPool, Task,
                       make_pool)
@@ -27,7 +29,7 @@ from .workers import (InlineWorkerPool, ProcessWorkerPool, Task,
 __all__ = [
     "AdmissionQueue", "DEFAULT_TENANT", "QueueFullError",
     "SchedulerService", "RESULT_STAGE",
-    "ServiceConfig", "ROLES", "ServiceDaemon", "serve",
+    "ServiceConfig", "ROLES", "ServiceDaemon",
     "ServiceMetrics", "METRICS_SCHEMA",
     "InlineWorkerPool", "ProcessWorkerPool", "Task", "make_pool",
 ]

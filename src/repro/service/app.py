@@ -3,11 +3,14 @@
 :class:`SchedulerService` is the HTTP-agnostic core of ``repro serve``.
 One evaluation request travels:
 
-1. **validate** — malformed bodies answer 400 before costing anything;
+1. **validate** — malformed bodies answer 400 before costing anything
+   (:func:`repro.service.wire.intake`, the prologue the cluster
+   coordinator shares);
 2. **memoize** — the request key (a content fingerprint over the cell
    and both schema versions, :meth:`EvaluateRequest.request_key`) is
-   looked up in the in-process response memo: a hit answers
-   immediately with ``memoized: true``, bypassing admission entirely;
+   looked up in the in-process response memo (an LRU of
+   :data:`MEMO_ENTRIES` documents): a hit answers immediately with
+   ``memoized: true``, bypassing admission entirely;
 3. **admit** — the bounded :class:`AdmissionQueue` sheds with 429 when
    ``queue_limit`` requests are already in the building;
 4. **dispatch** — the worker pool evaluates the cell (crashes retried
@@ -18,27 +21,34 @@ One evaluation request travels:
 
 Successful results are memoized *and* persisted to the artifact cache
 under the ``service-result`` stage, so staleness degradation survives
-daemon restarts.
+daemon restarts and memo eviction.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..api import (EvaluateRequest, RequestValidationError, get_cache)
+from ..api import EvaluateRequest, get_cache
 from .admission import AdmissionQueue, DEFAULT_TENANT, QueueFullError
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
+from .wire import Reply, intake
 from .workers import make_pool
 
 #: ArtifactCache stage name for persisted response documents.
 RESULT_STAGE = "service-result"
 
+#: Response-memo bound, in documents (least recently used goes first).
+#: A document with telemetry is ~4 KiB of JSON, ~25 KiB as Python
+#: objects, so a full memo is ~25 MiB; an evicted key is re-evaluated
+#: from warm artifacts, or served stale from :data:`RESULT_STAGE` on
+#: timeout.
+MEMO_ENTRIES = 1024
+
 HTTP_OK = 200
-HTTP_BAD_REQUEST = 400
-HTTP_NOT_FOUND = 404
 HTTP_TOO_MANY = 429
 HTTP_ERROR = 500
 HTTP_TIMEOUT = 504
@@ -53,7 +63,8 @@ class SchedulerService:
         self.admission = AdmissionQueue(config.queue_limit,
                                         config.tenant_limit or None)
         self.pool = make_pool(config, self.metrics)
-        self._memo: Dict[str, Dict[str, object]] = {}
+        self._memo: "collections.OrderedDict[str, Dict[str, object]]" \
+            = collections.OrderedDict()
         self._memo_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
@@ -63,30 +74,25 @@ class SchedulerService:
 
     # -- request handling --------------------------------------------------
 
-    def handle_evaluate(self, body: object, tenant: str = DEFAULT_TENANT
-                        ) -> Tuple[int, Dict[str, object], str]:
+    def handle_evaluate(self, body: object,
+                        tenant: str = DEFAULT_TENANT) -> Reply:
         """Process one evaluation request body (already JSON-decoded).
         ``tenant`` is the fairness bucket (the ``X-Repro-Tenant``
         header); it never affects results or request keys, only which
         admission allowance the request draws from.  Returns
-        ``(http_status, response_document, outcome)`` where ``outcome``
-        is the one-word disposition for the request log."""
-        self.metrics.incr("requests_total")
+        ``(http_status, response_document, outcome, request_key)``
+        where ``outcome`` is the one-word disposition for the request
+        log."""
         started = time.perf_counter()
-        try:
-            request = EvaluateRequest.from_dict(body)
-        except RequestValidationError as error:
-            self.metrics.incr("validation_errors")
-            return (HTTP_BAD_REQUEST,
-                    {"error": str(error), "kind": "validation"},
-                    "invalid")
-        key = request.request_key()
+        request, key, rejection = intake(body, self.metrics.incr)
+        if rejection is not None:
+            return rejection
 
         memoized = self._memo_lookup(key)
         if memoized is not None:
             self.metrics.incr("memo_hits")
             self.metrics.incr("responses_ok")
-            return HTTP_OK, memoized, "memo"
+            return HTTP_OK, memoized, "memo", key
 
         try:
             self.admission.enter(tenant)
@@ -98,21 +104,20 @@ class SchedulerService:
                      "tenant": tenant,
                      "queue_depth": snap["queue_depth"],
                      "queue_limit": self.admission.limit},
-                    "shed")
+                    "shed", key)
         try:
-            status, document, outcome = self._evaluate_admitted(
-                request, key)
+            reply = self._evaluate_admitted(request, key)
         finally:
             self.admission.leave(tenant)
-        if status == HTTP_OK:
+        if reply[0] == HTTP_OK:
             self.metrics.incr("responses_ok")
             self.metrics.observe_request(time.perf_counter() - started)
         else:
             self.metrics.incr("responses_error")
-        return status, document, outcome
+        return reply
 
-    def _evaluate_admitted(self, request: EvaluateRequest, key: str
-                           ) -> Tuple[int, Dict[str, object], str]:
+    def _evaluate_admitted(self, request: EvaluateRequest,
+                           key: str) -> Reply:
         task = self.pool.submit(request)
         finished = task.wait(self.config.request_timeout)
         if not finished:
@@ -122,28 +127,30 @@ class SchedulerService:
             self.metrics.incr("evaluations_completed")
             self.metrics.merge_telemetry(task.result.get("telemetry"))
             self._memo_store(key, task.result)
-            return HTTP_OK, task.result, "ok"
+            return HTTP_OK, task.result, "ok", key
         if task.timed_out or not finished:
             self.metrics.incr("timeouts_total")
             stale = self._stale_lookup(key)
             if stale is not None:
                 self.metrics.incr("stale_served")
-                return HTTP_OK, stale, "stale"
+                return HTTP_OK, stale, "stale", key
             return (HTTP_TIMEOUT,
                     {"error": task.error or "evaluation timed out",
                      "kind": "timeout",
                      "timeout_seconds": self.config.request_timeout},
-                    "timeout")
+                    "timeout", key)
         return (HTTP_ERROR,
                 {"error": task.error or "evaluation failed",
                  "kind": "evaluation"},
-                "error")
+                "error", key)
 
     # -- memo + stale degradation ------------------------------------------
 
     def _memo_lookup(self, key: str) -> Optional[Dict[str, object]]:
         with self._memo_lock:
             document = self._memo.get(key)
+            if document is not None:
+                self._memo.move_to_end(key)
         if document is None:
             return None
         marked = dict(document)
@@ -153,6 +160,9 @@ class SchedulerService:
     def _memo_store(self, key: str, document: Dict[str, object]) -> None:
         with self._memo_lock:
             self._memo[key] = document
+            self._memo.move_to_end(key)
+            if len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
         # Persist for cross-restart stale degradation; best effort.
         get_cache().store(RESULT_STAGE, key, document)
 

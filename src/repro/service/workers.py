@@ -52,15 +52,16 @@ def _evaluate_request_dict(request_dict: Dict[str, object],
     """The unit of work a worker process executes: rebuild the request,
     run the cell through the *same* pool machinery as ``sweep --jobs``
     (:func:`repro.api.run_cell_payload`), wrap as a result document."""
-    from ..api import EvaluateResult, configure_cache, evaluate, \
+    from ..api import EvaluateResult, ensure_cache, evaluate, \
         run_cell_payload
     from ..api import EvaluateRequest as Request
     _test_delay()
     request = Request.from_dict(request_dict)
     if request.trace:
         # Traced requests carry per-run trace state that the cell-based
-        # pool payload cannot represent; evaluate through the facade.
-        configure_cache(cache_dir, cache_enabled)
+        # pool payload cannot represent; evaluate through the facade,
+        # on the same kept cache run_cell_payload would use.
+        ensure_cache(cache_dir, cache_enabled)
         return evaluate(request).as_dict()
     payload = (request.cell(), request.check, cache_dir, cache_enabled)
     evaluation = run_cell_payload(payload)

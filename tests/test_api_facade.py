@@ -170,6 +170,29 @@ class TestLayeringCovenant:
             "direct repro.pipeline imports outside the facade: %s"
             % ", ".join(offenders))
 
+    def test_one_wire_layer(self):
+        """One module serves HTTP, one module dials it, the body cap is
+        defined once: a second copy of any of them is a regression to
+        the per-daemon handler factories."""
+        package = Path(repro.__file__).parent
+
+        def holders(pattern):
+            return sorted(
+                str(source.relative_to(package))
+                for source in package.rglob("*.py")
+                if re.search(pattern, source.read_text(), re.MULTILINE))
+
+        assert holders(r"\bBaseHTTPRequestHandler\b") == ["service/wire.py"]
+        assert holders(r"\bThreadingHTTPServer\b") == ["service/wire.py"]
+        assert holders(r"^MAX_BODY_BYTES\s*=") == ["service/wire.py"]
+        assert holders(r"\burlopen\(") == ["pipeline/store.py"]
+        assert holders(r"^\s*(import|from)\s+(urllib\.request|http\.)") \
+            == ["pipeline/store.py", "service/wire.py"]
+        # A daemon parses a request once: the front end leaves it to
+        # the service's shared intake.
+        daemon = (package / "service" / "daemon.py").read_text()
+        assert "from_dict" not in daemon
+
     def test_facade_exports_the_classic_surface(self):
         for name in ("parallelize", "evaluate_workload", "evaluate_matrix",
                      "MatrixCell", "build_cells", "configure_cache",

@@ -16,6 +16,7 @@ from repro.pipeline.core import evaluate_workload
 from repro.pipeline.matrix import (_run_batch_payload, build_cells,
                                    evaluate_matrix, pool_payload,
                                    run_cell_payload)
+from repro.service.workers import _evaluate_request_dict
 
 #: One workload, four cells: two techniques x two thread counts.  Every
 #: cell shares the normalize/profile/pdg front of the pipeline.
@@ -98,6 +99,20 @@ def test_pool_worker_keeps_its_cache_between_cells(cache, tmp_path,
                         n_threads=THREADS, scale="train")
     _run_batch_payload([pool_payload(cell, check=False)
                         for cell in cells])
+    assert get_cache() is cache
+    assert cache.stats.memory_hits > 0, cache.stats.as_dict()
+
+    # A traced request in a long-lived serve worker keeps that cache
+    # too: it used to rebuild an empty one (memory tier, stats and
+    # store counters gone) for every ``trace: true`` body.
+    body = dict(program={"kind": "registry", "value": WORKLOAD},
+                technique="gremio", n_threads=2, scale="train",
+                check=False)
+    _evaluate_request_dict(body, cache.directory, cache.enabled)
+    cache.stats.reset()
+    traced = _evaluate_request_dict(dict(body, trace=True),
+                                    cache.directory, cache.enabled)
+    assert traced["request"]["trace"] is True
     assert get_cache() is cache
     assert cache.stats.memory_hits > 0, cache.stats.as_dict()
 

@@ -6,14 +6,12 @@ materialization, and the registered ``synthetic`` frontend family."""
 from __future__ import annotations
 
 import io
-import json
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.api import (EvaluateRequest, ProgramSpec,
-                       RequestValidationError, evaluate, resolve_program)
+                       RequestValidationError, ServiceClient, evaluate,
+                       resolve_program)
 from repro.workloads import get_workload, unknown_workload_message
 from repro.workloads.synthetic import SYNTHETIC_NAMES
 
@@ -214,15 +212,7 @@ class TestServeInlinePrograms:
             configure_cache(previous.directory, previous.enabled)
 
     def _post(self, daemon, body):
-        data = json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            daemon.address + "/v1/evaluate", data=data,
-            headers={"Content-Type": "application/json"}, method="POST")
-        try:
-            with urllib.request.urlopen(request, timeout=120) as reply:
-                return reply.status, json.loads(reply.read())
-        except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+        return ServiceClient(daemon.address).evaluate_raw(body)
 
     def test_inline_program_body(self, daemon):
         status, document = self._post(daemon, {

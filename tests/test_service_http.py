@@ -8,13 +8,11 @@ import io
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
-from repro.api import (API_SCHEMA_VERSION, configure_cache,
-                       evaluate_workload, get_cache)
+from repro.api import (API_SCHEMA_VERSION, ServiceClient, ServiceError,
+                       configure_cache, evaluate_workload, get_cache)
 from repro.service import ServiceConfig, ServiceDaemon
 from repro.workloads import get_workload
 
@@ -48,21 +46,9 @@ def daemon(isolated_cache):
         instance.close()
 
 
-def _get(daemon, path):
-    with urllib.request.urlopen(daemon.address + path, timeout=30) as reply:
-        return reply.status, json.loads(reply.read().decode("utf-8"))
-
-
 def _post(daemon, body, timeout=90):
-    data = json.dumps(body).encode("utf-8")
-    request = urllib.request.Request(
-        daemon.address + "/v1/evaluate", data=data,
-        headers={"Content-Type": "application/json"}, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, json.loads(reply.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
+    return ServiceClient(daemon.address,
+                         timeout=timeout).evaluate_raw(body)
 
 
 class TestServeEndToEnd:
@@ -102,11 +88,11 @@ class TestServeEndToEnd:
         assert status == 200 and again["memoized"] is True
 
         # Observability: non-zero counters, latency histograms, gauges.
-        status, health = _get(daemon, "/healthz")
-        assert status == 200 and health["status"] == "ok"
+        client = ServiceClient(daemon.address, timeout=30)
+        health = client.health()  # raises on any non-200 answer
+        assert health["status"] == "ok"
         assert health["workers"] >= 1
-        status, metrics = _get(daemon, "/metrics")
-        assert status == 200
+        metrics = client.metrics()
         counters = metrics["counters"]
         assert counters["requests_total"] >= len(CELLS) + 1
         assert counters["responses_ok"] >= len(CELLS) + 1
@@ -131,18 +117,12 @@ class TestServeEndToEnd:
             "program": {"kind": "registry", "value": "ks"}, "threds": 4})
         assert status == 400 and "threds" in document["error"]
 
-        status, document = _get(daemon, "/v1/schema")
-        assert status == 200
-        assert document["schema"] == API_SCHEMA_VERSION
+        client = ServiceClient(daemon.address, timeout=10)
+        assert client.schema()["schema"] == API_SCHEMA_VERSION
 
-        request = urllib.request.Request(
-            daemon.address + "/nowhere", method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=10) as reply:
-                status = reply.status
-        except urllib.error.HTTPError as error:
-            status = error.code
-        assert status == 404
+        with pytest.raises(ServiceError) as missing:
+            client.get("/nowhere")
+        assert missing.value.status == 404
 
     def test_structured_request_log(self, daemon):
         _post(daemon, CELLS[0])

@@ -18,6 +18,7 @@ from repro.service import (AdmissionQueue, InlineWorkerPool,
                            ProcessWorkerPool, QueueFullError, RESULT_STAGE,
                            SchedulerService, ServiceConfig, ServiceMetrics,
                            make_pool)
+import repro.service.app as app_module
 import repro.service.workers as workers_module
 
 
@@ -93,7 +94,7 @@ class TestShedding:
             outcomes = {}
 
             def post(n_threads):
-                status, document, outcome = service.handle_evaluate(
+                status, document, outcome, _ = service.handle_evaluate(
                     _body(n_threads=n_threads))
                 outcomes[n_threads] = (status, document, outcome)
 
@@ -107,7 +108,7 @@ class TestShedding:
             assert service.admission.active == 2
 
             started = time.time()
-            status, document, outcome = service.handle_evaluate(
+            status, document, outcome, _ = service.handle_evaluate(
                 _body(n_threads=8))
             assert time.time() - started < 2.0  # shed, not queued
             assert (status, outcome) == (429, "shed")
@@ -142,7 +143,7 @@ class TestShedding:
             outcomes = {}
 
             def post(tag, n_threads, tenant):
-                status, document, outcome = service.handle_evaluate(
+                status, document, outcome, _ = service.handle_evaluate(
                     _body(n_threads=n_threads), tenant=tenant)
                 outcomes[tag] = (status, document, outcome)
 
@@ -158,7 +159,7 @@ class TestShedding:
 
             # The third noisy request hits the per-tenant cap although
             # the global queue still has room -> shed with 429, fairly.
-            status, document, outcome = service.handle_evaluate(
+            status, document, outcome, _ = service.handle_evaluate(
                 _body(n_threads=8), tenant="noisy")
             assert (status, outcome) == (429, "shed")
             assert document["kind"] == "shed"
@@ -211,7 +212,7 @@ class TestTimeoutDegradation:
             workers=0, request_timeout=0.05, quiet=True,
             evaluate_fn=slow_evaluate))
         try:
-            status, document, outcome = service.handle_evaluate(body)
+            status, document, outcome, _ = service.handle_evaluate(body)
             assert (status, outcome) == (200, "stale")
             assert document["stale"] is True
             assert document["stale_age_seconds"] >= 0.0
@@ -231,7 +232,7 @@ class TestTimeoutDegradation:
             workers=0, request_timeout=0.05, quiet=True,
             evaluate_fn=slow_evaluate))
         try:
-            status, document, outcome = service.handle_evaluate(_body())
+            status, document, outcome, _ = service.handle_evaluate(_body())
             assert (status, outcome) == (504, "timeout")
             assert document["kind"] == "timeout"
         finally:
@@ -266,10 +267,42 @@ class TestMemoization:
         finally:
             service.close()
 
+    def test_memo_is_bounded_and_evicted_keys_still_degrade(
+            self, isolated_cache, monkeypatch):
+        monkeypatch.setattr(app_module, "MEMO_ENTRIES", 3)
+        slow = threading.Event()
+
+        def evaluate(request):
+            if slow.is_set():
+                time.sleep(1.0)
+            return _fake_result(request, speedup=float(request.n_threads))
+
+        service = SchedulerService(ServiceConfig(
+            workers=0, quiet=True, evaluate_fn=evaluate))
+        try:
+            for n_threads in range(1, 9):
+                assert service.handle_evaluate(
+                    _body(n_threads=n_threads))[2] == "ok"
+                assert len(service._memo) <= 3
+            # Least recently used goes first: the newest keys remain.
+            assert service.handle_evaluate(_body(n_threads=8))[2] == "memo"
+            # An evicted key is new work again; when that work times
+            # out, the persisted service-result stage still degrades it.
+            slow.set()
+            service.config.request_timeout = 0.05
+            status, document, outcome, key = service.handle_evaluate(
+                _body(n_threads=1))
+            assert (status, outcome) == (200, "stale")
+            assert document["stale"] is True
+            assert document["metrics"]["speedup"] == 1.0
+            assert key not in service._memo
+        finally:
+            service.close()
+
     def test_validation_failure_is_400(self, isolated_cache):
         service = SchedulerService(ServiceConfig(workers=0, quiet=True))
         try:
-            status, document, outcome = service.handle_evaluate(
+            status, document, outcome, _ = service.handle_evaluate(
                 _body(program={"kind": "registry",
                                "value": "no-such-workload"}))
             assert (status, outcome) == (400, "invalid")

@@ -21,20 +21,16 @@ Exits nonzero (with a diagnostic) on any failed expectation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
-import re
 import shutil
-import signal
-import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 
-BOOT_TIMEOUT = 90.0
+import _daemon
+from repro.api import ServiceClient, ServiceError
 
 #: 8 distinct cells; CELLS[0] is re-posted afterwards to check cluster
 #: memoization, so the sweep itself is deduplicated by request key.
@@ -48,48 +44,7 @@ CELLS = [
 NODE_IDS = ("smoke-w0", "smoke-w1")
 
 
-def fail(message: str) -> "NoReturn":  # noqa: F821
-    print("cluster-smoke: FAIL: %s" % message)
-    sys.exit(1)
-
-
-class Proc:
-    """One daemon subprocess with captured stdout lines."""
-
-    def __init__(self, argv, env):
-        self.process = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
-        self.lines: list = []
-        self._reader = threading.Thread(
-            target=lambda: self.lines.extend(
-                iter(self.process.stdout.readline, "")),
-            daemon=True)
-        self._reader.start()
-
-    def wait_for_port(self) -> int:
-        pattern = re.compile(r"listening on http://[^:]+:(\d+)")
-        deadline = time.time() + BOOT_TIMEOUT
-        while time.time() < deadline:
-            if self.process.poll() is not None:
-                fail("daemon exited during startup (rc=%d): %s"
-                     % (self.process.returncode, " | ".join(self.lines)))
-            for line in list(self.lines):
-                match = pattern.search(line)
-                if match:
-                    return int(match.group(1))
-            time.sleep(0.1)
-        fail("daemon never announced a port within %.0fs: %s"
-             % (BOOT_TIMEOUT, " | ".join(self.lines)))
-
-    def stop(self) -> None:
-        if self.process.poll() is None:
-            self.process.send_signal(signal.SIGINT)
-            try:
-                self.process.wait(10)
-            except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait(10)
+fail = functools.partial(_daemon.fail, "cluster-smoke")
 
 
 def _daemon_env(cache_dir: str) -> dict:
@@ -99,52 +54,37 @@ def _daemon_env(cache_dir: str) -> dict:
     return env
 
 
-def spawn_coordinator(work_dir: str) -> Proc:
-    return Proc([sys.executable, "-m", "repro", "serve",
-                 "--role", "coordinator", "--port", "0",
-                 "--queue-limit", "8", "--heartbeat-interval", "0.5"],
-                _daemon_env(os.path.join(work_dir, "coord-store")))
+def spawn_coordinator(work_dir: str) -> _daemon.Daemon:
+    return _daemon.Daemon(
+        "cluster-smoke",
+        ["--role", "coordinator", "--port", "0", "--queue-limit", "8",
+         "--heartbeat-interval", "0.5"],
+        _daemon_env(os.path.join(work_dir, "coord-store")))
 
 
 def spawn_worker(work_dir: str, coordinator: str, node_id: str,
-                 generation: int) -> Proc:
+                 generation: int) -> _daemon.Daemon:
     cache_dir = os.path.join(work_dir,
                              "%s-gen%d-cache" % (node_id, generation))
-    return Proc([sys.executable, "-m", "repro", "serve",
-                 "--role", "worker", "--coordinator", coordinator,
-                 "--node-id", node_id, "--port", "0", "--workers", "0",
-                 "--heartbeat-interval", "0.5"],
-                _daemon_env(cache_dir))
+    return _daemon.Daemon(
+        "cluster-smoke",
+        ["--role", "worker", "--coordinator", coordinator,
+         "--node-id", node_id, "--port", "0", "--workers", "0",
+         "--heartbeat-interval", "0.5"],
+        _daemon_env(cache_dir))
 
 
-def get(base: str, path: str):
-    with urllib.request.urlopen(base + path, timeout=30) as reply:
-        return reply.status, json.loads(reply.read().decode("utf-8"))
-
-
-def post(base: str, body):
-    request = urllib.request.Request(
-        base + "/v1/evaluate", data=json.dumps(body).encode("utf-8"),
-        headers={"Content-Type": "application/json"}, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=180) as reply:
-            return reply.status, json.loads(reply.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
-
-
-def wait_for_nodes(base: str, expected_urls: dict) -> None:
+def wait_for_nodes(client: ServiceClient, expected_urls: dict) -> None:
     """Block until every node id is registered at its expected URL and
     healthy (covers both first registration and worker replacement)."""
-    deadline = time.time() + BOOT_TIMEOUT
+    deadline = time.time() + _daemon.BOOT_TIMEOUT
     nodes: dict = {}
     while time.time() < deadline:
         try:
-            _, document = get(base, "/cluster/nodes")
-        except OSError:
+            nodes = client.get("/cluster/nodes").get("nodes", {})
+        except (OSError, ServiceError):
             time.sleep(0.2)
             continue
-        nodes = document.get("nodes", {})
         if all(nodes.get(node_id, {}).get("url") == url
                and nodes.get(node_id, {}).get("healthy")
                for node_id, url in expected_urls.items()):
@@ -160,10 +100,10 @@ def canonical(document) -> bytes:
     return json.dumps(stripped, sort_keys=True).encode("utf-8")
 
 
-def run_sweep(base: str) -> list:
+def run_sweep(client: ServiceClient) -> list:
     documents = []
     for cell in CELLS:
-        status, document = post(base, cell)
+        status, document = client.evaluate_raw(cell)
         if status != 200:
             fail("cell %r answered %d: %r" % (cell, status, document))
         if document.get("stale") or document.get("memoized"):
@@ -198,20 +138,20 @@ def main() -> int:
     try:
         coordinator = spawn_coordinator(work_dir)
         processes.append(coordinator)
-        base = "http://127.0.0.1:%d" % coordinator.wait_for_port()
+        base = coordinator.wait_listening()
+        client = ServiceClient(base, timeout=180.0)
         print("cluster-smoke: coordinator up on %s" % base)
 
         workers = {node_id: spawn_worker(work_dir, base, node_id, 1)
                    for node_id in NODE_IDS}
         processes.extend(workers.values())
-        worker_urls = {node_id: "http://127.0.0.1:%d"
-                       % worker.wait_for_port()
+        worker_urls = {node_id: worker.wait_listening()
                        for node_id, worker in workers.items()}
-        wait_for_nodes(base, worker_urls)
+        wait_for_nodes(client, worker_urls)
         print("cluster-smoke: %d worker nodes registered" % len(workers))
 
         # Sweep 1: byte-identical to the in-process baseline.
-        first = run_sweep(base)
+        first = run_sweep(client)
         for cell, key, expected, got in zip(CELLS, keys, baseline, first):
             if canonical(got) != canonical(expected):
                 fail("cluster answer diverged from evaluate_many for "
@@ -229,12 +169,11 @@ def main() -> int:
         for key in keys:
             owner = shard_node(key, list(NODE_IDS))
             predicted[owner] = predicted.get(owner, 0) + 1
-        _, metrics = get(base, "/metrics")
-        cluster = metrics["cluster"]
+        cluster = client.metrics()["cluster"]
         if cluster["shard_distribution"] != predicted:
             fail("shard distribution %r != predicted %r"
                  % (cluster["shard_distribution"], predicted))
-        status, repeat = post(base, CELLS[0])
+        status, repeat = client.evaluate_raw(CELLS[0])
         if status != 200 or repeat.get("memoized") is not True:
             fail("repeated cell was not memoized by its owner: %d %r"
                  % (status, {k: repeat.get(k)
@@ -254,35 +193,32 @@ def main() -> int:
         workers = {node_id: spawn_worker(work_dir, base, node_id, 2)
                    for node_id in NODE_IDS}
         processes.extend(workers.values())
-        worker_urls = {node_id: "http://127.0.0.1:%d"
-                       % worker.wait_for_port()
+        worker_urls = {node_id: worker.wait_listening()
                        for node_id, worker in workers.items()}
-        wait_for_nodes(base, worker_urls)
+        wait_for_nodes(client, worker_urls)
 
         # Sweep 2: same bytes, now served through the remote store.
-        second = run_sweep(base)
+        second = run_sweep(client)
         for cell, expected, got in zip(CELLS, baseline, second):
             if canonical(got) != canonical(expected):
                 fail("second-run answer diverged for %r" % (cell,))
         remote_hits = replications = 0
         for node_id, url in worker_urls.items():
-            _, node_metrics = get(url, "/metrics")
-            store = node_metrics.get("cache", {}).get("store", {})
+            store = (ServiceClient(url).metrics()
+                     .get("cache", {}).get("store", {}))
             remote_hits += store.get("remote_hits", 0)
             replications += store.get("replications", 0)
         if remote_hits < 1 or replications < 1:
             fail("fresh workers never read through the remote store "
                  "(remote_hits=%d, replications=%d)"
                  % (remote_hits, replications))
-        _, metrics = get(base, "/metrics")
-        if metrics["cluster"]["counters"].get("store_gets", 0) < 1:
-            fail("coordinator served no store reads: %r"
-                 % metrics["cluster"]["counters"])
+        counters = client.metrics()["cluster"]["counters"]
+        if counters.get("store_gets", 0) < 1:
+            fail("coordinator served no store reads: %r" % (counters,))
         print("cluster-smoke: PASS (sweep 2 served via remote store: "
               "remote_hits=%d, replications=%d, coordinator "
               "store_gets=%d)"
-              % (remote_hits, replications,
-                 metrics["cluster"]["counters"]["store_gets"]))
+              % (remote_hits, replications, counters["store_gets"]))
         return 0
     finally:
         for proc in processes:

@@ -10,79 +10,32 @@ Exits nonzero (with a diagnostic) on any failed expectation.
 
 from __future__ import annotations
 
-import json
-import re
-import signal
-import subprocess
+import functools
 import sys
-import threading
-import time
-import urllib.error
-import urllib.request
 
-BOOT_TIMEOUT = 60.0
+import _daemon
+from repro.api import ServiceClient
+
 REQUEST = {"program": {"kind": "registry", "value": "ks"},
            "technique": "gremio", "n_threads": 2, "scale": "train"}
 
-
-def fail(message: str) -> "NoReturn":  # noqa: F821
-    print("serve-smoke: FAIL: %s" % message)
-    sys.exit(1)
-
-
-def wait_for_port(process, lines) -> int:
-    """Parse the bound port from the daemon's startup line."""
-    pattern = re.compile(r"listening on http://[^:]+:(\d+)")
-    deadline = time.time() + BOOT_TIMEOUT
-    while time.time() < deadline:
-        if process.poll() is not None:
-            fail("daemon exited during startup (rc=%d): %s"
-                 % (process.returncode, " | ".join(lines)))
-        for line in list(lines):
-            match = pattern.search(line)
-            if match:
-                return int(match.group(1))
-        time.sleep(0.1)
-    fail("daemon never announced a port within %.0fs: %s"
-         % (BOOT_TIMEOUT, " | ".join(lines)))
-
-
-def get(base: str, path: str):
-    with urllib.request.urlopen(base + path, timeout=30) as reply:
-        return reply.status, json.loads(reply.read().decode("utf-8"))
-
-
-def post(base: str, body) -> "tuple":
-    request = urllib.request.Request(
-        base + "/v1/evaluate", data=json.dumps(body).encode("utf-8"),
-        headers={"Content-Type": "application/json"}, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=120) as reply:
-            return reply.status, json.loads(reply.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
+fail = functools.partial(_daemon.fail, "serve-smoke")
 
 
 def main() -> int:
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    lines: list = []
-    reader = threading.Thread(
-        target=lambda: lines.extend(iter(process.stdout.readline, "")),
-        daemon=True)
-    reader.start()
+    daemon = _daemon.Daemon("serve-smoke",
+                            ["--port", "0", "--workers", "2"])
     try:
-        port = wait_for_port(process, lines)
-        base = "http://127.0.0.1:%d" % port
+        base = daemon.wait_listening()
+        client = ServiceClient(base)
         print("serve-smoke: daemon up on %s" % base)
 
-        status, health = get(base, "/healthz")
-        if status != 200 or health.get("status") != "ok":
-            fail("/healthz unhealthy: %d %r" % (status, health))
+        # The typed getters raise ServiceError on any non-200 answer.
+        health = client.health()
+        if health.get("status") != "ok":
+            fail("/healthz unhealthy: %r" % (health,))
 
-        status, document = post(base, REQUEST)
+        status, document = client.evaluate_raw(REQUEST)
         if status != 200:
             fail("evaluation answered %d: %r" % (status, document))
         speedup = document.get("metrics", {}).get("speedup", 0.0)
@@ -91,15 +44,13 @@ def main() -> int:
         print("serve-smoke: evaluated %s -> speedup %.4f"
               % (REQUEST["program"]["value"], speedup))
 
-        status, repeat = post(base, REQUEST)
+        status, repeat = client.evaluate_raw(REQUEST)
         if status != 200 or repeat.get("memoized") is not True:
             fail("repeat request was not memoized: %d %r"
                  % (status, {k: repeat.get(k)
                              for k in ("memoized", "stale")}))
 
-        status, metrics = get(base, "/metrics")
-        if status != 200:
-            fail("/metrics answered %d" % status)
+        metrics = client.metrics()
         counters = metrics.get("counters", {})
         for name, floor in (("requests_total", 2), ("responses_ok", 2),
                             ("evaluations_completed", 1),
@@ -118,13 +69,7 @@ def main() -> int:
                                      latency["count"]))
         return 0
     finally:
-        if process.poll() is None:
-            process.send_signal(signal.SIGINT)
-            try:
-                process.wait(10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(10)
+        daemon.stop()
 
 
 if __name__ == "__main__":
