@@ -31,7 +31,8 @@ from ..pipeline.fingerprint import (digest, fingerprint_config,
                                     fingerprint_function,
                                     fingerprint_inputs,
                                     fingerprint_profile)
-from ..pipeline.matrix import (MatrixCell, build_cells, evaluate_matrix,
+from ..pipeline.matrix import (MatrixCell, build_cells, evaluate_cell,
+                               evaluate_cells, evaluate_matrix,
                                overrides_config, pool_payload,
                                run_cell_payload, validate_overrides)
 from ..pipeline.stages import (PARTITIONER_PARAMS, TECHNIQUES,
@@ -80,21 +81,13 @@ def resolve_program(program: ProgramSpec):
 def evaluate(request: EvaluateRequest,
              telemetry: Optional[Telemetry] = None) -> EvaluateResult:
     """Run the full methodology for one validated request and wrap the
-    outcome as a schema-versioned :class:`EvaluateResult`."""
+    outcome as a schema-versioned :class:`EvaluateResult` — from the
+    cell-level result entry when the cell was evaluated before (see
+    :func:`repro.pipeline.core.evaluate_summary`)."""
     request = request.validate()
-    config, partitioner_args = overrides_config(request.technique,
-                                                request.overrides)
-    evaluation = evaluate_workload(
-        get_workload(request.workload), technique=request.technique,
-        n_threads=request.n_threads, coco=request.coco,
-        scale=request.scale, config=config, check=request.check,
-        alias_mode=request.alias_mode,
-        local_schedule=request.local_schedule,
-        mt_check=request.mt_check, telemetry=telemetry,
-        trace=request.trace, topology=request.topology,
-        placer=request.placer, backend=request.backend,
-        partitioner_args=partitioner_args)
-    return EvaluateResult.from_evaluation(request, evaluation)
+    return EvaluateResult.from_summary(request, evaluate_cell(
+        request.cell(), request.check, telemetry, trace=request.trace,
+        backend=request.backend))
 
 
 def tune(request: TuneRequest, jobs: int = 1,
@@ -111,19 +104,15 @@ def tune(request: TuneRequest, jobs: int = 1,
 
 def evaluate_many(requests: Iterable[EvaluateRequest],
                   jobs: int = 1) -> List[EvaluateResult]:
-    """Evaluate several requests, fanning across a process pool with
-    ``jobs > 1`` (the same machinery as ``sweep --jobs N``)."""
+    """Evaluate several requests; with ``jobs > 1`` the cells no cache
+    entry answers fan across a process pool (the same machinery as
+    ``sweep --jobs N``)."""
     requests = [request.validate() for request in requests]
-    if not requests:
-        return []
-    check = requests[0].check
-    if any(request.check != check for request in requests) \
-            or any(request.trace for request in requests):
-        # evaluate_matrix applies one check policy per batch and its
-        # cells carry no trace flag; run the rare mixed or traced batch
-        # serially instead of silently unifying it.
+    if any(request.trace for request in requests):
+        # Matrix cells carry no trace flag; run the rare traced batch
+        # serially.
         return [evaluate(request) for request in requests]
-    evaluations = evaluate_matrix(
-        [request.cell() for request in requests], jobs=jobs, check=check)
-    return [EvaluateResult.from_evaluation(request, evaluation)
-            for request, evaluation in zip(requests, evaluations)]
+    summaries = evaluate_cells([(request.cell(), request.check)
+                                for request in requests], jobs=jobs)
+    return [EvaluateResult.from_summary(request, summary)
+            for request, summary in zip(requests, summaries)]

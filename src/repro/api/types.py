@@ -368,17 +368,13 @@ class EvaluateResult:
     schema_version: str = API_SCHEMA_VERSION
 
     @classmethod
-    def from_evaluation(cls, request: EvaluateRequest,
-                        evaluation) -> "EvaluateResult":
-        """Wrap a finished :class:`~repro.pipeline.core.Evaluation`."""
-        trace = getattr(evaluation, "trace", None)
-        return cls(
-            request=request,
-            metrics=dict(evaluation.metrics()),
-            fingerprints=dict(evaluation.fingerprints),
-            telemetry=(evaluation.telemetry.to_dict()
-                       if evaluation.telemetry is not None else None),
-            trace=(trace.summary() if trace is not None else None))
+    def from_summary(cls, request: EvaluateRequest,
+                     summary) -> "EvaluateResult":
+        """Wrap a :class:`~repro.pipeline.core.CellResult`."""
+        return cls(request=request, metrics=dict(summary.metrics),
+                   fingerprints=dict(summary.fingerprints),
+                   telemetry=summary.telemetry.to_dict(),
+                   trace=summary.trace)
 
     @property
     def speedup(self) -> float:

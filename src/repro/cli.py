@@ -56,10 +56,11 @@ import sys
 from typing import List, Optional
 
 from .api import (PLACERS, STRATEGIES, TECHNIQUES, TOPOLOGIES,
-                  build_cells, configure_cache, evaluate_matrix,
-                  evaluate_workload, get_cache, get_topology,
-                  global_telemetry, normalize, parallelize,
-                  reset_global_telemetry)
+                  EvaluateRequest, ProgramSpec, RequestValidationError,
+                  configure_cache, evaluate_many, evaluate_workload,
+                  get_cache, get_topology, global_telemetry, normalize,
+                  parallelize, reset_global_telemetry, resolve_program,
+                  workload_names)
 from .ir.printer import format_function
 from .machine.config import config_table
 from .report import table
@@ -377,36 +378,42 @@ def _apply_cache_options(args) -> None:
         configure_cache(enabled=False)
 
 
-def _resolve_workload(args):
-    """The workload a run/dump/sweep/trace invocation targets: a
-    registry name, or an inline program from ``--source``/``--ir``
-    (materialized through :func:`repro.api.resolve_program`)."""
-    from .api import ProgramSpec, RequestValidationError, resolve_program
-    source = getattr(args, "source", None)
-    ir = getattr(args, "ir", None)
-    name = getattr(args, "workload", None)
+def _inline_program(args):
+    """The validated :class:`~repro.api.ProgramSpec` of
+    ``--source``/``--ir`` (materialized for this session), or ``None``
+    without either."""
+    source, ir = getattr(args, "source", None), getattr(args, "ir", None)
     picked = [flag for flag, value in
-              (("--source", source), ("--ir", ir), ("workload", name))
-              if value]
+              (("--source", source), ("--ir", ir),
+               ("workload", getattr(args, "workload", None))) if value]
     if len(picked) > 1:
         raise SystemExit("pick one program input: %s are mutually "
                          "exclusive" % " and ".join(picked))
-    if not picked:
+    path = source or ir
+    if not path:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as error:
+        raise SystemExit("cannot read %s: %s" % (path, error))
+    spec = (ProgramSpec.source(text) if source
+            else ProgramSpec.inline_ir(text))
+    try:
+        resolve_program(spec)
+    except RequestValidationError as error:
+        raise SystemExit("%s: %s" % (path, error))
+    return spec
+
+
+def _resolve_workload(args):
+    """The workload a run/dump/trace invocation targets: a registry
+    name, or an inline program from ``--source``/``--ir``."""
+    spec = _inline_program(args)
+    name = spec.workload_name() if spec else getattr(args, "workload", None)
+    if not name:
         raise SystemExit("missing program: name a workload (see `list`) "
                          "or pass --source FILE.py / --ir FILE.ir")
-    if source or ir:
-        path = source or ir
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as error:
-            raise SystemExit("cannot read %s: %s" % (path, error))
-        spec = (ProgramSpec.source(text) if source
-                else ProgramSpec.inline_ir(text))
-        try:
-            return resolve_program(spec)
-        except RequestValidationError as error:
-            raise SystemExit("%s: %s" % (path, error))
     try:
         return get_workload(name)
     except KeyError as error:
@@ -523,24 +530,28 @@ def _trace(args) -> int:
 def _sweep(args) -> int:
     techniques = (list(TECHNIQUES) if args.technique == "all"
                   else [args.technique])
-    if getattr(args, "source", None) or getattr(args, "ir", None):
-        workloads = [_resolve_workload(args)]
-    else:
-        workloads = all_workloads()
-    cells = build_cells(workloads=workloads, techniques=techniques,
-                        coco=(args.coco,), n_threads=(args.threads,),
-                        scale=args.scale, alias_mode=args.alias_mode,
-                        local_schedule=args.schedule,
-                        mt_check=args.check, topology=args.topology,
-                        placer=args.placer)
-    evaluations = evaluate_matrix(cells, jobs=args.jobs)
+    inline = _inline_program(args)
+    programs = ([inline] if inline is not None else
+                [ProgramSpec.registry(name) for name in workload_names()])
+    requests = [EvaluateRequest(
+        program=program, technique=technique, coco=args.coco,
+        n_threads=args.threads, scale=args.scale,
+        alias_mode=args.alias_mode, local_schedule=args.schedule,
+        mt_check=args.check, topology=args.topology, placer=args.placer)
+        for program in programs for technique in techniques]
+    try:
+        results = evaluate_many(requests, jobs=args.jobs)
+    except RequestValidationError as error:
+        raise SystemExit("sweep: %s" % error)
     rows = []
     speedups = {technique: [] for technique in techniques}
-    for ev in evaluations:
-        rows.append((ev.workload.name, ev.technique, "%.3f" % ev.speedup,
-                     str(ev.communication_instructions),
-                     "%.1f%%" % (100 * ev.communication_fraction)))
-        speedups[ev.technique].append(ev.speedup)
+    for request, result in zip(requests, results):
+        metrics = result.metrics
+        rows.append((request.workload, request.technique,
+                     "%.3f" % result.speedup,
+                     "%d" % metrics["communication_instructions"],
+                     "%.1f%%" % (100 * metrics["communication_fraction"])))
+        speedups[request.technique].append(result.speedup)
     for technique in techniques:
         rows.append(("geomean", technique,
                      "%.3f" % geomean(speedups[technique]), "", ""))
@@ -783,7 +794,7 @@ def _dot(args) -> int:
 def _tune(args) -> int:
     # Imported here: the tune subsystem (and its leaderboard writer)
     # loads only when the subcommand actually runs.
-    from .api import RequestValidationError, TuneRequest, tune
+    from .api import TuneRequest, tune
     from .tune.leaderboard import markdown_summary
     if args.smoke:
         workloads = ("adpcmdec", "ks")

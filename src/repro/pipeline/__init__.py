@@ -6,7 +6,9 @@ pdg, partition, coco, mtcg, schedule, simulate-st, simulate-mt) with
 * **content-addressed cache keys** per stage (hash of the function's
   textual IR + machine configuration + stage options);
 * a **persistent artifact cache** (``REPRO_CACHE_DIR`` or
-  ``~/.cache/repro``) shared across processes and sweep runs;
+  ``~/.cache/repro``) shared across processes and sweep runs, holding
+  the stage artifacts plus one small result entry per evaluated cell
+  (:func:`repro.pipeline.core.evaluate_summary`);
 * **per-stage telemetry** (wall time, latency histograms, cache
   hits/misses, PDG/channel/cycle counters) rendered by
   ``python -m repro ... --timings`` and exported by ``repro serve``

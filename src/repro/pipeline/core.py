@@ -17,7 +17,8 @@ across a (workload x technique x coco x threads) matrix lives in
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Optional, Union
+import time
+from typing import Dict, Mapping, NamedTuple, Optional, Union
 
 from ..analysis.pdg import PDG
 from ..coco.driver import CocoResult
@@ -30,7 +31,7 @@ from ..partition.base import Partition
 from ..workloads.common import Workload
 from .cache import ArtifactCache, get_cache
 from .stages import (BACKENDS, EVALUATE_STAGES, PARALLELIZE_STAGES,
-                     PipelineContext, execute, technique_config)
+                     PipelineContext, cell_key, execute, technique_config)
 from .telemetry import Telemetry, global_telemetry
 
 CacheOption = Union[ArtifactCache, bool, None]
@@ -122,8 +123,6 @@ def parallelize(function: Function,
     if topology is not None:
         from ..machine.topology import get_topology
         config = dataclasses.replace(config, topology=get_topology(topology))
-    config = config.with_cores(n_threads)
-    run_telemetry = Telemetry()
     ctx = PipelineContext(
         function,
         options={
@@ -139,17 +138,20 @@ def parallelize(function: Function,
             "partitioner_args": dict(partitioner_args)
             if partitioner_args else None,
         },
-        config=config,
-        cache=_resolve_cache(cache),
-        telemetry=run_telemetry)
+        config=config.with_cores(n_threads),
+        cache=_resolve_cache(cache))
     execute(ctx, PARALLELIZE_STAGES)
-    _publish_telemetry(run_telemetry, telemetry)
-    result = Parallelization(function, ctx.values["profile"],
-                             ctx.values["pdg"], ctx.values["partition"],
-                             ctx.values["program"],
-                             ctx.values["coco_result"], config)
+    _publish_telemetry(ctx.telemetry, telemetry)
+    return _parallelization(ctx)
+
+
+def _parallelization(ctx: PipelineContext) -> Parallelization:
+    result = Parallelization(
+        ctx.function, *(ctx.values[name] for name in (
+            "profile", "pdg", "partition", "program", "coco_result")),
+        ctx.config)
     result.fingerprints = dict(ctx.fingerprints)
-    result.telemetry = run_telemetry
+    result.telemetry = ctx.telemetry
     return result
 
 
@@ -282,10 +284,27 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     cache entries (see
     :data:`repro.pipeline.stages.PARTITIONER_PARAMS`).
     """
+    ctx = _evaluation_context(
+        workload, technique, n_threads, coco, scale, config, alias_mode,
+        local_schedule, mt_check, cache, trace, trace_limit, topology,
+        placer, backend, partitioner_args)
+    execute(ctx, EVALUATE_STAGES)
+    _publish_telemetry(ctx.telemetry, telemetry)
+    return _finish(ctx, workload, check)
+
+
+def _evaluation_context(workload, technique, n_threads, coco, scale,
+                        config, alias_mode, local_schedule, mt_check,
+                        cache=None, trace=False, trace_limit=None,
+                        topology=None, placer="identity", backend="fast",
+                        partitioner_args=None) -> PipelineContext:
+    """What :func:`evaluate_workload` (whose parameters these are)
+    resolves before the first stage: the built function, both input
+    sets — fingerprinted by the workload, once per process — and both
+    machine configurations."""
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r (expected one of %s)"
                          % (backend, ", ".join(BACKENDS)))
-    function = workload.build()
     train = workload.make_inputs("train")
     measure = workload.make_inputs(scale)
     if config is None:
@@ -293,10 +312,8 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     if topology is not None:
         from ..machine.topology import get_topology
         config = dataclasses.replace(config, topology=get_topology(topology))
-    effective = config.with_cores(n_threads)
-    run_telemetry = Telemetry()
-    ctx = PipelineContext(
-        function,
+    return PipelineContext(
+        workload.build(),
         options={
             "technique": technique,
             "n_threads": n_threads,
@@ -317,30 +334,88 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
             "partitioner_args": dict(partitioner_args)
             if partitioner_args else None,
         },
-        config=effective,
+        config=config.with_cores(n_threads),
         sim_config=config,
         cache=_resolve_cache(cache),
-        telemetry=run_telemetry)
-    execute(ctx, EVALUATE_STAGES)
-    _publish_telemetry(run_telemetry, telemetry)
+        roots={"train": workload.inputs_fingerprint("train"),
+               "measure": workload.inputs_fingerprint(scale)})
 
+
+def _finish(ctx: PipelineContext, workload: Workload,
+            check: bool) -> Evaluation:
+    """Verify a walked context's results and wrap them."""
     st_result = ctx.values["st_result"]
     mt_result = ctx.values["mt_result"]
     if check:
-        _check_results(workload, function, st_result, mt_result)
-    parallelization = Parallelization(function, ctx.values["profile"],
-                                      ctx.values["pdg"],
-                                      ctx.values["partition"],
-                                      ctx.values["program"],
-                                      ctx.values["coco_result"], effective)
-    parallelization.fingerprints = dict(ctx.fingerprints)
-    parallelization.telemetry = run_telemetry
-    evaluation = Evaluation(workload, technique, coco, n_threads,
-                            parallelization, st_result, mt_result)
+        _check_results(workload, ctx.function, st_result, mt_result)
+    evaluation = Evaluation(workload, ctx.options["technique"],
+                            ctx.options["coco"], ctx.options["n_threads"],
+                            _parallelization(ctx), st_result, mt_result)
     evaluation.fingerprints = dict(ctx.fingerprints)
-    evaluation.telemetry = run_telemetry
+    evaluation.telemetry = ctx.telemetry
     evaluation.trace = ctx.values.get("mt_trace")
     return evaluation
+
+
+#: ArtifactCache stage name of the cell-level result entry.
+RESULT_STAGE = "evaluation"
+
+
+class CellResult(NamedTuple):
+    """What a typed result (:class:`repro.api.EvaluateResult`) is made
+    of; the cell-level cache entry stores ``metrics``, ``fingerprints``
+    and the telemetry's deterministic ``counters``."""
+
+    metrics: Dict[str, float]
+    fingerprints: Dict[str, Optional[str]]
+    telemetry: Telemetry
+    trace: Optional[Dict[str, object]] = None  # TraceAnalysis.summary()
+
+
+def evaluate_summary(workload: Workload, check: bool = True,
+                     telemetry: Optional[Telemetry] = None,
+                     walk: bool = True, **options) -> Optional[CellResult]:
+    """:func:`evaluate_workload` (whose keyword ``options`` these are)
+    for callers that want the numbers, not the program, PDG or memory
+    images.  The cell is first looked up under :data:`RESULT_STAGE` by
+    :func:`~repro.pipeline.stages.cell_key`: a hit is one blob load and
+    runs no stage (its telemetry is that hit plus the stored counters);
+    a miss walks the stages — telemetry as :func:`evaluate_workload`'s,
+    so a computed answer's document does not grow — and, once the
+    evaluation and its ``check`` succeeded, writes the entry.  Traced
+    runs (an entry cannot replay the event stream) and a disabled cache
+    bypass it.  ``walk=False`` only looks: a miss returns ``None``."""
+    start = time.perf_counter()
+    ctx = _evaluation_context(workload, **options)
+    run, cache = ctx.telemetry, ctx.cache
+    stages = EVALUATE_STAGES
+    key = None
+    if not ctx.options["trace"] and cache is not None and cache.enabled:
+        # normalize runs first: the key needs the normalized IR's hash.
+        execute(ctx, stages[:1])
+        stages = stages[1:]
+        key = cell_key(ctx, check)
+        hit, entry = cache.load(RESULT_STAGE, key)
+        if hit:
+            run = Telemetry()  # no stage ran: normalize is the entry's cost
+            run.counters.update(entry["counters"])
+            run.record_hit(RESULT_STAGE, time.perf_counter() - start)
+            _publish_telemetry(run, telemetry)
+            return CellResult(entry["metrics"], entry["fingerprints"], run)
+    if not walk:
+        return None
+    execute(ctx, stages)
+    evaluation = _finish(ctx, workload, check)
+    metrics = dict(evaluation.metrics())
+    if key is not None:
+        cache.store(RESULT_STAGE, key,
+                    {"metrics": metrics,
+                     "fingerprints": evaluation.fingerprints,
+                     "counters": dict(run.counters)})
+    _publish_telemetry(run, telemetry)
+    trace = evaluation.trace
+    return CellResult(metrics, evaluation.fingerprints, run,
+                      trace.summary() if trace is not None else None)
 
 
 def _check_results(workload: Workload, function: Function,

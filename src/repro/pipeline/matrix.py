@@ -1,13 +1,16 @@
 """Batch evaluation: fan a (workload x technique x coco x threads)
 matrix across a ``multiprocessing`` pool.
 
-``evaluate_matrix()`` is the sweep engine behind ``python -m repro sweep
---jobs N`` and the benchmark harness.  Cells are evaluated through the
+``evaluate_matrix()`` is the materialising batch engine (the benchmark
+harness: callers that need programs, PDGs or memory images);
+``evaluate_cells()`` is its typed twin behind ``repro sweep``,
+``evaluate_many`` and ``repro tune``, answering each cell from the
+cell-level result entry when it can.  Cells are evaluated through the
 same staged, cached pipeline as single calls, so parallel workers share
 the persistent artifact cache (atomic writes make that safe) and results
-are bit-identical to serial execution.  Any failure to parallelize —
-no ``multiprocessing`` support, unpicklable state, a crashed pool —
-degrades gracefully to the serial path.
+are bit-identical to serial execution.  When no process pool can be
+started the batch degrades to the serial path; an error raised by an
+evaluation propagates.
 
 Cells may carry *overrides* — a tuple of namespaced ``(knob, value)``
 pairs tweaking the machine model (``machine.comm_latency``) or the
@@ -21,6 +24,7 @@ for the knob namespace.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -29,9 +33,10 @@ from ..machine.config import TUNABLE_MACHINE_FIELDS, MachineConfig
 from ..workloads import get_workload, workload_names
 from ..workloads.common import Workload
 from .cache import ensure_cache, get_cache
-from .core import Evaluation, evaluate_workload
+from .core import (CellResult, Evaluation, evaluate_summary,
+                   evaluate_workload, _publish_telemetry)
 from .stages import PARTITIONER_PARAMS, technique_config
-from .telemetry import Telemetry, global_telemetry
+from .telemetry import Telemetry
 
 Overrides = Tuple[Tuple[str, object], ...]
 
@@ -205,64 +210,90 @@ def evaluate_matrix(cells: Optional[Iterable[MatrixCell]] = None,
 
     results: Optional[List[Evaluation]] = None
     if jobs and jobs > 1 and len(cells) > 1:
-        results = _evaluate_pool(cells, jobs, check)
-        if results is not None:
-            accumulator = global_telemetry()
-            for evaluation in results:
-                if evaluation.telemetry is not None:
-                    accumulator.merge(evaluation.telemetry)
-                    if (telemetry is not None
-                            and telemetry is not accumulator):
-                        telemetry.merge(evaluation.telemetry)
+        results = _evaluate_pool(
+            [pool_payload(cell, check) for cell in cells], jobs,
+            _run_cell, telemetry)
     if results is None:
         results = [_run_cell(cell, check, telemetry) for cell in cells]
     return results
 
 
+def evaluate_cell(cell: MatrixCell, check: bool = True,
+                  telemetry: Optional[Telemetry] = None,
+                  **options) -> Optional[CellResult]:
+    """One cell through the cell-level result entry
+    (:func:`~repro.pipeline.core.evaluate_summary`, which also takes
+    the ``options`` a cell does not carry: ``trace``, ``backend``,
+    ``walk``) — the one function every typed result comes from."""
+    return _run_cell(cell, check, telemetry, evaluate_summary, **options)
+
+
+def evaluate_cells(cells: Sequence[Tuple[MatrixCell, bool]],
+                   jobs: int = 1) -> List[CellResult]:
+    """:func:`evaluate_cell` over ``(cell, check)`` pairs, in order.
+    With ``jobs > 1`` the parent answers every cached cell itself and
+    only the misses fan out — workers return summaries, not pickled
+    evaluations, and an all-warm batch starts no process."""
+    results: List[Optional[CellResult]] = [None] * len(cells)
+    if jobs and jobs > 1:
+        results = [evaluate_cell(cell, check, walk=False)
+                   for cell, check in cells]
+        misses = [index for index, result in enumerate(results)
+                  if result is None]
+        if len(misses) > 1:
+            pooled = _evaluate_pool(
+                [pool_payload(*cells[index]) for index in misses], jobs,
+                evaluate_cell, None)
+            for index, result in zip(misses, pooled or ()):
+                results[index] = result
+    return [result if result is not None else evaluate_cell(cell, check)
+            for result, (cell, check) in zip(results, cells)]
+
+
 def _run_cell(cell: MatrixCell, check: bool,
-              telemetry: Optional[Telemetry]) -> Evaluation:
+              telemetry: Optional[Telemetry],
+              evaluate=evaluate_workload, **options):
     config, partitioner_args = overrides_config(cell.technique,
                                                 cell.overrides)
-    return evaluate_workload(get_workload(cell.workload),
-                             technique=cell.technique,
-                             n_threads=cell.n_threads, coco=cell.coco,
-                             scale=cell.scale, config=config, check=check,
-                             alias_mode=cell.alias_mode,
-                             local_schedule=cell.local_schedule,
-                             mt_check=cell.mt_check,
-                             telemetry=telemetry,
-                             topology=cell.topology,
-                             placer=cell.placer,
-                             partitioner_args=partitioner_args)
+    return evaluate(get_workload(cell.workload), technique=cell.technique,
+                    n_threads=cell.n_threads, coco=cell.coco,
+                    scale=cell.scale, config=config, check=check,
+                    alias_mode=cell.alias_mode,
+                    local_schedule=cell.local_schedule,
+                    mt_check=cell.mt_check, telemetry=telemetry,
+                    topology=cell.topology, placer=cell.placer,
+                    partitioner_args=partitioner_args, **options)
 
 
 def pool_payload(cell: MatrixCell, check: bool = True,
                  cache=None) -> tuple:
     """The picklable unit of work a pool worker executes: the cell plus
-    the parent's cache configuration.  Shared with the ``repro serve``
-    worker pool so both fan-outs evaluate cells identically."""
+    the parent's cache configuration."""
     if cache is None:
         cache = get_cache()
     return (cell, check, cache.directory, cache.enabled)
 
 
-def run_cell_payload(payload) -> Evaluation:
+def run_cell_payload(payload, run=_run_cell):
     """Execute one :func:`pool_payload` in the current process, on the
     parent's cache (:func:`~repro.pipeline.cache.ensure_cache`: kept
     when it already matches, so back-to-back cells of one workload
     share their front-end artifacts through its memory tier)."""
     cell, check, cache_dir, cache_enabled = payload
     ensure_cache(cache_dir, cache_enabled)
-    return _run_cell(cell, check, telemetry=None)
+    return run(cell, check, telemetry=None)
 
 
-def _run_batch_payload(batch) -> List[Evaluation]:
-    return [run_cell_payload(payload) for payload in batch]
+def _run_batch_payload(batch, run=_run_cell) -> list:
+    return [run_cell_payload(payload, run) for payload in batch]
 
 
-def _evaluate_pool(cells: List[MatrixCell], jobs: int,
-                   check: bool) -> Optional[List[Evaluation]]:
-    payloads = [pool_payload(cell, check) for cell in cells]
+def _evaluate_pool(payloads: List[tuple], jobs: int, run,
+                   telemetry: Optional[Telemetry]) -> Optional[list]:
+    """``run`` (:func:`_run_cell` or :func:`evaluate_cell`) over
+    ``payloads`` on a process pool, results in order; ``None`` (after a
+    warning) when no pool can be started.  An error raised *by an
+    evaluation* is not a reason to fall back — it propagates, once."""
     # One batch per workload: cells of a workload share their expensive
     # front-end artifacts (profile, PDG, the single-threaded baseline
     # simulation), and a worker that evaluates them back-to-back reuses
@@ -270,23 +301,25 @@ def _evaluate_pool(cells: List[MatrixCell], jobs: int,
     # workers instead would race the disk tier and compute the shared
     # stages once per worker.
     groups: dict = {}
-    for index, cell in enumerate(cells):
-        groups.setdefault(cell.workload, []).append(index)
+    for index, payload in enumerate(payloads):
+        groups.setdefault(payload[0].workload, []).append(index)
     batches = [[payloads[index] for index in indices]
                for indices in groups.values()]
     try:
         import multiprocessing
-        with multiprocessing.Pool(min(jobs, len(batches))) as pool:
-            batch_results = pool.map(_run_batch_payload, batches)
-    except (AssertionError, KeyboardInterrupt):
-        raise  # real evaluation failures / user interrupts propagate
-    except Exception as error:
+        pool = multiprocessing.Pool(min(jobs, len(batches)))
+    except (ImportError, OSError) as error:
         warnings.warn("parallel evaluation unavailable (%s); "
                       "falling back to serial execution" % (error,),
                       RuntimeWarning)
         return None
-    results: List[Optional[Evaluation]] = [None] * len(cells)
+    with pool:
+        batch_results = pool.map(
+            functools.partial(_run_batch_payload, run=run), batches)
+    results: list = [None] * len(payloads)
     for indices, batch in zip(groups.values(), batch_results):
-        for index, evaluation in zip(indices, batch):
-            results[index] = evaluation
+        for index, result in zip(indices, batch):
+            results[index] = result
+            # as a serial run would have
+            _publish_telemetry(result.telemetry, telemetry)
     return results

@@ -103,14 +103,18 @@ class PipelineContext:
 
     ``values`` holds the named artifacts stages produce; ``options``
     the run configuration (technique, thread count, alias mode, inputs,
-    ...); ``fingerprints`` the per-stage cache keys actually used.
+    ...); ``fingerprints`` the per-stage cache keys actually used;
+    ``roots`` the input and configuration fingerprints those keys derive
+    from, each computed at most once per run (:meth:`root`) unless the
+    caller already holds it (a workload's cached inputs fingerprint).
     """
 
     def __init__(self, function: Function, options: Dict[str, object],
                  config: MachineConfig,
                  sim_config: Optional[MachineConfig] = None,
                  cache: Optional[ArtifactCache] = None,
-                 telemetry: Optional[Telemetry] = None):
+                 telemetry: Optional[Telemetry] = None,
+                 roots: Optional[Dict[str, str]] = None):
         self.values: Dict[str, object] = {
             "function": function,
             "profile": options.get("profile"),
@@ -127,15 +131,35 @@ class PipelineContext:
         }
         self.options = options
         self.config = config            # partitioning config (with threads)
-        self.sim_config = sim_config    # simulation config (as passed in)
+        # simulation config (as passed in)
+        self.sim_config = config if sim_config is None else sim_config
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.fingerprints: Dict[str, Optional[str]] = {}
         self.norm_fp: Optional[str] = None
+        self.roots: Dict[str, str] = dict(roots or {})
 
     @property
     def function(self) -> Function:
         return self.values["function"]
+
+    def root(self, name: str) -> str:
+        fingerprint = self.roots.get(name)
+        if fingerprint is None:
+            fingerprint = self.roots[name] = _ROOTS[name](self)
+        return fingerprint
+
+
+_ROOTS: Dict[str, Callable[[PipelineContext], str]] = {
+    "train": lambda ctx: fingerprint_inputs(
+        ctx.options.get("profile_args"), ctx.options.get("profile_memory")),
+    "measure": lambda ctx: fingerprint_inputs(
+        ctx.options.get("measure_args"), ctx.options.get("measure_memory")),
+    "config": lambda ctx: fingerprint_config(ctx.config),
+    "sim_config": lambda ctx: fingerprint_config(ctx.sim_config),
+    "st_config": lambda ctx: fingerprint_config(
+        ctx.sim_config.with_cores(1)),
+}
 
 
 class Stage:
@@ -211,9 +235,7 @@ def _run_normalize(ctx: PipelineContext) -> dict:
 def _fp_profile(ctx: PipelineContext) -> Optional[str]:
     if ctx.options.get("profile") is not None:
         return None  # supplied directly; adopt it, don't cache it
-    return digest("stage:profile", ctx.norm_fp,
-                  fingerprint_inputs(ctx.options.get("profile_args"),
-                                     ctx.options.get("profile_memory")))
+    return digest("stage:profile", ctx.norm_fp, ctx.root("train"))
 
 
 def _run_profile(ctx: PipelineContext) -> dict:
@@ -253,7 +275,7 @@ def _fp_partition(ctx: PipelineContext) -> str:
              fingerprint_profile(ctx.values["profile"]),
              str(ctx.options["technique"]),
              str(ctx.options["n_threads"]),
-             fingerprint_config(ctx.config)]
+             ctx.root("config")]
     params = ctx.options.get("partitioner_args")
     if params:
         # Appended only when present so default-parameter fingerprints
@@ -295,20 +317,18 @@ def _count_coco(ctx: PipelineContext) -> None:
 
 
 def _fp_mtcg(ctx: PipelineContext) -> str:
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    topo = config.topology
+    topo = ctx.sim_config.topology
     return digest("stage:mtcg", ctx.fingerprints.get("partition") or "",
                   "coco" if ctx.options.get("coco") else "plain",
                   "" if topo is None else "topology:%r" % (topo,))
 
 
 def _run_mtcg(ctx: PipelineContext) -> dict:
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
     program = generate(ctx.function, ctx.values["pdg"],
                        ctx.values["partition"],
                        data_channels=ctx.values["data_channels"],
                        condition_covered=ctx.values["condition_covered"],
-                       config=config)
+                       config=ctx.sim_config)
     # Thread functions are finished artifacts from here on (the local
     # scheduler only reorders instruction lists): collapse them to
     # interned flyweights so sweep cells, pool payloads, and cache
@@ -347,26 +367,23 @@ def _schedule_enabled(ctx: PipelineContext) -> bool:
 def _run_schedule(ctx: PipelineContext) -> dict:
     from ..opt.scheduler import schedule_function, schedule_program
     priority = ctx.options["local_schedule"]
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    schedule_program(ctx.values["program"], config, priority)
-    schedule_function(ctx.function, config, priority)
+    schedule_program(ctx.values["program"], ctx.sim_config, priority)
+    schedule_function(ctx.function, ctx.sim_config, priority)
     return {}
 
 
 def _fp_placement(ctx: PipelineContext) -> str:
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
     return digest("stage:placement",
                   ctx.fingerprints.get("mtcg") or "",
                   str(ctx.options.get("placer", "identity")),
                   str(ctx.options["n_threads"]),
-                  fingerprint_config(config))
+                  ctx.root("sim_config"))
 
 
 def _run_placement(ctx: PipelineContext) -> dict:
     n_threads = max(int(ctx.options["n_threads"]), 1)
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
     # with_cores() sizes the flat default; an explicit topology wins.
-    topo = config.with_cores(n_threads).resolve_topology()
+    topo = ctx.sim_config.with_cores(n_threads).resolve_topology()
     placement = make_placement(ctx.options.get("placer", "identity"),
                                n_threads, topo,
                                pdg=ctx.values["pdg"],
@@ -382,15 +399,9 @@ def _count_placement(ctx: PipelineContext) -> None:
     ctx.telemetry.count("placement_threads_moved", moved)
 
 
-def _measure_fp(ctx: PipelineContext) -> str:
-    return fingerprint_inputs(ctx.options.get("measure_args"),
-                              ctx.options.get("measure_memory"))
-
-
 def _fp_simulate_st(ctx: PipelineContext) -> str:
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    return digest("stage:simulate-st", ctx.norm_fp, _measure_fp(ctx),
-                  fingerprint_config(config.with_cores(1)),
+    return digest("stage:simulate-st", ctx.norm_fp, ctx.root("measure"),
+                  ctx.root("st_config"),
                   repr(ctx.options.get("local_schedule")))
 
 
@@ -412,10 +423,9 @@ def _simulator(ctx: PipelineContext, traced: bool = False):
 
 
 def _run_simulate_st(ctx: PipelineContext) -> dict:
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
     result = timing.simulate_single(
         ctx.function, ctx.options.get("measure_args"),
-        ctx.options.get("measure_memory"), config=config,
+        ctx.options.get("measure_memory"), config=ctx.sim_config,
         simulate_threads=_simulator(ctx))
     return {"st_result": result}
 
@@ -430,16 +440,14 @@ def _fp_simulate_mt(ctx: PipelineContext) -> Optional[str]:
     # cannot reproduce.
     if ctx.options.get("trace"):
         return None
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
     return digest("stage:simulate-mt",
-                  ctx.fingerprints.get("mtcg") or "", _measure_fp(ctx),
+                  ctx.fingerprints.get("mtcg") or "", ctx.root("measure"),
                   ctx.fingerprints.get("placement") or "",
-                  fingerprint_config(config),
+                  ctx.root("sim_config"),
                   repr(ctx.options.get("local_schedule")))
 
 
 def _run_simulate_mt(ctx: PipelineContext) -> dict:
-    config = ctx.sim_config if ctx.sim_config is not None else ctx.config
     collector = None
     if ctx.options.get("trace"):
         from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
@@ -447,7 +455,7 @@ def _run_simulate_mt(ctx: PipelineContext) -> dict:
         collector = TraceCollector(limit=limit)
     result = timing.simulate_program(
         ctx.values["program"], ctx.options.get("measure_args"),
-        ctx.options.get("measure_memory"), config=config,
+        ctx.options.get("measure_memory"), config=ctx.sim_config,
         tracer=collector, placement=ctx.values.get("placement"),
         simulate_threads=_simulator(ctx, traced=collector is not None))
     if collector is not None:
@@ -493,6 +501,26 @@ PARALLELIZE_STAGES = ("normalize", "profile", "pdg", "partition", "coco",
                       "mtcg", "check")
 EVALUATE_STAGES = PARALLELIZE_STAGES + ("schedule", "placement",
                                         "simulate-st", "simulate-mt")
+
+
+def cell_key(ctx: PipelineContext, check: bool) -> str:
+    """The key of a cell-level result entry (:func:`repro.pipeline.core
+    .evaluate_summary`), valid once normalize has run: a digest of the
+    roots every stage fingerprint derives from — normalized IR, both
+    input sets, both machine configurations — each result-affecting
+    option, and ``check`` (an unverified entry never answers a verifying
+    request).  ``backend`` stays out, as out of every fingerprint."""
+    options = ctx.options
+    params = options.get("partitioner_args")
+    return digest("stage:evaluation", ctx.norm_fp, ctx.root("train"),
+                  ctx.root("measure"), ctx.root("config"),
+                  ctx.root("sim_config"),
+                  repr((options["technique"], options["n_threads"],
+                        bool(options["coco"]), options["alias_mode"],
+                        options["local_schedule"],
+                        bool(options["mt_check"]), options["placer"],
+                        sorted(params.items()) if params else None,
+                        bool(check))))
 
 
 def stage_names() -> Iterable[str]:

@@ -3,10 +3,10 @@
 Two interchangeable executors sit behind one :class:`Task` interface:
 
 * :class:`ProcessWorkerPool` — ``workers`` persistent child processes,
-  each looping over a private inbox and a shared outbox (the same
-  payload shape as :func:`repro.api.run_cell_payload`, so service
-  workers and ``sweep --jobs`` workers evaluate cells identically,
-  sharing the on-disk artifact cache).  A supervisor thread dispatches
+  each looping over a private inbox and a shared outbox and answering
+  through :func:`repro.api.evaluate`, so service workers, sweeps and
+  ``repro tune`` share cell-level results through the on-disk artifact
+  cache.  A supervisor thread dispatches
   queued tasks, detects **crashed workers** (respawn + bounded retry
   with linear backoff), and executes **cancellations**: a timed-out
   request's worker is terminated and respawned, so one runaway
@@ -31,7 +31,7 @@ import time
 import warnings
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..api import EvaluateRequest
+from ..api import EvaluateRequest, ensure_cache, evaluate
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
 
@@ -49,23 +49,13 @@ def _test_delay() -> None:
 def _evaluate_request_dict(request_dict: Dict[str, object],
                            cache_dir: str,
                            cache_enabled: bool) -> Dict[str, object]:
-    """The unit of work a worker process executes: rebuild the request,
-    run the cell through the *same* pool machinery as ``sweep --jobs``
-    (:func:`repro.api.run_cell_payload`), wrap as a result document."""
-    from ..api import EvaluateResult, ensure_cache, evaluate, \
-        run_cell_payload
-    from ..api import EvaluateRequest as Request
+    """The unit of work a worker process executes: rebuild the request
+    and answer it through the facade — the one typed path, so a cell
+    any process sharing this cache has computed is a single load — on
+    the parent's cache (kept between requests when it matches)."""
     _test_delay()
-    request = Request.from_dict(request_dict)
-    if request.trace:
-        # Traced requests carry per-run trace state that the cell-based
-        # pool payload cannot represent; evaluate through the facade,
-        # on the same kept cache run_cell_payload would use.
-        ensure_cache(cache_dir, cache_enabled)
-        return evaluate(request).as_dict()
-    payload = (request.cell(), request.check, cache_dir, cache_enabled)
-    evaluation = run_cell_payload(payload)
-    return EvaluateResult.from_evaluation(request, evaluation).as_dict()
+    ensure_cache(cache_dir, cache_enabled)
+    return evaluate(EvaluateRequest.from_dict(request_dict)).as_dict()
 
 
 #: Module-level evaluation hook: worker children call through this name
@@ -424,7 +414,6 @@ class InlineWorkerPool:
         return []
 
     def _run(self) -> None:
-        from ..api import evaluate
         while True:
             task = self._queue.get()
             if task is None:

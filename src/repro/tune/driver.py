@@ -15,10 +15,11 @@ pool-invariant by the matrix contract, and leaderboards carry no
 wall-clock data — so equal ``(seed, budget, knobs, workloads)`` yield
 byte-identical leaderboard JSON.
 
-Cost amortization: every scored candidate is memoized in the persistent
-artifact cache under its request key (stage
-``tune-candidate``; traced tie-breaks under ``tune-trace``), so re-runs
-— and overlapping searches — skip straight to the verdict.
+Cost amortization: every scored candidate leaves the cell-level result
+entry of the artifact cache behind (stage ``evaluation``, shared with
+sweeps and the service; traced tie-breaks are memoized under
+``tune-trace``), so re-runs — and overlapping searches — skip straight
+to the verdict.
 """
 
 from __future__ import annotations
@@ -74,54 +75,24 @@ def _feasible(candidate: CanonicalCandidate, n_threads: int) -> bool:
 
 def _score_requests(requests: List[EvaluateRequest],
                     jobs: int) -> List[Dict[str, float]]:
-    """Metrics for each request, via the ``tune-candidate`` memo when
-    possible and the batched evaluation path otherwise."""
-    cache = get_cache()
-    use_cache = cache is not None and cache.enabled
-    metrics: List[Optional[Dict[str, float]]] = [None] * len(requests)
-    misses: List[int] = []
-    for index, request in enumerate(requests):
-        if use_cache:
-            hit, payload = cache.load("tune-candidate",
-                                      request.request_key())
-            if hit:
-                metrics[index] = payload["metrics"]
-                continue
-        misses.append(index)
-    if misses:
-        results = evaluate_many([requests[i] for i in misses], jobs=jobs)
-        for index, result in zip(misses, results):
-            subset = {name: float(result.metrics[name])
-                      for name in ENTRY_METRICS
-                      if name in result.metrics}
-            metrics[index] = subset
-            if use_cache:
-                cache.store("tune-candidate",
-                            requests[index].request_key(),
-                            {"metrics": subset})
-    return [m if m is not None else {} for m in metrics]
+    """The leaderboard metrics of each request, through the batched
+    evaluation path (a candidate scored before is one cache load)."""
+    return [{name: float(result.metrics[name]) for name in ENTRY_METRICS
+             if name in result.metrics}
+            for result in evaluate_many(requests, jobs=jobs)]
 
 
 def _critical_path(request: EvaluateRequest) -> Optional[float]:
     """Traced critical-path cycles of one candidate, memoized under
     ``tune-trace`` (traced simulations themselves are uncacheable)."""
     traced = replace(request, trace=True)
-    cache = get_cache()
-    use_cache = cache is not None and cache.enabled
-    key = traced.request_key()
-    if use_cache:
-        hit, payload = cache.load("tune-trace", key)
-        if hit:
-            return payload["critical_path_cycles"]
-    result = evaluate(traced)
-    value = result.metrics.get("critical_path_cycles")
+    cache, key = get_cache(), traced.request_key()
+    hit, payload = cache.load("tune-trace", key)  # a disabled cache misses
+    if hit:
+        return payload["critical_path_cycles"]
+    value = evaluate(traced).metrics.get("critical_path_cycles")
     value = float(value) if value is not None else None
-    if use_cache:
-        cache.store("tune-trace", key, {"critical_path_cycles": value})
-    return value
-
-
-def _jsonable(value: object) -> object:
+    cache.store("tune-trace", key, {"critical_path_cycles": value})
     return value
 
 
@@ -130,8 +101,7 @@ def _make_entry(key: str, source: str, assignment: Dict[str, object],
     return {
         "key": key,
         "source": source,
-        "candidate": {name: _jsonable(value)
-                      for name, value in sorted(assignment.items())},
+        "candidate": dict(sorted(assignment.items())),
         "technique": candidate.technique,
         "coco": candidate.coco,
         "placer": candidate.placer,

@@ -49,11 +49,18 @@ class Workload:
         self.build = build
         self._make_inputs = make_inputs
         self._inputs_cache: Dict[str, WorkloadInputs] = {}
+        self._inputs_fingerprints: Dict[str, str] = {}
         self.reference = reference
         # Memory objects whose final contents are workload outputs (checked
         # against the oracle in addition to live-out registers).
         self.output_objects = output_objects
         self.description = description
+
+    def _pristine_inputs(self, scale: str) -> WorkloadInputs:
+        cached = self._inputs_cache.get(scale)
+        if cached is None:
+            cached = self._inputs_cache[scale] = self._make_inputs(scale)
+        return cached
 
     def make_inputs(self, scale: str) -> WorkloadInputs:
         """Inputs for ``scale``, generated once per process.
@@ -64,13 +71,23 @@ class Workload:
         simulating (which consumes the memory image) or mutating the
         returned maps cannot leak into later evaluations.
         """
-        cached = self._inputs_cache.get(scale)
-        if cached is None:
-            cached = self._make_inputs(scale)
-            self._inputs_cache[scale] = cached
+        cached = self._pristine_inputs(scale)
         return WorkloadInputs(dict(cached.args),
                               {name: list(values)
                                for name, values in cached.memory.items()})
+
+    def inputs_fingerprint(self, scale: str) -> str:
+        """Content hash of ``make_inputs(scale)``, computed once per
+        process from the pristine copy — which is never handed out, so
+        the hash cannot go stale."""
+        fingerprint = self._inputs_fingerprints.get(scale)
+        if fingerprint is None:
+            # Imported lazily: the pipeline package imports this one.
+            from ..pipeline.fingerprint import fingerprint_inputs
+            cached = self._pristine_inputs(scale)
+            fingerprint = self._inputs_fingerprints[scale] = \
+                fingerprint_inputs(cached.args, cached.memory)
+        return fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Workload %s (%s:%s)>" % (self.name, self.benchmark,

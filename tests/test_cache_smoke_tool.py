@@ -10,7 +10,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "tools"))
 
 from check_cache_smoke import (CacheSmokeError, check, main,  # noqa: E402
-                               metric_rows, parse_summary)
+                               metric_rows, parse_summary, stage_rows)
 
 METRICS = """\
 benchmark   technique   speedup
@@ -19,7 +19,13 @@ ks          dswp        1.104
 """
 
 COLD = METRICS + "artifact cache: 0 hits, 24 misses\n"
-WARM = METRICS + "artifact cache: 24 hits, 0 misses\n"
+WARM_SUMMARY = "artifact cache: 24 hits, 0 misses\n"
+STAGES = """per-stage timings
+stage       runs  hits  misses  seconds
+---------------------------------------
+evaluation  0     2     0       0.0020
+"""
+WARM = METRICS + STAGES + WARM_SUMMARY
 
 
 class TestParsers:
@@ -35,6 +41,11 @@ class TestParsers:
         rows = metric_rows(COLD)
         assert len(rows) == 2
         assert rows[0].startswith("181.mcf")
+        assert metric_rows(WARM) == rows  # stage rows are not metrics
+
+    def test_stage_rows(self):
+        assert stage_rows(WARM) == {"evaluation": (0, 2)}
+        assert stage_rows(COLD) == {}
 
 
 class TestCheck:
@@ -52,6 +63,23 @@ class TestCheck:
     def test_warm_run_must_not_miss(self):
         with pytest.raises(CacheSmokeError, match="fully cached"):
             check(COLD, METRICS + "artifact cache: 20 hits, 4 misses\n")
+
+    def test_warm_run_must_answer_from_the_evaluation_entry(self):
+        walked = STAGES.replace("evaluation  0     2 ",
+                                "simulate-mt 0     2 ")
+        with pytest.raises(CacheSmokeError, match="evaluation entry"):
+            check(COLD, METRICS + walked + WARM_SUMMARY)
+        with pytest.raises(CacheSmokeError, match="evaluation entry"):
+            check(COLD, METRICS + WARM_SUMMARY)  # no stage table at all
+        # geomean rows are not cells
+        geomean = METRICS + "geomean     gremio      1.300\n"
+        check(COLD.replace(METRICS, geomean),
+              WARM.replace(METRICS, geomean))
+
+    def test_warm_run_must_not_run_stages(self):
+        ran = STAGES + "normalize   2     0     0       0.0004\n"
+        with pytest.raises(CacheSmokeError, match="ran stages: normalize"):
+            check(COLD, METRICS + ran + WARM_SUMMARY)
 
     def test_metrics_must_match(self):
         drifted = COLD.replace("1.523", "1.524").replace(

@@ -11,17 +11,22 @@ workflow file:
 
 * the cold sweep populates the cache (nonzero misses);
 * the warm sweep is fully cached (nonzero hits, zero misses);
-* both sweeps report bit-identical metric tables.
+* both sweeps report bit-identical metric tables;
+* the warm sweep answered every cell from its cell-level result entry:
+  the ``evaluation`` row of its per-stage table shows one hit per cell,
+  and no stage ran.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 _SUMMARY = re.compile(r"artifact cache: (\d+) hits, (\d+) misses")
 _METRIC_ROW = re.compile(r"\S+\s+\S+\s+\d+\.\d{3}")
+#: A row of the per-stage timings table: stage, runs, hits, misses, s.
+_STAGE_ROW = re.compile(r"(\S+)\s+(\d+)\s+(\d+)\s+(\d+)\s+\d+\.\d{4}\s*$")
 
 
 class CacheSmokeError(AssertionError):
@@ -44,6 +49,17 @@ def metric_rows(text: str) -> List[str]:
             if _METRIC_ROW.match(line)]
 
 
+def stage_rows(text: str) -> Dict[str, Tuple[int, int]]:
+    """stage -> (runs, hits) from a transcript's per-stage table."""
+    rows = {}
+    for line in text.splitlines():
+        match = _STAGE_ROW.match(line)
+        if match:
+            rows[match.group(1)] = (int(match.group(2)),
+                                    int(match.group(3)))
+    return rows
+
+
 def check(cold_text: str, warm_text: str) -> None:
     """Raise :class:`CacheSmokeError` unless the cold/warm pair honours
     the cache contract."""
@@ -59,6 +75,17 @@ def check(cold_text: str, warm_text: str) -> None:
     if metric_rows(cold_text) != metric_rows(warm_text):
         raise CacheSmokeError(
             "cold and warm sweeps reported different metrics")
+    cells = sum(1 for row in metric_rows(warm_text)
+                if not row.startswith("geomean"))
+    stages = stage_rows(warm_text)
+    if stages.get("evaluation", (0, 0))[1] != cells:
+        raise CacheSmokeError(
+            "warm sweep should answer each of its %d cells from the "
+            "evaluation entry (stage table: %r)" % (cells, stages))
+    ran = sorted(name for name, (runs, _) in stages.items() if runs)
+    if ran:
+        raise CacheSmokeError("warm sweep ran stages: %s"
+                              % ", ".join(ran))
 
 
 def main(argv: List[str]) -> int:
