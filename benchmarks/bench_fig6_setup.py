@@ -38,6 +38,9 @@ def test_fig6b_benchmark_functions(benchmark):
                      "refresh_potential", "smvp", "mm_fv_update_nonbon",
                      "new_dbox_a", "inl1130", "std_eval"):
         assert fragment in text
-    assert len(all_workloads()) == 11
+    # The hand-ported paper suite; the frontend-compiled `synthetic`
+    # family has its own spec (bench_synthetic_frontend.py).
+    assert len([w for w in all_workloads()
+                if w.suite != "synthetic"]) == 11
     metrics = get_spec("fig6_setup").collect(FULL)
     assert metrics["workloads/count"].value == 11

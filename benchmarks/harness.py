@@ -1,13 +1,9 @@
 """Shared machinery for the experiment benchmarks.
 
-The evaluation memo and prewarm sweep now live in
-:mod:`repro.bench.harness` (the machine-readable benchmark subsystem);
-this module re-exports them so the bench modules keep their historical
-imports, and adds the pytest-benchmark adapter.  Every evaluation runs
-through the staged pipeline's persistent artifact cache (see
-``repro.pipeline``), so repeated benchmark sessions skip redundant
-stage work across processes, and ``python -m repro bench`` shares the
-same memo/cache when driving the same specs headlessly.
+Metric extraction lives in the spec registry (:mod:`repro.bench`), which
+``python -m repro bench`` drives headlessly over the same cells and the
+same artifact cache; this module adds the figure order and the
+pytest-benchmark adapter.
 
 Each bench module regenerates one table/figure of the papers (see
 DESIGN.md's experiment index) and prints it, so running ``pytest
@@ -16,11 +12,9 @@ benchmarks/ --benchmark-only -s`` reproduces the evaluation section.
 
 from __future__ import annotations
 
-from repro.bench import (BENCH_ORDER, evaluation, prewarm,
-                         relative_communication)
+from repro.bench import BENCH_ORDER
 
-__all__ = ["BENCH_ORDER", "evaluation", "prewarm",
-           "relative_communication", "run_once"]
+__all__ = ["BENCH_ORDER", "run_once"]
 
 
 def run_once(benchmark, fn):

@@ -18,44 +18,19 @@ JSON/HTTP.  See DESIGN.md for the paper-provenance note and the system
 inventory.
 """
 
-import warnings
-
 from . import api
 from .api import (API_SCHEMA_VERSION, TECHNIQUES, EvaluateRequest,
                   EvaluateResult, Evaluation, MatrixCell,
-                  Parallelization, RequestValidationError, build_cells,
-                  evaluate, evaluate_many, evaluate_matrix,
-                  evaluate_workload, parallelize)
+                  Parallelization, RequestValidationError, evaluate,
+                  evaluate_many, evaluate_workload, parallelize)
 from .workloads import all_workloads, get_workload, workload_names
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "api", "API_SCHEMA_VERSION", "EvaluateRequest", "EvaluateResult",
     "RequestValidationError", "evaluate", "evaluate_many",
     "Evaluation", "Parallelization", "TECHNIQUES", "MatrixCell",
-    "build_cells", "evaluate_matrix", "evaluate_workload", "parallelize",
+    "evaluate_workload", "parallelize",
     "all_workloads", "get_workload", "workload_names", "__version__",
 ]
-
-#: Entry points that moved behind the :mod:`repro.api` facade in 1.2.
-#: Importing them from the top-level package still works for one
-#: release, with a DeprecationWarning naming the new home.
-_DEPRECATED_TO_API = ("ArtifactCache", "Telemetry", "configure_cache",
-                      "get_cache", "global_telemetry", "make_partitioner",
-                      "normalize", "technique_config")
-
-
-def __getattr__(name):
-    if name in _DEPRECATED_TO_API:
-        warnings.warn(
-            "repro.%s is deprecated; import it from repro.api instead "
-            "(shim scheduled for removal one release after 1.2)" % name,
-            DeprecationWarning, stacklevel=2)
-        return getattr(api, name)
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_TO_API))

@@ -13,17 +13,17 @@ from here.  The surface is:
   :class:`TuneRequest` / :class:`TuneResult` and the :func:`tune`
   search driver (``TUNE_SCHEMA_VERSION``-stamped leaderboards);
 * **the classic callables**: :func:`parallelize`,
-  :func:`evaluate_workload`, :func:`evaluate_matrix`,
-  :func:`build_cells`, and the workload registry;
+  :func:`evaluate_workload` (one cell, materialised: program, PDG,
+  memory images), and the workload registry;
 * **infrastructure handles**: the artifact cache
   (:func:`get_cache`/:func:`configure_cache`/:func:`ensure_cache`),
   telemetry (:class:`Telemetry`, :func:`global_telemetry`) and the one
   HTTP client transport (:func:`http_request`, under
   :class:`ServiceClient` and :class:`HttpStore` alike).
 
-The facade is covenanted: additions only within one
-``API_SCHEMA_VERSION``; renames/removals bump it and leave one release
-of ``DeprecationWarning`` shims behind.
+The facade is covenanted: the wire documents change only with an
+``API_SCHEMA_VERSION`` bump; a callable is removed only in a minor
+release whose notes name its replacement (``docs/api.md``).
 """
 
 from .facade import (ArtifactCache, ArtifactStore, CacheStats,
@@ -31,17 +31,17 @@ from .facade import (ArtifactCache, ArtifactStore, CacheStats,
                      Evaluation, LatencyHistogram, MatrixCell,
                      PARTITIONER_PARAMS, PLACERS, Parallelization,
                      TECHNIQUES, TOPOLOGIES, TUNABLE_MACHINE_FIELDS,
-                     Telemetry, all_workloads, build_cells,
+                     Telemetry, all_workloads,
                      configure_cache, default_cache_dir, digest,
                      ensure_cache, evaluate, evaluate_many,
-                     evaluate_matrix, evaluate_workload,
+                     evaluate_workload,
                      fingerprint_config, fingerprint_function,
                      fingerprint_inputs, fingerprint_profile, get_cache,
                      get_topology, get_workload, global_telemetry,
                      http_request, make_partitioner, normalize,
                      overrides_config,
-                     parallelize, pool_payload, reset_global_telemetry,
-                     run_cell_payload, technique_config, topology_names,
+                     parallelize, reset_global_telemetry,
+                     technique_config, topology_names,
                      resolve_program, tune, unknown_workload_message,
                      validate_overrides, workload_names)
 from .client import ServiceClient, ServiceError
@@ -65,8 +65,7 @@ __all__ = [
     "TUNABLE_MACHINE_FIELDS", "PARTITIONER_PARAMS",
     # classic callables
     "Evaluation", "Parallelization", "evaluate_workload", "parallelize",
-    "MatrixCell", "build_cells", "evaluate_matrix",
-    "pool_payload", "run_cell_payload",
+    "MatrixCell",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
     # machine topology / placement registries
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",

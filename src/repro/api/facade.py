@@ -6,9 +6,9 @@
 daemon speaks over HTTP, and what in-process consumers should prefer.
 
 The module also re-exports the stable pipeline surface (``parallelize``,
-``evaluate_workload``, ``evaluate_matrix``, the cache and telemetry
-handles, the workload registry) so the CLI, the benchmark subsystem, and
-the service import **only** ``repro.api`` — never
+``evaluate_workload``, the cache and telemetry handles, the workload
+registry) so the CLI, the benchmark subsystem, and the service import
+**only** ``repro.api`` — never
 ``repro.pipeline.core``/``repro.pipeline.matrix`` internals, whose
 layout is free to change underneath this facade.
 """
@@ -31,10 +31,8 @@ from ..pipeline.fingerprint import (digest, fingerprint_config,
                                     fingerprint_function,
                                     fingerprint_inputs,
                                     fingerprint_profile)
-from ..pipeline.matrix import (MatrixCell, build_cells, evaluate_cell,
-                               evaluate_cells, evaluate_matrix,
-                               overrides_config, pool_payload,
-                               run_cell_payload, validate_overrides)
+from ..pipeline.matrix import (MatrixCell, evaluate_cell, evaluate_cells,
+                               overrides_config, validate_overrides)
 from ..pipeline.stages import (PARTITIONER_PARAMS, TECHNIQUES,
                                make_partitioner, normalize,
                                technique_config)
@@ -56,8 +54,7 @@ __all__ = [
     "digest", "fingerprint_config", "fingerprint_function",
     "fingerprint_inputs", "fingerprint_profile",
     "Evaluation", "Parallelization", "evaluate_workload", "parallelize",
-    "MatrixCell", "build_cells", "evaluate_matrix",
-    "pool_payload", "run_cell_payload",
+    "MatrixCell",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",
     "LatencyHistogram", "Telemetry", "global_telemetry",

@@ -18,8 +18,7 @@ workflow.
 """
 
 from .compare import Comparison, MetricDelta, compare
-from .harness import (BENCH_ORDER, clear_memo, evaluation, prewarm,
-                      relative_communication)
+from .harness import BENCH_ORDER, clear_memo, evaluation, prewarm
 from .results import SCHEMA, BenchResults, SchemaError, SpecResult
 from .runner import run_bench, select_specs
 from .spec import (EXACT, FULL, MODES, SMOKE, STRICT_TIME_BAND,
@@ -33,8 +32,7 @@ __all__ = [
     "get_spec",
     "all_specs", "spec_ids",
     # harness
-    "BENCH_ORDER", "evaluation", "prewarm", "relative_communication",
-    "clear_memo",
+    "BENCH_ORDER", "evaluation", "prewarm", "clear_memo",
     # results + comparison
     "SCHEMA", "BenchResults", "SpecResult", "SchemaError",
     "Comparison", "MetricDelta", "compare",

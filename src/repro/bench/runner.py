@@ -1,12 +1,13 @@
 """The headless bench runner behind ``python -m repro bench``.
 
 For every selected spec: bulk-prewarm its evaluation-matrix cells
-through ``evaluate_matrix`` (``--jobs N`` fans them across a process
-pool; the persistent artifact cache keeps repeat runs cheap), then time
-the spec's metric extractor.  The merged per-stage telemetry and cache
-traffic of the whole run land in the results' host section — the
-``BENCH_RESULTS.json`` perf trajectory tracks the pipeline's own
-wall-clock and cache behavior alongside the paper metrics.
+through ``evaluate_many`` (``--jobs N`` fans the cells no cache entry
+answers across a process pool; on a warm cache each cell is one entry
+load), then time the spec's metric extractor.  The merged per-stage
+telemetry and cache traffic of the whole run land in the results' host
+section — the ``BENCH_RESULTS.json`` perf trajectory tracks the
+pipeline's own wall-clock and cache behavior alongside the paper
+metrics.
 """
 
 from __future__ import annotations

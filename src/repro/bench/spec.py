@@ -1,9 +1,9 @@
 """The ``BenchSpec`` interface: machine-readable benchmark definitions.
 
-Every experiment of the papers' evaluation (the 16 ``benchmarks/``
-modules) is registered here as a :class:`BenchSpec` — an id, the matrix
-cells it evaluates (so a runner can prewarm them through
-``evaluate_matrix``), and a *metric extractor* that returns a flat
+Every experiment of the papers' evaluation (one ``benchmarks/bench_*``
+module each) is registered here as a :class:`BenchSpec` — an id, the
+matrix cells it evaluates (so a runner can prewarm them through
+``evaluate_many``), and a *metric extractor* that returns a flat
 ``{name: Metric}`` mapping.  The pytest benchmark modules and the
 headless ``python -m repro bench`` runner both drive the same specs, so
 the printed figure tables and the ``BENCH_RESULTS.json`` perf

@@ -118,10 +118,10 @@ def collect_ext_scaling(mode: BenchMode) -> MetricMap:
                 ev = evaluation(name, technique, coco=False,
                                 n_threads=threads, scale=mode.scale)
                 prefix = "%s/%s/%dt" % (technique, name, threads)
-                metrics["speedup/" + prefix] = Metric(ev.speedup,
+                metrics["speedup/" + prefix] = Metric(ev["speedup"],
                                                       unit="x")
                 metrics["comm_pct/" + prefix] = Metric(
-                    100.0 * ev.communication_fraction, unit="%")
+                    100.0 * ev["communication_fraction"], unit="%")
     for threads in (2, 4):
         removed = 0
         for name in mode.pick(SCALING_BENCHES):
@@ -129,8 +129,9 @@ def collect_ext_scaling(mode: BenchMode) -> MetricMap:
                               n_threads=threads, scale=mode.scale)
             opt = evaluation(name, "dswp", coco=True, n_threads=threads,
                              scale=mode.scale)
-            delta = (base.communication_instructions
-                     - opt.communication_instructions)
+            # Instruction counts: whole numbers, carried as floats.
+            delta = int(base["communication_instructions"]
+                        - opt["communication_instructions"])
             # COCO never increases communication at any thread count.
             assert delta >= 0, (name, threads)
             removed += delta
@@ -258,7 +259,7 @@ def collect_memory_disambiguation(mode: BenchMode) -> MetricMap:
             ev = evaluation(name, "dswp", scale=mode.scale,
                             alias_mode=alias)
             metrics["speedup/%s/%s" % (alias, name)] = \
-                Metric(ev.speedup, unit="x")
+                Metric(ev["speedup"], unit="x")
     return metrics
 
 

@@ -2,9 +2,10 @@
 communication breakdown (Fig 1), COCO communication reduction (Fig 7),
 speedups (Fig 8), and the GREMIO experiments (E1/E2).
 
-All of these ride on the memoized evaluation harness, so the runner can
-prewarm the whole (workload x technique x coco) matrix through
-``evaluate_matrix --jobs N`` before the extractors run serially.
+All of these read the ``metrics`` of memoized matrix cells, so the
+runner can prewarm the whole (workload x technique x coco) matrix
+through ``evaluate_many`` (``--jobs N``) before the extractors run
+serially.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from typing import Dict, List
 
 from ...machine import DEFAULT_CONFIG
 from ...api import MatrixCell
-from ...stats import arithmetic_mean, geomean
+from ...stats import arithmetic_mean, geomean, relative_communication
 from ...workloads import all_workloads
-from ..harness import BENCH_ORDER, evaluation, relative_communication
+from ..harness import BENCH_ORDER, evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
 TECHNIQUES = ("gremio", "dswp")
@@ -70,7 +71,7 @@ def collect_fig1(mode: BenchMode) -> MetricMap:
         for name in _benches(mode):
             ev = evaluation(name, technique, coco=False,
                             scale=mode.scale)
-            share = 100.0 * ev.communication_fraction
+            share = 100.0 * ev["communication_fraction"]
             metrics["comm_pct/%s/%s" % (technique, name)] = \
                 Metric(share, unit="%")
             shares.append(share)
@@ -91,10 +92,11 @@ def collect_fig7(mode: BenchMode) -> MetricMap:
         for name in _benches(mode):
             base = evaluation(name, technique, coco=False,
                               scale=mode.scale)
-            if base.communication_instructions == 0:
+            if base["communication_instructions"] == 0:
                 continue  # not parallelized: nothing to optimize
-            relative = relative_communication(name, technique,
-                                              scale=mode.scale)
+            relative = relative_communication(
+                evaluation(name, technique, coco=True, scale=mode.scale),
+                base)
             metrics["relcomm/%s/%s" % (technique, name)] = \
                 Metric(relative, unit="%")
             values.append(relative)
@@ -115,11 +117,11 @@ def collect_fig8(mode: BenchMode) -> MetricMap:
             config = technique + ("+coco" if coco else "")
             speedups = []
             for name in _benches(mode):
-                ev = evaluation(name, technique, coco=coco,
-                                scale=mode.scale)
+                speedup = evaluation(name, technique, coco=coco,
+                                     scale=mode.scale)["speedup"]
                 metrics["speedup/%s/%s" % (config, name)] = \
-                    Metric(ev.speedup, unit="x")
-                speedups.append(ev.speedup)
+                    Metric(speedup, unit="x")
+                speedups.append(speedup)
             metrics["geomean/%s" % config] = Metric(geomean(speedups),
                                                     unit="x")
     return metrics
@@ -136,9 +138,9 @@ def collect_gremio_speedup(mode: BenchMode) -> MetricMap:
     parallelized = 0
     for name in _benches(mode):
         ev = evaluation(name, "gremio", coco=False, scale=mode.scale)
-        metrics["speedup/%s" % name] = Metric(ev.speedup, unit="x")
-        speedups.append(ev.speedup)
-        if ev.communication_instructions > 100:
+        metrics["speedup/%s" % name] = Metric(ev["speedup"], unit="x")
+        speedups.append(ev["speedup"])
+        if ev["communication_instructions"] > 100:
             parallelized += 1
     metrics["geomean"] = Metric(geomean(speedups), unit="x")
     metrics["min"] = Metric(min(speedups), unit="x")
@@ -159,12 +161,12 @@ def collect_gremio_vs_dswp(mode: BenchMode) -> MetricMap:
     for name in _benches(mode):
         values = {}
         for technique in TECHNIQUES:
-            ev = evaluation(name, technique, coco=False,
-                            scale=mode.scale)
-            values[technique] = ev.speedup
-            per_technique[technique].append(ev.speedup)
+            speedup = evaluation(name, technique, coco=False,
+                                 scale=mode.scale)["speedup"]
+            values[technique] = speedup
+            per_technique[technique].append(speedup)
             metrics["speedup/%s/%s" % (technique, name)] = \
-                Metric(ev.speedup, unit="x")
+                Metric(speedup, unit="x")
         if values["gremio"] > values["dswp"] + 0.02:
             wins["gremio"] += 1
         elif values["dswp"] > values["gremio"] + 0.02:

@@ -92,8 +92,8 @@ def collect_topology_scaling(mode: BenchMode) -> MetricMap:
                     prefix = "%s/%s/%s/%dt" % (technique, name, preset,
                                                threads)
                     metrics["mt_cycles/" + prefix] = Metric(
-                        float(ev.mt_result.cycles), unit="cycles")
-                    metrics["speedup/" + prefix] = Metric(ev.speedup,
+                        ev["mt_cycles"], unit="cycles")
+                    metrics["speedup/" + prefix] = Metric(ev["speedup"],
                                                           unit="x")
             placed: Dict[str, float] = {}
             for placer in ("identity", "affinity"):
@@ -101,7 +101,7 @@ def collect_topology_scaling(mode: BenchMode) -> MetricMap:
                                 n_threads=PLACER_THREADS,
                                 scale=mode.scale,
                                 topology=PLACER_TOPOLOGY, placer=placer)
-                placed[placer] = float(ev.mt_result.cycles)
+                placed[placer] = ev["mt_cycles"]
                 metrics["placer_cycles/%s/%s/%s" %
                         (technique, name, placer)] = Metric(
                     placed[placer], unit="cycles")

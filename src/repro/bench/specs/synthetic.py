@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ...api import MatrixCell
 from ...workloads.synthetic import SYNTHETIC_NAMES
 from ..harness import evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
@@ -30,7 +31,10 @@ def _benches(mode: BenchMode) -> List[str]:
 @bench_spec(
     id="synthetic_frontend",
     title="FE-E1: frontend-compiled synthetic kernels",
-    source="benchmarks/bench_synthetic_frontend.py")
+    source="benchmarks/bench_synthetic_frontend.py",
+    cells=lambda mode: [MatrixCell(name, technique, scale=mode.scale)
+                        for technique in TECHNIQUES
+                        for name in _benches(mode)])
 def collect_synthetic(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     for technique in TECHNIQUES:
@@ -38,9 +42,9 @@ def collect_synthetic(mode: BenchMode) -> MetricMap:
             ev = evaluation(name, technique, n_threads=2,
                             scale=mode.scale)
             key = "%s/%s" % (technique, name)
-            metrics["mt_cycles/" + key] = Metric(
-                float(ev.mt_result.cycles), unit="cycles")
-            metrics["st_cycles/" + key] = Metric(
-                float(ev.st_result.cycles), unit="cycles")
-            metrics["speedup/" + key] = Metric(ev.speedup, unit="x")
+            metrics["mt_cycles/" + key] = Metric(ev["mt_cycles"],
+                                                 unit="cycles")
+            metrics["st_cycles/" + key] = Metric(ev["st_cycles"],
+                                                 unit="cycles")
+            metrics["speedup/" + key] = Metric(ev["speedup"], unit="x")
     return metrics

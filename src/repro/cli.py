@@ -64,7 +64,7 @@ from .api import (PLACERS, STRATEGIES, TECHNIQUES, TOPOLOGIES,
 from .ir.printer import format_function
 from .machine.config import config_table
 from .report import table
-from .stats import geomean
+from .stats import arithmetic_mean, geomean, relative_communication
 from .workloads import all_workloads, benchmark_table, get_workload
 
 
@@ -568,43 +568,35 @@ def _sweep(args) -> int:
 
 def _report(args) -> int:
     """The EXPERIMENTS.md headline table, as Markdown."""
+    names = workload_names()
+    try:
+        cells = [result.metrics for result in evaluate_many([
+            EvaluateRequest(program=ProgramSpec.registry(name),
+                            technique=technique, coco=coco,
+                            n_threads=args.threads, scale=args.scale)
+            for name in names for technique in ("gremio", "dswp")
+            for coco in (False, True)])]
+    except RequestValidationError as error:
+        raise SystemExit("report: %s" % error)
     print("| benchmark | GREMIO | GREMIO+COCO | DSWP | DSWP+COCO "
           "| relcomm G | relcomm D | comm% G | comm% D |")
     print("|---|---|---|---|---|---|---|---|---|")
-    aggregates = {"g": [], "gc": [], "d": [], "dc": [],
-                  "rg": [], "rd": []}
-    for workload in all_workloads():
-        cells = {}
-        for technique, base_key, coco_key, rel_key in (
-                ("gremio", "g", "gc", "rg"), ("dswp", "d", "dc", "rd")):
-            base = evaluate_workload(workload, technique=technique,
-                                     n_threads=args.threads,
-                                     scale=args.scale)
-            optimized = evaluate_workload(workload, technique=technique,
-                                          coco=True,
-                                          n_threads=args.threads,
-                                          scale=args.scale)
-            relative = (100.0 * optimized.communication_instructions
-                        / base.communication_instructions
-                        if base.communication_instructions else 100.0)
-            cells[technique] = (base, optimized, relative)
-            aggregates[base_key].append(base.speedup)
-            aggregates[coco_key].append(optimized.speedup)
-            aggregates[rel_key].append(relative)
-        g_base, g_coco, g_rel = cells["gremio"]
-        d_base, d_coco, d_rel = cells["dswp"]
+    rows = []
+    for index, name in enumerate(names):
+        g_base, g_coco, d_base, d_coco = cells[4 * index:4 * index + 4]
+        rows.append((name, g_base["speedup"], g_coco["speedup"],
+                     d_base["speedup"], d_coco["speedup"],
+                     relative_communication(g_coco, g_base),
+                     relative_communication(d_coco, d_base),
+                     100 * g_base["communication_fraction"],
+                     100 * d_base["communication_fraction"]))
         print("| %s | %.3f | %.3f | %.3f | %.3f | %.1f%% | %.1f%% "
-              "| %.1f%% | %.1f%% |"
-              % (workload.name, g_base.speedup, g_coco.speedup,
-                 d_base.speedup, d_coco.speedup, g_rel, d_rel,
-                 100 * g_base.communication_fraction,
-                 100 * d_base.communication_fraction))
+              "| %.1f%% | %.1f%% |" % rows[-1])
+    _, g, gc, d, dc, rel_g, rel_d, _, _ = zip(*rows)
     print("| **geomean / avg** | **%.3f** | **%.3f** | **%.3f** "
           "| **%.3f** | **%.1f%%** | **%.1f%%** | | |"
-          % (geomean(aggregates["g"]), geomean(aggregates["gc"]),
-             geomean(aggregates["d"]), geomean(aggregates["dc"]),
-             sum(aggregates["rg"]) / len(aggregates["rg"]),
-             sum(aggregates["rd"]) / len(aggregates["rd"])))
+          % (geomean(g), geomean(gc), geomean(d), geomean(dc),
+             arithmetic_mean(rel_g), arithmetic_mean(rel_d)))
     if args.timings:
         _print_telemetry()
     return 0
@@ -668,7 +660,7 @@ def _bench(args) -> int:
     import os
 
     from .bench import (MODES, SchemaError, BenchResults, all_specs,
-                        compare, run_bench)
+                        compare, run_bench, select_specs)
 
     if args.list:
         rows = [(spec.id, spec.title, spec.source)
@@ -678,6 +670,11 @@ def _bench(args) -> int:
         return 0
 
     mode = MODES["full" if args.full else "smoke"]
+    try:
+        select_specs(args.spec)
+    except KeyError as error:  # unknown id; the message lists the known
+        print("bench: %s" % error.args[0], file=sys.stderr)
+        return 2
     results = run_bench(mode, jobs=args.jobs, spec_ids=args.spec,
                         progress=lambda line: print("bench: " + line))
     results.save(args.out)

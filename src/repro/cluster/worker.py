@@ -50,8 +50,8 @@ class WorkerNode:
         self.config = config
         self.coordinator_url = (config.coordinator_url or "").rstrip("/")
         # Export the remote store *before* the daemon constructs its
-        # pool: forked children inherit the environment, and
-        # run_cell_payload's configure_cache() picks the URL up there.
+        # pool: forked children inherit the environment, and the
+        # ensure_cache() of their first request picks the URL up there.
         os.environ[STORE_URL_ENV] = (store_url
                                      or self.coordinator_url + "/store")
         configure_cache()

@@ -1,16 +1,16 @@
-"""Batch evaluation: fan a (workload x technique x coco x threads)
-matrix across a ``multiprocessing`` pool.
+"""Batch evaluation: fan (workload x technique x coco x threads) matrix
+cells across a ``multiprocessing`` pool.
 
-``evaluate_matrix()`` is the materialising batch engine (the benchmark
-harness: callers that need programs, PDGs or memory images);
-``evaluate_cells()`` is its typed twin behind ``repro sweep``,
-``evaluate_many`` and ``repro tune``, answering each cell from the
-cell-level result entry when it can.  Cells are evaluated through the
-same staged, cached pipeline as single calls, so parallel workers share
-the persistent artifact cache (atomic writes make that safe) and results
-are bit-identical to serial execution.  When no process pool can be
-started the batch degrades to the serial path; an error raised by an
-evaluation propagates.
+``evaluate_cells()`` is the one batch engine — behind ``repro sweep``,
+``repro report``, ``repro bench``, ``evaluate_many`` and ``repro tune``
+— answering each cell from the cell-level result entry when it can.
+Cells are evaluated through the same staged, cached pipeline as single
+calls, so parallel workers share the persistent artifact cache (atomic
+writes make that safe) and results are bit-identical to serial
+execution; what a worker sends back is a
+:class:`~repro.pipeline.core.CellResult` — numbers, never a program or
+a memory image.  When no process pool can be started the batch degrades
+to the serial path; an error raised by an evaluation propagates.
 
 Cells may carry *overrides* — a tuple of namespaced ``(knob, value)``
 pairs tweaking the machine model (``machine.comm_latency``) or the
@@ -24,17 +24,14 @@ for the knob namespace.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import warnings
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from ..machine.config import TUNABLE_MACHINE_FIELDS, MachineConfig
-from ..workloads import get_workload, workload_names
-from ..workloads.common import Workload
+from ..workloads import get_workload
 from .cache import ensure_cache, get_cache
-from .core import (CellResult, Evaluation, evaluate_summary,
-                   evaluate_workload, _publish_telemetry)
+from .core import CellResult, evaluate_summary, _publish_telemetry
 from .stages import PARTITIONER_PARAMS, technique_config
 from .telemetry import Telemetry
 
@@ -149,75 +146,6 @@ class MatrixCell(NamedTuple):
         return base
 
 
-def build_cells(workloads: Optional[
-                    Iterable[Union[str, Workload]]] = None,
-                techniques: Sequence[str] = ("gremio",),
-                coco: Sequence[bool] = (False,),
-                n_threads: Sequence[int] = (2,),
-                scale: str = "ref",
-                alias_mode: str = "annotated",
-                local_schedule: Optional[str] = None,
-                mt_check: bool = False,
-                topology: Optional[str] = None,
-                placer: str = "identity",
-                overrides: Overrides = ()) -> List[MatrixCell]:
-    """The cross product, in deterministic workload-major order."""
-    if workloads is None:
-        names = workload_names()
-    else:
-        names = [w.name if isinstance(w, Workload) else w
-                 for w in workloads]
-    return [MatrixCell(name, technique, use_coco, threads, scale,
-                       alias_mode, local_schedule, mt_check,
-                       topology, placer, overrides)
-            for name in names
-            for technique in techniques
-            for use_coco in coco
-            for threads in n_threads]
-
-
-def evaluate_matrix(cells: Optional[Iterable[MatrixCell]] = None,
-                    workloads: Optional[
-                        Iterable[Union[str, Workload]]] = None,
-                    techniques: Sequence[str] = ("gremio",),
-                    coco: Sequence[bool] = (False,),
-                    n_threads: Sequence[int] = (2,),
-                    scale: str = "ref",
-                    alias_mode: str = "annotated",
-                    local_schedule: Optional[str] = None,
-                    mt_check: bool = False,
-                    jobs: int = 1,
-                    check: bool = True,
-                    telemetry: Optional[Telemetry] = None,
-                    topology: Optional[str] = None,
-                    placer: str = "identity",
-                    overrides: Overrides = ()
-                    ) -> List[Evaluation]:
-    """Evaluate every cell and return the evaluations in cell order.
-
-    Pass explicit ``cells``, or let the (workloads x techniques x coco x
-    n_threads) product be built for you.  With ``jobs > 1`` the cells run
-    on a ``multiprocessing`` pool; workers share the persistent artifact
-    cache, and their telemetry is merged back into the parent, so the
-    results — including metrics — are identical to ``jobs=1``.
-    """
-    if cells is None:
-        cells = build_cells(workloads, techniques, coco, n_threads, scale,
-                            alias_mode, local_schedule, mt_check,
-                            topology, placer, overrides)
-    cells = [cell if isinstance(cell, MatrixCell) else MatrixCell(*cell)
-             for cell in cells]
-
-    results: Optional[List[Evaluation]] = None
-    if jobs and jobs > 1 and len(cells) > 1:
-        results = _evaluate_pool(
-            [pool_payload(cell, check) for cell in cells], jobs,
-            _run_cell, telemetry)
-    if results is None:
-        results = [_run_cell(cell, check, telemetry) for cell in cells]
-    return results
-
-
 def evaluate_cell(cell: MatrixCell, check: bool = True,
                   telemetry: Optional[Telemetry] = None,
                   **options) -> Optional[CellResult]:
@@ -225,15 +153,23 @@ def evaluate_cell(cell: MatrixCell, check: bool = True,
     (:func:`~repro.pipeline.core.evaluate_summary`, which also takes
     the ``options`` a cell does not carry: ``trace``, ``backend``,
     ``walk``) — the one function every typed result comes from."""
-    return _run_cell(cell, check, telemetry, evaluate_summary, **options)
+    config, partitioner_args = overrides_config(cell.technique,
+                                                cell.overrides)
+    return evaluate_summary(
+        get_workload(cell.workload), technique=cell.technique,
+        n_threads=cell.n_threads, coco=cell.coco, scale=cell.scale,
+        config=config, check=check, alias_mode=cell.alias_mode,
+        local_schedule=cell.local_schedule, mt_check=cell.mt_check,
+        telemetry=telemetry, topology=cell.topology, placer=cell.placer,
+        partitioner_args=partitioner_args, **options)
 
 
 def evaluate_cells(cells: Sequence[Tuple[MatrixCell, bool]],
                    jobs: int = 1) -> List[CellResult]:
     """:func:`evaluate_cell` over ``(cell, check)`` pairs, in order.
     With ``jobs > 1`` the parent answers every cached cell itself and
-    only the misses fan out — workers return summaries, not pickled
-    evaluations, and an all-warm batch starts no process."""
+    only the misses fan out — workers return summaries, and an all-warm
+    batch starts no process."""
     results: List[Optional[CellResult]] = [None] * len(cells)
     if jobs and jobs > 1:
         results = [evaluate_cell(cell, check, walk=False)
@@ -242,58 +178,40 @@ def evaluate_cells(cells: Sequence[Tuple[MatrixCell, bool]],
                   if result is None]
         if len(misses) > 1:
             pooled = _evaluate_pool(
-                [pool_payload(*cells[index]) for index in misses], jobs,
-                evaluate_cell, None)
+                [pool_payload(*cells[index]) for index in misses], jobs)
             for index, result in zip(misses, pooled or ()):
                 results[index] = result
     return [result if result is not None else evaluate_cell(cell, check)
             for result, (cell, check) in zip(results, cells)]
 
 
-def _run_cell(cell: MatrixCell, check: bool,
-              telemetry: Optional[Telemetry],
-              evaluate=evaluate_workload, **options):
-    config, partitioner_args = overrides_config(cell.technique,
-                                                cell.overrides)
-    return evaluate(get_workload(cell.workload), technique=cell.technique,
-                    n_threads=cell.n_threads, coco=cell.coco,
-                    scale=cell.scale, config=config, check=check,
-                    alias_mode=cell.alias_mode,
-                    local_schedule=cell.local_schedule,
-                    mt_check=cell.mt_check, telemetry=telemetry,
-                    topology=cell.topology, placer=cell.placer,
-                    partitioner_args=partitioner_args, **options)
-
-
-def pool_payload(cell: MatrixCell, check: bool = True,
-                 cache=None) -> tuple:
+def pool_payload(cell: MatrixCell, check: bool = True) -> tuple:
     """The picklable unit of work a pool worker executes: the cell plus
     the parent's cache configuration."""
-    if cache is None:
-        cache = get_cache()
+    cache = get_cache()
     return (cell, check, cache.directory, cache.enabled)
 
 
-def run_cell_payload(payload, run=_run_cell):
+def run_cell_payload(payload) -> CellResult:
     """Execute one :func:`pool_payload` in the current process, on the
     parent's cache (:func:`~repro.pipeline.cache.ensure_cache`: kept
     when it already matches, so back-to-back cells of one workload
     share their front-end artifacts through its memory tier)."""
     cell, check, cache_dir, cache_enabled = payload
     ensure_cache(cache_dir, cache_enabled)
-    return run(cell, check, telemetry=None)
+    return evaluate_cell(cell, check)
 
 
-def _run_batch_payload(batch, run=_run_cell) -> list:
-    return [run_cell_payload(payload, run) for payload in batch]
+def _run_batch_payload(batch) -> List[CellResult]:
+    return [run_cell_payload(payload) for payload in batch]
 
 
-def _evaluate_pool(payloads: List[tuple], jobs: int, run,
-                   telemetry: Optional[Telemetry]) -> Optional[list]:
-    """``run`` (:func:`_run_cell` or :func:`evaluate_cell`) over
-    ``payloads`` on a process pool, results in order; ``None`` (after a
-    warning) when no pool can be started.  An error raised *by an
-    evaluation* is not a reason to fall back — it propagates, once."""
+def _evaluate_pool(payloads: List[tuple],
+                   jobs: int) -> Optional[List[CellResult]]:
+    """:func:`run_cell_payload` over ``payloads`` on a process pool,
+    results in order; ``None`` (after a warning) when no pool can be
+    started.  An error raised *by an evaluation* is not a reason to
+    fall back — it propagates, once."""
     # One batch per workload: cells of a workload share their expensive
     # front-end artifacts (profile, PDG, the single-threaded baseline
     # simulation), and a worker that evaluates them back-to-back reuses
@@ -314,12 +232,11 @@ def _evaluate_pool(payloads: List[tuple], jobs: int, run,
                       RuntimeWarning)
         return None
     with pool:
-        batch_results = pool.map(
-            functools.partial(_run_batch_payload, run=run), batches)
+        batch_results = pool.map(_run_batch_payload, batches)
     results: list = [None] * len(payloads)
     for indices, batch in zip(groups.values(), batch_results):
         for index, result in zip(indices, batch):
             results[index] = result
             # as a serial run would have
-            _publish_telemetry(result.telemetry, telemetry)
+            _publish_telemetry(result.telemetry, None)
     return results

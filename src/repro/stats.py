@@ -38,13 +38,14 @@ def within_band(current: float, baseline: float,
     return abs(delta) <= tolerance
 
 
-def relative_communication(coco_evaluation, base_evaluation) -> float:
+def relative_communication(coco_metrics, base_metrics) -> float:
     """Dynamic communication after COCO relative to baseline MTCG, in %
-    (the metric of the companion paper's Figure 7; 100% = unchanged)."""
-    base = base_evaluation.communication_instructions
+    (the metric of the companion paper's Figure 7; 100% = unchanged),
+    from the two cells' ``metrics`` mappings."""
+    base = base_metrics["communication_instructions"]
     if base == 0:
         return 100.0
-    return 100.0 * coco_evaluation.communication_instructions / base
+    return 100.0 * coco_metrics["communication_instructions"] / base
 
 
 def queue_traffic(program, result) -> List[Tuple[int, str, int]]:

@@ -65,12 +65,10 @@ def _reject(error) -> "Exception":
 # Python-source programs (via repro.frontend).
 
 class _SourceProgram:
-    """Picklable build/make_inputs/reference callables for a
-    frontend-compiled program.  ``evaluate_matrix --jobs`` ships
-    :class:`Workload` objects (inside results) across the worker pool,
-    so these must be bound methods of a plain-data instance, not
-    closures.  The compiled form is memoized per process and dropped
-    from the pickle."""
+    """The build/make_inputs/reference callables of a
+    frontend-compiled program; the compiled form is memoized per
+    process.  Pool workers are sent cells — workload *names* — never
+    a :class:`Workload`."""
 
     def __init__(self, workload_name: str, text: str,
                  function_name: Optional[str],
@@ -80,11 +78,6 @@ class _SourceProgram:
         self.function_name = function_name
         self.scale_args = scale_args or {}
         self._memo = None
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_memo"] = None
-        return state
 
     def compiled(self):
         if self._memo is None:

@@ -4,6 +4,7 @@ idempotency keys, deprecation shims, and the layering covenant
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -114,19 +115,27 @@ class TestFacadeEvaluate:
 
 
 class TestDeprecationShims:
-    def test_top_level_shims_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = repro.configure_cache
-        assert shimmed is configure_cache
-        with pytest.warns(DeprecationWarning):
-            assert repro.Telemetry is repro.api.Telemetry
+    """The 1.2 shims (``repro.Telemetry``, ``repro.pipeline
+    .evaluate_workload``, ...) served their one release and are gone:
+    the names live on ``repro.api`` only."""
 
-    def test_pipeline_shims_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = repro.pipeline.evaluate_workload
-        assert shimmed is evaluate_workload
-        with pytest.warns(DeprecationWarning):
-            assert repro.pipeline.Evaluation is repro.api.Evaluation
+    TOP_LEVEL = ("ArtifactCache", "Telemetry", "configure_cache",
+                 "get_cache", "global_telemetry", "make_partitioner",
+                 "normalize", "technique_config")
+    PIPELINE = ("Evaluation", "Parallelization", "evaluate_workload",
+                "parallelize", "evaluate_matrix", "make_partitioner",
+                "normalize", "technique_config", "_check_results")
+
+    def test_top_level_shims_are_retired(self):
+        for name in self.TOP_LEVEL:
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+            assert getattr(repro.api, name) is not None
+
+    def test_pipeline_shims_are_retired(self):
+        for name in self.PIPELINE:
+            with pytest.raises(AttributeError):
+                getattr(repro.pipeline, name)
 
     def test_unknown_attributes_still_raise(self):
         with pytest.raises(AttributeError):
@@ -141,9 +150,9 @@ class TestDeprecationShims:
             assert callable(repro.evaluate_workload)
             assert callable(repro.pipeline.configure_cache)
 
-    def test_dir_lists_shimmed_names(self):
-        assert "configure_cache" in dir(repro)
-        assert "evaluate_workload" in dir(repro.pipeline)
+    def test_dir_does_not_list_retired_names(self):
+        assert not set(self.TOP_LEVEL) & set(dir(repro))
+        assert not set(self.PIPELINE) & set(dir(repro.pipeline))
 
 
 class TestLayeringCovenant:
@@ -170,18 +179,21 @@ class TestLayeringCovenant:
             "direct repro.pipeline imports outside the facade: %s"
             % ", ".join(offenders))
 
+    @staticmethod
+    def _holders(pattern):
+        """The library modules whose text matches ``pattern``."""
+        package = Path(repro.__file__).parent
+        return sorted(
+            str(source.relative_to(package))
+            for source in package.rglob("*.py")
+            if re.search(pattern, source.read_text(), re.MULTILINE))
+
     def test_one_wire_layer(self):
         """One module serves HTTP, one module dials it, the body cap is
         defined once: a second copy of any of them is a regression to
         the per-daemon handler factories."""
         package = Path(repro.__file__).parent
-
-        def holders(pattern):
-            return sorted(
-                str(source.relative_to(package))
-                for source in package.rglob("*.py")
-                if re.search(pattern, source.read_text(), re.MULTILINE))
-
+        holders = self._holders
         assert holders(r"\bBaseHTTPRequestHandler\b") == ["service/wire.py"]
         assert holders(r"\bThreadingHTTPServer\b") == ["service/wire.py"]
         assert holders(r"^MAX_BODY_BYTES\s*=") == ["service/wire.py"]
@@ -194,9 +206,45 @@ class TestLayeringCovenant:
         assert "from_dict" not in daemon
 
     def test_facade_exports_the_classic_surface(self):
-        for name in ("parallelize", "evaluate_workload", "evaluate_matrix",
-                     "MatrixCell", "build_cells", "configure_cache",
-                     "get_cache", "Telemetry", "global_telemetry",
-                     "run_cell_payload", "pool_payload"):
+        for name in ("parallelize", "evaluate_workload", "evaluate_many",
+                     "MatrixCell", "configure_cache", "ensure_cache",
+                     "get_cache", "Telemetry", "global_telemetry"):
             assert name in repro.api.__all__, name
             assert getattr(repro.api, name) is not None
+        # Removed in 1.3 with the engine they belonged to — no shim.
+        for name in ("evaluate_matrix", "build_cells", "pool_payload",
+                     "run_cell_payload"):
+            assert name not in repro.api.__all__, name
+            assert not hasattr(repro.api, name), name
+            assert not hasattr(repro, name), name
+
+    def test_one_batch_engine(self):
+        """One pool, one materialising call: ``pipeline/matrix.py`` is
+        the only library module that fans evaluations across processes
+        (the daemon's supervised pool aside), the CLI's ``run`` and
+        ``trace`` are the only callers of the materialising
+        ``evaluate_workload`` outside the pipeline, and the engine
+        deleted in 1.3 is spelled nowhere."""
+        assert self._holders(r"^\s*(import|from)\s+multiprocessing\b") \
+            == ["pipeline/matrix.py", "service/workers.py"]
+
+        root = Path(repro.__file__).parents[2]
+        package = root / "src" / "repro"
+        callers = sorted(
+            str(source.relative_to(package))
+            for source in package.rglob("*.py")
+            if any(isinstance(node, ast.Call)  # a docstring is no call
+                   and getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                   == "evaluate_workload"
+                   for node in ast.walk(ast.parse(source.read_text()))))
+        assert [name for name in callers
+                if not name.startswith("pipeline/")] == ["cli.py"]
+
+        spelled = sorted(
+            str(source.relative_to(root))
+            for folder in ("src", "tools", "benchmarks", "examples")
+            for source in (root / folder).rglob("*.py")
+            if re.search(r"evaluate_matrix|build_cells",
+                         source.read_text()))
+        assert spelled == []

@@ -2,10 +2,12 @@
 CLI flows (list, run, baseline update, compare gate)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench import (FULL, SMOKE, all_specs, get_spec,
+from repro.api import configure_cache, get_cache
+from repro.bench import (FULL, SMOKE, all_specs, clear_memo, get_spec,
                          register, run_bench, spec_ids)
 from repro.cli import main
 from repro.pipeline import MatrixCell
@@ -42,6 +44,8 @@ class TestRegistry:
         for spec in all_specs():
             assert spec.title, spec.id
             assert spec.source.startswith("benchmarks/bench_"), spec.id
+            assert (Path(__file__).parents[1] / spec.source).is_file(), \
+                spec.source
             assert callable(spec.collect), spec.id
 
     def test_unknown_spec_raises_with_known_ids(self):
@@ -87,6 +91,61 @@ class TestRunBench:
     def test_unknown_spec_id_raises(self):
         with pytest.raises(KeyError):
             run_bench(SMOKE, spec_ids=["nope"])
+
+
+def _exact(results):
+    """The deterministic values of a run — what the baseline gate pins."""
+    return {(spec_id, name): metric.value
+            for spec_id, name, metric in results.metric_items()
+            if metric.tolerance == 0.0}
+
+
+class TestSmokeOnTheResultEntry:
+    """``repro bench`` reads numbers, so it takes them from the
+    cell-level result entry like ``sweep`` and ``tune``: a warm run is
+    entry loads, and ``--jobs`` changes nothing but the wall time."""
+
+    @pytest.fixture(autouse=True)
+    def isolated(self):
+        previous = get_cache()
+        clear_memo()
+        yield
+        clear_memo()
+        configure_cache(previous.directory, previous.enabled)
+
+    def test_warm_run_is_one_entry_load_per_cell(self, tmp_path):
+        configure_cache(str(tmp_path / "cache"))
+        cold = run_bench(SMOKE)
+        clear_memo()  # a new process starts without the memo
+        warm = run_bench(SMOKE)
+        assert _exact(warm) == _exact(cold)
+        assert len(_exact(warm)) > 280
+
+        cells = {cell for spec in all_specs()
+                 for cell in spec.prewarm_cells(SMOKE)}
+        tuned = warm.specs["tune_smoke"].metrics[
+            "candidates_evaluated"].value
+        stages = warm.telemetry.stages
+        assert stages["evaluation"].cache_hits == len(cells) + tuned
+        assert stages["evaluation"].runs == 0
+        # Only trace_attribution's evaluations walk the stages: an entry
+        # cannot replay an event stream.
+        traced = len(warm.specs["trace_attribution"].metrics) // 3
+        assert traced == 4
+        for stage in ("profile", "pdg", "partition", "mtcg",
+                      "simulate-st"):
+            record = stages[stage]
+            assert (record.runs, record.cache_hits) == (0, traced), stage
+        assert stages["simulate-mt"].runs == traced
+        assert warm.cache["misses"] == warm.cache["stores"] == 0
+
+    def test_jobs_change_no_value_cold_or_warm(self, tmp_path):
+        configure_cache(str(tmp_path / "serial"))
+        serial = _exact(run_bench(SMOKE, jobs=1))
+        configure_cache(str(tmp_path / "pooled"))
+        for _cache_state in ("cold", "warm"):
+            clear_memo()
+            assert _exact(run_bench(SMOKE, jobs=2)) == serial
 
 
 class TestBenchCli:

@@ -17,10 +17,9 @@ import warnings
 import pytest
 
 from repro.api import (EvaluateRequest, ProgramSpec, configure_cache,
-                       evaluate, evaluate_many, evaluate_matrix,
-                       evaluate_workload, get_cache, get_workload,
-                       global_telemetry, reset_global_telemetry,
-                       workload_names)
+                       evaluate, evaluate_many, evaluate_workload,
+                       get_cache, get_workload, global_telemetry,
+                       reset_global_telemetry, workload_names)
 from repro.interp.context import TrapError
 from repro.pipeline import core, fingerprint, stages
 from repro.pipeline.fingerprint import SCHEMA_VERSION
@@ -291,7 +290,7 @@ class TestBatches:
         # One cold cell among warm ones is evaluated in the parent too.
         evaluate_many(self._requests() + [_request(coco=True)], jobs=4)
 
-    @pytest.mark.parametrize("batch", [evaluate_matrix, evaluate_many])
+    @pytest.mark.parametrize("batch", [evaluate_many])  # the one engine
     def test_evaluation_error_in_a_worker_propagates_once(self, cache,
                                                           batch):
         """A trap raised by a pooled evaluation is the answer — it used
@@ -304,10 +303,7 @@ class TestBatches:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrapError, match="division by zero") as error:
-                if batch is evaluate_matrix:
-                    batch([r.cell() for r in requests], jobs=2)
-                else:
-                    batch(requests, jobs=2)
+                batch(requests, jobs=2)
         # Raised by the worker, not by a serial re-run in this process.
         assert isinstance(error.value.__cause__,
                           multiprocessing.pool.RemoteTraceback)

@@ -94,6 +94,13 @@ class TestCommands:
         with pytest.raises(SystemExit, match="did you mean 'ks'"):
             main(["run", "kss", "--scale", "train"])
 
+    def test_unknown_bench_spec_exits_2_with_the_known_ids(self, capsys):
+        assert main(["bench", "--spec", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown bench spec 'nope'" in captured.err
+        assert "fig8_speedup" in captured.err  # the known ids
+        assert "Traceback" not in captured.err and not captured.out
+
     def test_dot_cfg(self, capsys):
         assert main(["dot", "mpeg2enc"]) == 0
         out = capsys.readouterr().out

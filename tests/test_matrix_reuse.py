@@ -1,10 +1,11 @@
-"""Cross-cell artifact reuse in the evaluation matrix.
+"""Cross-cell artifact reuse between evaluations of one workload.
 
-A sweep whose cells share a workload recomputes the expensive front of
-the pipeline (normalize, profile, PDG) only once: every later cell hits
-the artifact cache.  With the in-process memory tier those hits don't
-even touch the disk.  And reuse must be invisible in the results — a
-warm sweep is bit-identical to evaluating each cell cold and serially.
+Back-to-back ``evaluate_workload`` calls whose cells share a workload
+recompute the expensive front of the pipeline (normalize, profile, PDG)
+only once: every later cell hits the artifact cache.  With the
+in-process memory tier those hits don't even touch the disk.  And reuse
+must be invisible in the results — a warm sweep is bit-identical to
+evaluating each cell cold and serially.
 """
 
 import pytest
@@ -12,10 +13,9 @@ import pytest
 from repro.api import configure_cache, get_cache, get_workload
 from repro.check.differential_backend import diff_snapshots, \
     snapshot_result
-from repro.pipeline.core import evaluate_workload
-from repro.pipeline.matrix import (_run_batch_payload, build_cells,
-                                   evaluate_matrix, pool_payload,
-                                   run_cell_payload)
+from repro.pipeline.core import CellResult, evaluate_workload
+from repro.pipeline.matrix import (MatrixCell, _run_batch_payload,
+                                   pool_payload, run_cell_payload)
 from repro.service.workers import _evaluate_request_dict
 
 #: One workload, four cells: two techniques x two thread counts.  Every
@@ -33,11 +33,20 @@ def cache(tmp_path):
     configure_cache(previous.directory, previous.enabled)
 
 
-def _sweep(jobs=1):
-    cells = build_cells(workloads=[WORKLOAD], techniques=TECHNIQUES,
-                        n_threads=THREADS, scale="train")
+def _matrix():
+    return [MatrixCell(WORKLOAD, technique, n_threads=n_threads,
+                       scale="train")
+            for technique in TECHNIQUES for n_threads in THREADS]
+
+
+def _sweep():
+    cells = _matrix()
     assert len(cells) == 4
-    return cells, evaluate_matrix(cells=cells, jobs=jobs, check=False)
+    workload = get_workload(WORKLOAD)
+    return cells, [evaluate_workload(workload, technique=cell.technique,
+                                     n_threads=cell.n_threads,
+                                     scale="train", check=False)
+                   for cell in cells]
 
 
 def test_shared_workload_hits_profile_and_pdg_cache(cache):
@@ -95,10 +104,11 @@ def test_pool_worker_keeps_its_cache_between_cells(cache, tmp_path,
     """A worker evaluating one workload's batch reuses the shared
     front-end artifacts through its memory tier: the payload's cache
     settings match the active cache, so it is kept, not rebuilt."""
-    cells = build_cells(workloads=[WORKLOAD], techniques=TECHNIQUES,
-                        n_threads=THREADS, scale="train")
-    _run_batch_payload([pool_payload(cell, check=False)
-                        for cell in cells])
+    cells = _matrix()
+    results = _run_batch_payload([pool_payload(cell, check=False)
+                                  for cell in cells])
+    # What a pool worker sends back: summaries, nothing materialised.
+    assert [type(result) for result in results] == [CellResult] * 4
     assert get_cache() is cache
     assert cache.stats.memory_hits > 0, cache.stats.as_dict()
 

@@ -89,11 +89,10 @@ class TestStats:
         assert arithmetic_mean([]) == 0.0
 
     def test_relative_communication(self):
-        class Fake:
-            def __init__(self, n):
-                self.communication_instructions = n
-        assert relative_communication(Fake(50), Fake(100)) == 50.0
-        assert relative_communication(Fake(5), Fake(0)) == 100.0
+        def cell(n):
+            return {"communication_instructions": float(n)}
+        assert relative_communication(cell(50), cell(100)) == 50.0
+        assert relative_communication(cell(5), cell(0)) == 100.0
 
     def test_breakdown_rows(self):
         ev = evaluate_workload(get_workload("ks"), technique="dswp",

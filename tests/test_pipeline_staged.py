@@ -1,12 +1,12 @@
 """Equivalence and telemetry tests for the staged pipeline: caching
-on/off, warm-cache replay, and multiprocess ``evaluate_matrix`` must all
+on/off, warm-cache replay, and multiprocess ``evaluate_many`` must all
 produce bit-identical Evaluation metrics to plain serial execution."""
 
 import pytest
 
 from repro import evaluate_workload, get_workload
-from repro.api import (MatrixCell, Telemetry, build_cells,
-                       configure_cache, evaluate_matrix, get_cache)
+from repro.api import (EvaluateRequest, MatrixCell, Telemetry,
+                       configure_cache, evaluate_many, get_cache)
 
 WORKLOADS = ["ks", "adpcmdec", "mpeg2enc"]
 TECHNIQUES = ["gremio", "dswp"]
@@ -35,6 +35,10 @@ def metrics(evaluation):
     )
 
 
+def requests(cells):
+    return [EvaluateRequest.from_cell(cell) for cell in cells]
+
+
 class TestStagedEquivalence:
     def test_cache_on_off_and_warm_are_bit_identical(self, cache):
         for name in WORKLOADS:
@@ -49,32 +53,36 @@ class TestStagedEquivalence:
                 assert metrics(uncached) == metrics(cold) == metrics(warm)
         assert cache.stats.hits > 0
 
-    def test_matrix_parallel_matches_serial(self, cache):
-        cells = build_cells(workloads=WORKLOADS, techniques=TECHNIQUES,
-                            scale="train")
-        assert len(cells) == len(WORKLOADS) * len(TECHNIQUES)
-        serial = evaluate_matrix(cells, jobs=1)
-        parallel = evaluate_matrix(cells, jobs=2)
-        assert ([metrics(ev) for ev in serial]
-                == [metrics(ev) for ev in parallel])
+    def test_matrix_parallel_matches_serial(self, cache, tmp_path):
+        cells = [MatrixCell(name, technique, scale="train")
+                 for name in WORKLOADS for technique in TECHNIQUES]
+        serial = evaluate_many(requests(cells), jobs=1)
+        configure_cache(str(tmp_path / "pooled"))  # cold again
+        parallel = evaluate_many(requests(cells), jobs=2)
+        assert ([result.metrics for result in serial]
+                == [result.metrics for result in parallel])
 
     def test_matrix_parallel_cold_matches_uncached(self, cache):
         cells = [MatrixCell("ks", technique, coco, scale="train")
                  for technique in TECHNIQUES for coco in (False, True)]
-        parallel = evaluate_matrix(cells, jobs=2)
+        parallel = evaluate_many(requests(cells), jobs=2)
         baseline = [evaluate_workload(get_workload(cell.workload),
                                       technique=cell.technique,
                                       coco=cell.coco, scale="train",
                                       cache=False)
                     for cell in cells]
-        assert ([metrics(ev) for ev in parallel]
-                == [metrics(ev) for ev in baseline])
+        assert ([result.metrics for result in parallel]
+                == [ev.metrics() for ev in baseline])
 
     def test_matrix_preserves_cell_order(self, cache):
         cells = [MatrixCell(name, "gremio", scale="train")
                  for name in WORKLOADS]
-        results = evaluate_matrix(cells, jobs=2)
-        assert [ev.workload.name for ev in results] == WORKLOADS
+        results = evaluate_many(requests(cells), jobs=2)
+        assert [result.request.workload for result in results] == WORKLOADS
+        assert [result.metrics["st_cycles"] for result in results] \
+            == [float(evaluate_workload(get_workload(name),
+                                        scale="train").st_result.cycles)
+                for name in WORKLOADS]
 
 
 class TestTelemetry:
