@@ -13,21 +13,26 @@ module is the executable form of that contract:
   :class:`~repro.machine.timing.TimedResult` into a JSON-able tree
   whose leaves are ``[type_name, repr]`` pairs — equality of snapshots
   is bit-equality of results;
+* :func:`snapshot_trace` does the same for everything a tracer sees:
+  the event stream field by field, queue samples and peaks, the
+  attribution tables, ``verify()`` and the ``analyze()`` document;
 * :func:`diff_snapshots` returns path-labelled differences
   (``cycles: ('int', '1635') != ('float', '1635.0')``);
 * :func:`run_workload_case` / :func:`run_fuzz_case` execute one
   comparison — a registry workload under a (technique, topology)
   configuration, or a seeded random program from
   :mod:`repro.check.generate` — on **both** loops and report the
-  divergences plus per-loop host seconds;
+  divergences plus per-loop host seconds; with ``trace_limit`` both
+  loops drive a :class:`~repro.trace.TraceCollector` of that ring size
+  and the trace snapshots are compared too;
+* :func:`run_error_cases` — a trap, a deadlock and a step-limit run:
+  both loops must raise the same exception type and message;
 * :func:`run_differential` sweeps the whole grid (all workloads x
-  topology presets x partitioners, plus N fuzz seeds) and aggregates a
-  machine-readable report — ``tools/check_backend_equivalence.py``
-  turns it into the CI ``backend-equivalence`` job and uploads the
-  report on failure.
-
-Only untraced runs are compared: the fast core cannot trace, and the
-pipeline runs the reference loop for every traced simulation.
+  topology presets x partitioners, plus N fuzz seeds and the error
+  cases), every case untraced, traced, and traced on a ring small
+  enough to evict, and aggregates a machine-readable report —
+  ``tools/check_backend_equivalence.py`` turns it into the CI
+  ``backend-equivalence`` job and uploads the report on failure.
 """
 
 from __future__ import annotations
@@ -36,12 +41,16 @@ import random
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..ir.builder import FunctionBuilder
 from ..machine import timing
+from ..machine.config import DEFAULT_CONFIG
 from ..machine.fast_timing import (simulate_program_fast,
-                                   simulate_single_fast)
+                                   simulate_single_fast,
+                                   simulate_threads_fast)
 from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
 from ..pipeline.stages import normalize
+from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
 from ..workloads import all_workloads, get_workload
 from .generate import random_args, random_partition, random_sketch, \
     render_program
@@ -97,6 +106,49 @@ def snapshot_result(result) -> Dict[str, object]:
         "comm_stats": dict(result.comm_stats),
         "queues": queues,
     })
+
+
+def _error(error: Exception) -> Dict[str, object]:
+    """An exception as an observable: its type and message."""
+    return {"error": _typed([type(error).__name__, str(error)])}
+
+
+def _outcome(call):
+    """``call()``, typed — or the exception it raised."""
+    try:
+        return _typed(call())
+    except Exception as error:
+        return _error(error)
+
+
+def snapshot_trace(collector) -> Dict[str, object]:
+    """Every observable of a driven :class:`~repro.trace.TraceCollector`,
+    typed.  An event is one leaf holding the ``repr`` of all its fields
+    (``stall`` as its item list, so key order counts, and ``repr``
+    tells ``3`` from ``3.0``); a divergence prints both events whole."""
+    return {
+        "events": _typed([repr((
+            e.seq, e.core, e.thread, e.iid, e.op, e.op_class, e.issue,
+            e.complete, e.queue, list(e.stall.items()), e.deps, e.extra))
+            for e in collector.events]),
+        "queue_samples": _typed([repr((s.queue, s.cycle, s.depth))
+                                 for s in collector.queue_samples]),
+        "aggregates": _typed({
+            "total_events": collector.total_events,
+            "events_dropped": collector.events.dropped,
+            "queue_samples_dropped": collector.queue_samples.dropped,
+            "queue_peak": collector.queue_peak,
+            "core_table": collector.core_table(),
+            "class_table": collector.class_table(),
+            "thread_stalls": collector.threads,
+            "cluster_of": collector.cluster_of,
+            "core_finish": collector.core_finish,
+            "cache_stats": collector.cache_stats,
+            "comm_stats": collector.comm_stats,
+        }),
+        "verify": _outcome(collector.verify),
+        "analyze": _outcome(lambda: analyze(collector).to_dict()),
+    }
 
 
 def diff_snapshots(reference, fast, path: str = "",
@@ -158,70 +210,99 @@ class CaseResult:
             "%d divergences" % len(self.divergences))
 
 
-def _capture(run) -> Dict[str, object]:
-    """Run one loop; an exception is an observable too — both must
-    raise the same type with the same message (fuzz programs trap by
-    design: division by zero, undefined registers)."""
-    try:
-        return {"result": snapshot_result(run())}
-    except Exception as error:
-        return {"error": _typed([type(error).__name__, str(error)])}
-
-
-def _compare(label: str, run_reference, run_fast) -> CaseResult:
+def _capture(run, trace_limit: int):
+    """Run one loop (``run(tracer)``), with a collector of
+    ``trace_limit`` events when that is nonzero; returns the snapshot
+    and the host seconds of the run alone.  An exception is an
+    observable too — both loops must raise the same type with the same
+    message (fuzz programs trap by design: division by zero, undefined
+    registers), whatever the tracer had seen by then."""
+    collector = TraceCollector(limit=trace_limit) if trace_limit else None
     started = time.perf_counter()
-    reference = _capture(run_reference)
-    mid = time.perf_counter()
-    fast = _capture(run_fast)
-    done = time.perf_counter()
-    divergences = diff_snapshots(reference, fast)
-    return CaseResult(label, divergences, mid - started, done - mid)
+    try:
+        result = run(collector)
+    except Exception as error:
+        return _error(error), time.perf_counter() - started
+    seconds = time.perf_counter() - started
+    snapshot = {"result": snapshot_result(result)}
+    if collector is not None:
+        snapshot["trace"] = snapshot_trace(collector)
+    return snapshot, seconds
+
+
+def _label(label: str, trace_limit: int) -> str:
+    if not trace_limit:
+        return label
+    return label + ("/traced" if trace_limit == DEFAULT_EVENT_LIMIT
+                    else "/traced-ring%d" % trace_limit)
+
+
+def _compare(label: str, run_reference, run_fast,
+             trace_limit: int = 0) -> CaseResult:
+    label = _label(label, trace_limit)
+    reference, reference_seconds = _capture(run_reference, trace_limit)
+    fast, fast_seconds = _capture(run_fast, trace_limit)
+    return CaseResult(label, diff_snapshots(reference, fast),
+                      reference_seconds, fast_seconds)
 
 
 def run_workload_case(workload_name: str,
                       technique: Optional[str] = None,
                       topology: Optional[str] = None,
                       n_threads: int = 2,
-                      scale: str = "train") -> CaseResult:
+                      scale: str = "train",
+                      trace_limit: int = 0) -> CaseResult:
     """Compare both loops on one registry workload.
 
     ``technique=None`` runs the single-threaded simulator; otherwise the
     workload is parallelized once (the build side does not simulate)
-    and the resulting MT program timed by both.
+    and the resulting MT program timed by both.  A nonzero
+    ``trace_limit`` attaches a collector of that ring size to both runs
+    and compares what it saw as well.
     """
+    return _workload_cases(workload_name, technique, topology, n_threads,
+                           scale, (trace_limit,))[0]
+
+
+def _workload_cases(workload_name: str, technique: Optional[str],
+                    topology: Optional[str], n_threads: int, scale: str,
+                    trace_limits: Sequence[int]) -> List[CaseResult]:
+    """One :func:`run_workload_case` per entry of ``trace_limits``, all
+    on one build."""
     workload = get_workload(workload_name)
     inputs = workload.make_inputs(scale)
     label = "%s/%s/%s/%dT" % (workload_name, technique or "st",
                               topology or "flat", n_threads)
     if technique is None:
-        return _compare(
-            label,
-            lambda: timing.simulate_single(
-                workload.build(), inputs.args, inputs.memory),
-            lambda: simulate_single_fast(
-                workload.build(), inputs.args, inputs.memory))
-
-    train = workload.make_inputs("train")
-    built = parallelize(workload.build(), technique=technique,
-                        n_threads=n_threads, profile_args=train.args,
-                        profile_memory=train.memory, cache=False,
-                        topology=topology)
-    return _compare(
-        label,
-        lambda: timing.simulate_program(
-            built.program, inputs.args, inputs.memory,
-            config=built.config),
-        lambda: simulate_program_fast(
-            built.program, inputs.args, inputs.memory,
-            config=built.config))
+        function = workload.build()
+        runs = (lambda tracer: timing.simulate_single(
+                    function, inputs.args, inputs.memory, tracer=tracer),
+                lambda tracer: simulate_single_fast(
+                    function, inputs.args, inputs.memory, tracer=tracer))
+    else:
+        train = workload.make_inputs("train")
+        built = parallelize(workload.build(), technique=technique,
+                            n_threads=n_threads, profile_args=train.args,
+                            profile_memory=train.memory, cache=False,
+                            topology=topology)
+        runs = (lambda tracer: timing.simulate_program(
+                    built.program, inputs.args, inputs.memory,
+                    config=built.config, tracer=tracer),
+                lambda tracer: simulate_program_fast(
+                    built.program, inputs.args, inputs.memory,
+                    config=built.config, tracer=tracer))
+    return [_compare(label, *runs, trace_limit=limit)
+            for limit in trace_limits]
 
 
 def run_fuzz_case(seed: int, depth: int = 2,
-                  max_threads: int = 3) -> CaseResult:
+                  max_threads: int = 3,
+                  trace_limit: int = 0) -> CaseResult:
     """Compare both loops on one seeded random program: the
     single-threaded run, plus an MTCG program built from a random
     partition of the same function (the adversarial shapes the
-    workload registry never produces)."""
+    workload registry never produces); ``trace_limit`` as in
+    :func:`run_workload_case`."""
     rng = random.Random(seed)
     sketch = random_sketch(rng, depth=depth)
     args = random_args(rng)
@@ -230,8 +311,11 @@ def run_fuzz_case(seed: int, depth: int = 2,
     function = render_program(sketch)
     normalize(function)
     st = _compare("fuzz-%d/st" % seed,
-                  lambda: timing.simulate_single(function, args),
-                  lambda: simulate_single_fast(function, args))
+                  lambda tracer: timing.simulate_single(
+                      function, args, tracer=tracer),
+                  lambda tracer: simulate_single_fast(
+                      function, args, tracer=tracer),
+                  trace_limit)
 
     from ..analysis.pdg import build_pdg
     pdg = build_pdg(function)
@@ -239,13 +323,61 @@ def run_fuzz_case(seed: int, depth: int = 2,
                                  function, n_threads=n_threads)
     program = generate(function, pdg, partition)
     mt = _compare("fuzz-%d/random-%dT" % (seed, n_threads),
-                  lambda: timing.simulate_program(program, args),
-                  lambda: simulate_program_fast(program, args))
+                  lambda tracer: timing.simulate_program(
+                      program, args, tracer=tracer),
+                  lambda tracer: simulate_program_fast(
+                      program, args, tracer=tracer),
+                  trace_limit)
 
     return CaseResult(
-        "fuzz-%d" % seed, st.divergences + mt.divergences,
+        _label("fuzz-%d" % seed, trace_limit),
+        st.divergences + mt.divergences,
         st.reference_seconds + mt.reference_seconds,
         st.fast_seconds + mt.fast_seconds)
+
+
+def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
+    """Runs that end in an exception — a trap (read of an undefined
+    register), a deadlock (two threads consuming from queues nobody
+    feeds) and the step limit — on both thread loops: each must raise
+    the same exception type with the same message, tracer or not."""
+    def thread(name, body):
+        builder = FunctionBuilder(name, params=["r_n"], live_outs=["r_s"])
+        builder.label("entry")
+        builder.movi("r_s", 1)
+        builder.add("r_s", "r_s", "r_n")
+        body(builder)
+        builder.exit()
+        return builder.build(verify=False)  # not what a frontend emits
+
+    def spin(builder):
+        builder.jmp("loop")
+        builder.label("loop")
+        builder.add("r_s", "r_s", 1)
+        builder.jmp("loop")
+        builder.label("never")
+
+    programs = (
+        ("trap", [thread("trap", lambda b: b.add("r_s", "r_undefined", 1))],
+         {}),
+        ("deadlock", [thread("wait0", lambda b: b.consume("r_s", 0)),
+                      thread("wait1", lambda b: b.consume_sync(1))],
+         {"n_queues": 2}),
+        ("max-steps", [thread("spin", spin)], {"max_steps": 500}),
+    )
+    cases = []
+    for label, functions, options in programs:
+        def run(simulate_threads, tracer):
+            return simulate_threads(
+                functions, 0, functions[0], {"r_n": 3},
+                config=DEFAULT_CONFIG.with_cores(len(functions)),
+                tracer=tracer, **options)
+        cases.append(_compare(
+            "error/%s" % label,
+            lambda tracer: run(timing.simulate_threads, tracer),
+            lambda tracer: run(simulate_threads_fast, tracer),
+            trace_limit))
+    return cases
 
 
 class DifferentialReport:
@@ -291,6 +423,13 @@ class DifferentialReport:
                 "fast_seconds": round(self.fast_seconds, 4)}
 
 
+#: The collector ring sizes every case of the sweep runs with: none
+#: (untraced), the default (nothing evicted), and one small enough that
+#: every workload overflows it, so ``dropped`` and the exact aggregates
+#: kept outside the ring are compared too.
+TRACE_LIMITS = (0, DEFAULT_EVENT_LIMIT, 64)
+
+
 def run_differential(workloads: Optional[Iterable[str]] = None,
                      topologies: Sequence[Optional[str]]
                      = DEFAULT_TOPOLOGIES,
@@ -302,28 +441,32 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
 
     Every (workload x topology x technique) cell plus the
     single-threaded run per workload, then one :func:`run_fuzz_case`
-    per seed.  Any divergence makes ``report.ok`` false; nothing short-
-    circuits, so the report always carries the complete failure list.
+    per seed, then :func:`run_error_cases` — each once per entry of
+    :data:`TRACE_LIMITS`.  Any divergence makes ``report.ok`` false;
+    nothing short-circuits, so the report always carries the complete
+    failure list.
     """
     report = DifferentialReport()
+
+    def add(cases: Iterable[CaseResult]) -> None:
+        for case in cases:
+            report.add(case)
+            if progress:
+                progress("%s: %s" % (case.label,
+                                     "ok" if case.ok else "FAIL"))
+
     names = list(workloads) if workloads is not None \
         else [workload.name for workload in all_workloads()]
     for name in names:
-        report.add(run_workload_case(name, scale=scale))
+        add(_workload_cases(name, None, None, 2, scale, TRACE_LIMITS))
         for topology in topologies:
             n_threads = _TOPOLOGY_THREADS.get(topology, 2)
             for technique in techniques:
-                case = run_workload_case(
-                    name, technique=technique, topology=topology,
-                    n_threads=n_threads, scale=scale)
-                report.add(case)
-                if progress:
-                    progress("%s: %s" % (case.label,
-                                         "ok" if case.ok else "FAIL"))
+                add(_workload_cases(name, technique, topology, n_threads,
+                                    scale, TRACE_LIMITS))
     for seed in fuzz_seeds:
-        case = run_fuzz_case(seed)
-        report.add(case)
-        if progress:
-            progress("%s: %s" % (case.label,
-                                 "ok" if case.ok else "FAIL"))
+        add(run_fuzz_case(seed, trace_limit=limit)
+            for limit in TRACE_LIMITS)
+    for limit in TRACE_LIMITS:
+        add(run_error_cases(limit))
     return report

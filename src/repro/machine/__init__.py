@@ -2,10 +2,9 @@
 and the timing model.
 
 The timing model exported here (:mod:`.timing`) is the line-for-line
-reference: the loop that can trace, and the oracle.  Production
-simulations run :mod:`.fast_timing`, held bit-identical to it; the
-pipeline chooses between them (:mod:`repro.pipeline.stages`), callers do
-not."""
+reference, the oracle.  Production simulations — traced ones included —
+run :mod:`.fast_timing`, held bit-identical to it; the pipeline chooses
+between them (:mod:`repro.pipeline.stages`), callers do not."""
 
 from .cache import CacheLevel, MemoryHierarchy
 from .config import DEFAULT_CONFIG, CacheConfig, MachineConfig, config_table

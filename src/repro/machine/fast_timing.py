@@ -29,10 +29,17 @@ reuses the reference classes outright: their behaviour is
 interleaving-sensitive, so sharing the implementation removes a whole
 class of divergence.
 
-Tracing is *not* reimplemented: nothing here takes a tracer.  The one
-place that picks a loop (``repro.pipeline.stages``) runs the reference
-for traced simulations, so those cost reference speed but stay exactly
-reconciled (``docs/performance.md``).
+Tracing is a record-level hook of the same loop, not a second
+interpreter: with a ``tracer`` each op-class arm ends in one
+``if tracing:`` that hands the values the arm already computed (issue
+cycle, completion, the fence, the queue slot) to one of the
+``_trace_*`` functions below, which derive the stall components and
+dependence edges exactly as ``timing._trace_operand_binding`` /
+``_trace_emit`` do and call the collector.  The hooks are calls, not
+inline code, on purpose: an untraced run pays one local test per
+instruction and the loop's bytecode stays compact (inline hook bodies
+cost the untraced loop ~2 %; ``docs/performance.md`` has the budget).
+The event stream is bit-identical to the reference loop's (same gate).
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from ..interp.context import _BINARY, _UNARY, TrapError
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
 from ..ir.instructions import COMM_OPCODES, OpKind, Opcode
+from ..trace.events import PRODUCER_CATEGORY
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
 from .functional import DeadlockError, MTExecutionLimitExceeded
@@ -94,19 +102,29 @@ def _trap_undef(register: str, function_name: str):
 class _FastCore:
     """Array-backed in-order issue state of one core.
 
-    Field-for-field mirror of :class:`repro.machine.timing.CoreTiming`
-    minus the trace-only bookkeeping (the fast core never traces);
+    Field-for-field mirror of :class:`repro.machine.timing.CoreTiming`;
     ``port_use`` is a fixed 4-slot list indexed by port class instead of
-    a ``Counter`` keyed by port name.
+    a ``Counter`` keyed by port name, and the trace-only provenance
+    (written only by the trace hooks) is flat: ``reg_source`` /
+    ``reg_category`` are lists parallel to the thread's register-ready
+    list, holding the producing event's seq and the stall category its
+    consumers charge.  ``issue_floor`` is ``min_issue`` as it stood
+    before the next instruction — the trace hooks keep it, because the
+    loop's own mirror of ``min_issue`` has moved on by the time a hook
+    runs.
     """
 
     __slots__ = ("core_id", "sa", "cycle", "issued_in_cycle", "port_use",
                  "min_issue", "mem_fence", "last_mem_complete",
                  "finish", "branch_counters", "mispredictions",
                  "backpressure_cycles", "operand_wait_cycles",
-                 "sa_port_delays")
+                 "sa_port_delays", "sa_delay_cycles",
+                 "reg_source", "reg_category", "last_mem_event",
+                 "last_mem_category", "fence_event", "last_event_seq",
+                 "last_event_issue", "issue_floor", "control_seq")
 
-    def __init__(self, core_id: int, sa: SAPortSchedule):
+    def __init__(self, core_id: int, sa: SAPortSchedule,
+                 n_registers: int = 0):
         self.core_id = core_id
         self.sa = sa
         self.cycle = 0
@@ -121,6 +139,18 @@ class _FastCore:
         self.backpressure_cycles = 0.0
         self.operand_wait_cycles = 0.0
         self.sa_port_delays = 0
+        # Cycles the SA port budget displaced issues by since a trace
+        # hook last read (and zeroed) it.
+        self.sa_delay_cycles = 0
+        self.reg_source = [None] * n_registers
+        self.reg_category = ["operand_wait"] * n_registers
+        self.last_mem_event = None
+        self.last_mem_category = "operand_wait"   # a store's
+        self.fence_event = None
+        self.last_event_seq = None
+        self.last_event_issue = 0
+        self.issue_floor = 0
+        self.control_seq = None   # branch whose redirect set the floor
 
 
 def _issue_sa(core, earliest, limit, issue_width):
@@ -148,6 +178,7 @@ def _issue_sa(core, earliest, limit, issue_width):
                 free += 1
             if free != t:
                 core.sa_port_delays += 1
+                core.sa_delay_cycles += free - t
                 t = free
                 continue
             booked[t] = booked.get(t, 0) + 1
@@ -161,17 +192,182 @@ def _issue_sa(core, earliest, limit, issue_width):
         t += 1
 
 
-def compile_function(function: Function, config: MachineConfig):
+#: Per hierarchy level that served a load: the stall category the
+#: load's consumers charge, and the (shared, read-only) ``extra`` of its
+#: event.
+_LOAD_CATEGORY = {level: PRODUCER_CATEGORY.get("load_" + level,
+                                               "operand_wait")
+                  for level in ("l1", "l2", "l3", "mem")}
+_LOAD_EXTRA = {level: {"cache_level": level} for level in _LOAD_CATEGORY}
+
+#: Op-class name of an event, by record code (ALU records: by port).
+_TRACE_CLASS = {_LOAD: "memory", _STORE: "memory", _BR: "branch",
+                _JMP: "branch", _EXIT: "branch", _NOP: "alu",
+                _PRODUCE: "comm", _PRODUCE_SYNC: "comm",
+                _CONSUME: "comm", _CONSUME_SYNC: "comm"}
+
+
+def _trace_emit(on_event, core, thread, consts, t, complete, raw, deps,
+                t0, queue=None, penalty=0, extra=None):
+    """The common tail of every trace hook (``timing._trace_emit``):
+    attach the in-order and pending-redirect edges, split the issue
+    displacement ``t - t0`` (``t0`` = the first cycle operands and
+    program order allowed) into SA-port and issue-port cycles, emit the
+    event and advance the core's trace bookkeeping."""
+    if core.last_event_seq is not None:
+        deps.append((core.last_event_seq, "order",
+                     float(core.last_event_issue)))
+    if core.control_seq is not None:
+        deps.append((core.control_seq, "control", float(core.issue_floor)))
+        core.control_seq = None
+    if t != t0:
+        sa_delay = core.sa_delay_cycles
+        if t - t0 != sa_delay:
+            raw["port_conflict"] = float(t - t0 - sa_delay)
+        if sa_delay:
+            raw["sa_port_contention"] = float(sa_delay)
+            core.sa_delay_cycles = 0
+    seq = on_event(core.core_id, thread, consts[2], consts[0], consts[1],
+                   t, complete, raw, tuple(deps), queue, penalty, extra)
+    core.last_event_seq = seq
+    core.last_event_issue = t
+    if penalty:
+        core.issue_floor = t + 1 + penalty
+        core.control_seq = seq
+    else:
+        core.issue_floor = t
+    return seq
+
+
+def _trace_plain(on_event, core, thread, consts, rr, fence, t, complete,
+                 dest=None, category="operand_wait", penalty=0, extra=None):
+    """Trace hook of a non-communication instruction: find the binding
+    operand among the record's source registers and the memory fence
+    (``timing._trace_operand_binding``; ``fence`` is 0.0 for anything
+    but a load/store), emit, and note the event as the producer of
+    ``dest`` — whose consumers will charge ``category``.  Reads ``rr``:
+    call it before the instruction's own destination update."""
+    floor = core.issue_floor
+    raw = {}
+    deps = []
+    ready = 0.0
+    binding = "operand_wait"
+    for source in consts[3]:
+        r = rr[source]
+        if r > 0.0:
+            producer = core.reg_source[source]
+            if producer is not None:
+                deps.append((producer, "register", r))
+            if r > ready:
+                ready = r
+                binding = core.reg_category[source]
+    if fence > ready:
+        ready = fence
+        binding = "sa_queue_empty"
+        if core.fence_event is not None:
+            deps.append((core.fence_event, "memory", fence))
+    if ready > floor:
+        raw[binding] = ready - float(floor)
+        t0 = int(ready)
+        if ready > t0:
+            t0 += 1
+    else:
+        t0 = floor
+    seq = _trace_emit(on_event, core, thread, consts, t, complete, raw,
+                      deps, t0, None, penalty, extra)
+    if dest is not None:
+        core.reg_source[dest] = seq
+        core.reg_category[dest] = category
+    return seq
+
+
+def _trace_memory(on_event, core, thread, consts, rr, fence, t, complete,
+                  latest, dest=None, level=None):
+    """Trace hook of a load (``dest`` and the hierarchy ``level`` that
+    served it) or a store.  ``latest``: nothing in the core's memory
+    pipeline completes later, so this event is what the next
+    ``produce.sync`` waits for."""
+    category = _LOAD_CATEGORY[level] if level else "operand_wait"
+    seq = _trace_plain(on_event, core, thread, consts, rr, fence, t,
+                       complete, dest, category, 0,
+                       _LOAD_EXTRA[level] if level else None)
+    if latest:
+        core.last_mem_event = seq
+        core.last_mem_category = category
+
+
+def _trace_produce(on_event, core, thread, consts, rr, source, last_mem,
+                   slot_free, own_ready, earliest, t, queues, queue):
+    """Trace hook of a ``produce`` (``source`` register) or
+    ``produce.sync`` (``source`` None: it waits for ``last_mem``, the
+    core's last memory completion).  ``own_ready`` is when the value and
+    program order allowed the push, ``slot_free`` when the queue did;
+    call it before the push, it reads the slot's history."""
+    floor = core.issue_floor
+    raw = {}
+    deps = []
+    if source is not None:
+        ready = rr[source]
+        if ready > 0.0:
+            if core.reg_source[source] is not None:
+                deps.append((core.reg_source[source], "register", ready))
+            if ready > floor:
+                raw[core.reg_category[source]] = ready - float(floor)
+    else:
+        if last_mem > floor:
+            raw[core.last_mem_category] = last_mem - float(floor)
+        if core.last_mem_event is not None:
+            deps.append((core.last_mem_event, "memory", last_mem))
+    if slot_free > own_ready:
+        raw["sa_queue_full"] = slot_free - own_ready
+        free_seq = queues.slot_free_seq(queue)
+        if free_seq is not None:
+            deps.append((free_seq, "communication", slot_free))
+    t0 = int(earliest)
+    if earliest > t0:
+        t0 += 1
+    return _trace_emit(on_event, core, thread, consts, t, float(t + 1),
+                       raw, deps, t0, queue)
+
+
+def _trace_consume(on_event, core, thread, consts, dest, data_ready,
+                   available, t, produced_by, queue):
+    """Trace hook of a ``consume`` (``dest`` register) or
+    ``consume.sync`` (``dest`` None: it raises the memory fence);
+    ``produced_by`` is the event that pushed the popped value."""
+    raw = {}
+    if data_ready > t + 1:
+        raw["sa_queue_empty"] = data_ready - (t + 1)
+    deps = []
+    if produced_by is not None:
+        deps.append((produced_by, "communication", data_ready))
+    seq = _trace_emit(on_event, core, thread, consts, t, available, raw,
+                      deps, core.issue_floor, queue)
+    if dest is not None:
+        core.reg_source[dest] = seq
+        core.reg_category[dest] = "sa_queue_empty"
+    else:
+        core.fence_event = seq
+    return seq
+
+
+def compile_function(function: Function, config: MachineConfig,
+                     trace: bool = False):
     """Compile one thread CFG into per-block dispatch records.
 
-    Returns ``(blocks, meta, reg_index, reg_names)``: ``blocks[i]`` is
+    Returns ``(blocks, meta, reg_index, reg_names, trace_meta)``:
+    ``blocks[i]`` is
     the record list of the i-th basic block (branch targets pre-resolved
     to block indices), ``meta[ridx]`` the source :class:`Instruction` of
     record ``ridx`` (used for end-of-run opcode accounting and error
     messages), and ``reg_index``/``reg_names`` the register table —
     records refer to registers by index into a flat list-backed register
     file (params first, then first-use order), which replaces every
-    per-step dict probe of the reference with a list subscript.  The
+    per-step dict probe of the reference with a list subscript.
+    ``trace_meta`` is ``None`` unless ``trace`` is set; then it is a
+    table parallel to ``meta`` with each record's trace constants
+    ``(op name, op class, iid, source-register indices)`` — what the
+    trace hooks need that the dispatch record does not carry.  The
     compile is linear in static code size and performs no dynamic work.
     """
     _ = function.entry  # same ValueError as ThreadContext on empty CFGs
@@ -194,6 +390,7 @@ def compile_function(function: Function, config: MachineConfig):
     for param in function.params:
         reg(param)
     meta = []
+    trace_meta = [] if trace else None
     blocks = []
     for block in function.blocks:
         records = []
@@ -254,8 +451,13 @@ def compile_function(function: Function, config: MachineConfig):
                     rec = (_ALU_UN, ridx, instr, fn, reg(instr.dest),
                            reg(srcs[0]), pidx, limit, latency)
             records.append(rec)
+            if trace:
+                op_class = _TRACE_CLASS.get(rec[0]) or (
+                    "fp" if instr.kind is OpKind.FP else "alu")
+                trace_meta.append((op.name.lower(), op_class, instr.iid,
+                                   tuple(reg(s) for s in instr.srcs)))
         blocks.append(records)
-    return blocks, meta, reg_index, reg_names
+    return blocks, meta, reg_index, reg_names, trace_meta
 
 
 def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
@@ -266,11 +468,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                           config: MachineConfig = DEFAULT_CONFIG,
                           n_queues: int = 0,
                           max_steps: int = 200_000_000,
+                          tracer=None,
                           placement: Optional[Sequence[int]] = None,
                           queue_crossing: Optional[Sequence[int]] = None
                           ) -> TimedResult:
-    """Bit-identical replacement for the untraced
-    :func:`repro.machine.timing.simulate_threads`."""
+    """Bit-identical replacement for
+    :func:`repro.machine.timing.simulate_threads`, ``tracer`` hooks
+    (``on_event`` / ``on_queue_depth`` / ``on_finish``) included."""
     memory = make_memory(memory_owner, initial_memory)
     queues = TimedQueues(n_queues, config.sa_queue_size) if n_queues else None
     hierarchy = MemoryHierarchy(config)
@@ -292,6 +496,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     pred_mode = 2 if predictor == "perfect" else (
         0 if predictor == "static" else 1)
 
+    tracing = tracer is not None
+    if tracing:
+        on_event = tracer.on_event
+        on_queue_depth = tracer.on_queue_depth
+
     n = len(functions)
     thread_regs: List[list] = []    # flat register files (see compile)
     thread_rr: List[list] = []      # parallel register-ready times
@@ -300,13 +509,14 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     cores: List[_FastCore] = []
     thread_blocks = []          # per thread: compiled block record lists
     thread_meta = []            # per thread: record index -> Instruction
+    thread_tmeta = []           # ... -> trace constants (when tracing)
     for index, function in enumerate(functions):
         params = bind_params(function, dict(args) if args else {})
         # Compile (touching function.entry) before validating the core id:
         # the reference builds the ThreadContext first, so an empty CFG
         # must win over a bad placement.
-        blocks, meta, reg_index, reg_names = compile_function(function,
-                                                              config)
+        blocks, meta, reg_index, reg_names, trace_meta = compile_function(
+            function, config, tracing)
         regs = [_UNDEF] * len(reg_names)
         for name, value in params.items():
             regs[reg_index[name]] = value
@@ -316,13 +526,17 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
         thread_index.append(reg_index)
         thread_blocks.append(blocks)
         thread_meta.append(meta)
+        thread_tmeta.append(trace_meta)
         core_id = placement[index]
         if not 0 <= core_id < topo.n_cores:
             raise ValueError("thread %d placed on core %d outside "
                              "topology %r (%d cores)"
                              % (index, core_id, topo.name, topo.n_cores))
         cores.append(_FastCore(core_id,
-                               cluster_ports[topo.cluster_of(core_id)]))
+                               cluster_ports[topo.cluster_of(core_id)],
+                               len(reg_names) if tracing else 0))
+    if tracing and hasattr(tracer, "on_topology"):
+        tracer.on_topology(topo.cluster_map())
 
     mem_words = memory.words
     mem_size = memory.size
@@ -368,7 +582,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             ccounts = counts[index]
             recs = cur_recs[index]
             pos = cur_idx[index]
-            executed = 0
+            steps_before = total_steps
             # Local mirrors of the core's issue state: the inlined
             # find-issue-slot logic below (``CoreTiming.find_issue_slot``
             # without the SA port, repeated per op class) runs entirely
@@ -422,9 +636,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                             break
                         t += 1
                     fin = t + latency
-                    rr[dest] = fin
                     if fin > c_finish:
                         c_finish = fin
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, fin, dest)
+                    rr[dest] = fin
                     pos += 1
                 elif code == _ALU_RI:
                     (_c, ridx, _i, fn, dest, s0, imm, pidx, limit,
@@ -455,9 +673,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                             break
                         t += 1
                     fin = t + latency
-                    rr[dest] = fin
                     if fin > c_finish:
                         c_finish = fin
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, fin, dest)
+                    rr[dest] = fin
                     pos += 1
                 elif code == _ALU_UN:
                     (_c, ridx, _i, fn, dest, s0, pidx, limit,
@@ -488,9 +710,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                             break
                         t += 1
                     fin = t + latency
-                    rr[dest] = fin
                     if fin > c_finish:
                         c_finish = fin
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, fin, dest)
+                    rr[dest] = fin
                     pos += 1
                 elif code == _MOVI:
                     _c, ridx, _i, dest, imm, limit, latency = rec
@@ -511,9 +737,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                             break
                         t += 1
                     fin = t + latency
-                    rr[dest] = fin
                     if fin > c_finish:
                         c_finish = fin
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, fin, dest)
+                    rr[dest] = fin
                     pos += 1
                 elif code == _LOAD:
                     _c, ridx, _i, dest, s0, offset, limit = rec
@@ -563,11 +793,17 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     else:
                         latency = access(cid, address, False)
                     fin = t + latency
-                    rr[dest] = fin
                     if fin > c_last_mem:
                         c_last_mem = fin
                     if fin > c_finish:
                         c_finish = fin
+                    if tracing:
+                        _trace_memory(on_event, core, index,
+                                      thread_tmeta[index][ridx], rr,
+                                      c_mem_fence, t, fin,
+                                      fin == c_last_mem, dest,
+                                      hierarchy.last_level)
+                    rr[dest] = fin
                     pos += 1
                 elif code == _STORE:
                     _c, ridx, _i, s0, s1, offset, limit = rec
@@ -620,6 +856,10 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     ti = t + 1
                     if ti > c_finish:
                         c_finish = ti
+                    if tracing:
+                        _trace_memory(on_event, core, index,
+                                      thread_tmeta[index][ridx], rr,
+                                      c_mem_fence, t, tf, tf == c_last_mem)
                     pos += 1
                 elif code == _BR:
                     _c, ridx, _i, s0, iid, tk, nt, limit = rec
@@ -669,6 +909,10 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     ti = t + 1
                     if ti > c_finish:
                         c_finish = ti
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, float(ti), penalty=penalty)
                     recs = thread_blocks[index][tk if taken else nt]
                     pos = 0
                 elif code == _JMP:
@@ -691,6 +935,10 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     ti = t + 1
                     if ti > c_finish:
                         c_finish = ti
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, float(ti))
                     recs = thread_blocks[index][target]
                     pos = 0
                 elif code == _PRODUCE or code == _PRODUCE_SYNC:
@@ -728,6 +976,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     c_min_issue = core.min_issue
                     c_finish = core.finish
                     queues.staged_push_time = float(t + 1)
+                    if tracing:
+                        queues.staged_push_seq = _trace_produce(
+                            on_event, core, index,
+                            thread_tmeta[index][ridx], rr, s0, c_last_mem,
+                            slot_free, own_ready, earliest, t, queues, q)
+                        on_queue_depth(q, float(t + 1),
+                                       len(queues.queues[q]) + 1)
                     queues.try_push(q, value)
                     ti = t + 1
                     if ti > c_finish:
@@ -766,7 +1021,15 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                         rr[dest] = available
                     elif available > c_mem_fence:
                         c_mem_fence = available
-                    queues.record_pop_completion(q, available, None)
+                    if tracing:
+                        seq = _trace_consume(
+                            on_event, core, index,
+                            thread_tmeta[index][ridx], dest, data_ready,
+                            available, t, queues.last_popped_seq, q)
+                        on_queue_depth(q, float(ti), len(queues.queues[q]))
+                        queues.record_pop_completion(q, available, seq)
+                    else:
+                        queues.record_pop_completion(q, available, None)
                     if available > c_finish:
                         c_finish = available
                     pos += 1
@@ -790,8 +1053,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     ti = t + 1
                     if ti > c_finish:
                         c_finish = ti
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, float(ti))
                     ccounts[ridx] += 1
-                    executed += 1
                     total_steps += 1
                     if total_steps > max_steps:
                         raise MTExecutionLimitExceeded(
@@ -819,9 +1085,12 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     ti = t + 1
                     if ti > c_finish:
                         c_finish = ti
+                    if tracing:
+                        _trace_plain(on_event, core, index,
+                                     thread_tmeta[index][ridx], rr, 0.0,
+                                     t, float(ti))
                     pos += 1
                 ccounts[ridx] += 1
-                executed += 1
                 total_steps += 1
                 if total_steps > max_steps:
                     raise MTExecutionLimitExceeded(
@@ -835,7 +1104,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             core.last_mem_complete = c_last_mem
             cur_recs[index] = recs
             cur_idx[index] = pos
-            if executed:
+            if total_steps != steps_before:
                 progressed = True
         if not progressed and any(live):
             blocked = [cur_recs[i][cur_idx[i]][2]
@@ -877,6 +1146,8 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
         "sa_port_delays": sum(c.sa_port_delays for c in cores),
         "mispredictions": sum(c.mispredictions for c in cores),
     }
+    if tracing:
+        tracer.on_finish(core_finish, hierarchy.stats(), comm_stats)
     return TimedResult(max(core_finish) if core_finish else 0.0,
                        core_finish, per_thread_instructions,
                        per_thread_communication, opcode_counts, live_outs,

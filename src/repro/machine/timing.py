@@ -324,8 +324,7 @@ def _trace_emit(tracer, core: CoreTiming, thread: int, instruction,
     seq = tracer.on_event(
         core.core_id, thread, instruction.iid,
         instruction.op.name.lower(), op_class, issue, complete,
-        stall=raw, deps=tuple(deps), queue=queue,
-        control_penalty=control_penalty, extra=extra)
+        raw, tuple(deps), queue, control_penalty, extra)
     core.last_event_seq = seq
     core.last_event_issue = issue
     return seq
@@ -667,13 +666,6 @@ def queue_crossing_penalties(program: MTProgram, config: MachineConfig,
     return penalties
 
 
-def _tracer_kwarg(tracer) -> dict:
-    """``tracer`` reaches the thread loop only when set: the reference
-    loop is the one implementation that can trace, so the fast core has
-    no such parameter and a traced call onto it fails loudly."""
-    return {} if tracer is None else {"tracer": tracer}
-
-
 def simulate_program(program: MTProgram,
                      args: Optional[Mapping[str, object]] = None,
                      initial_memory: Optional[Mapping[str, object]] = None,
@@ -694,10 +686,9 @@ def simulate_program(program: MTProgram,
     return simulate_threads(program.threads, program.exit_thread,
                             program.original, args, initial_memory, config,
                             n_queues=program.n_queues, max_steps=max_steps,
-                            placement=cores,
+                            tracer=tracer, placement=cores,
                             queue_crossing=queue_crossing_penalties(
-                                program, config, cores),
-                            **_tracer_kwarg(tracer))
+                                program, config, cores))
 
 
 def simulate_single(function: Function,
@@ -713,4 +704,4 @@ def simulate_single(function: Function,
         config = config.with_cores(1)
     return simulate_threads([function], 0, function, args, initial_memory,
                             config, n_queues=0, max_steps=max_steps,
-                            **_tracer_kwarg(tracer))
+                            tracer=tracer)

@@ -21,6 +21,7 @@ a stage list.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
@@ -410,14 +411,15 @@ def _fp_simulate_st(ctx: PipelineContext) -> str:
 BACKENDS = ("fast", "reference")
 
 
-def _simulator(ctx: PipelineContext, traced: bool = False):
+def _simulator(ctx: PipelineContext):
     """The thread loop for one simulation: the only place an
-    implementation is picked.  The reference loop runs when the run is
-    traced (only it can trace) or when the caller asked for the oracle;
-    everything else runs the fast core.  The two are bit-identical
-    (tests/test_backend_equivalence.py), so the choice is absent from
-    the stage fingerprints and both share cache entries."""
-    if traced or ctx.options.get("backend") == "reference":
+    implementation is picked.  Everything — traced or not — runs the
+    fast core; the reference loop runs only when the caller asked for
+    the oracle (``backend == "reference"``).  The two are bit-identical,
+    event stream included (tests/test_backend_equivalence.py), so the
+    choice is absent from the stage fingerprints and both share cache
+    entries."""
+    if ctx.options.get("backend") == "reference":
         return timing.simulate_threads
     return simulate_threads_fast
 
@@ -453,14 +455,25 @@ def _run_simulate_mt(ctx: PipelineContext) -> dict:
         from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
         limit = ctx.options.get("trace_limit") or DEFAULT_EVENT_LIMIT
         collector = TraceCollector(limit=limit)
-    result = timing.simulate_program(
-        ctx.values["program"], ctx.options.get("measure_args"),
-        ctx.options.get("measure_memory"), config=ctx.sim_config,
-        tracer=collector, placement=ctx.values.get("placement"),
-        simulate_threads=_simulator(ctx, traced=collector is not None))
-    if collector is not None:
-        return {"mt_result": result, "mt_trace": analyze(collector)}
-    return {"mt_result": result}
+    # A traced run allocates a handful of long-lived, acyclic objects per
+    # event; the cyclic collector would re-traverse the growing ring for
+    # nothing (~1.3 us/event, docs/performance.md), so it is paused until
+    # the analysis is done.
+    pause_gc = collector is not None and gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        result = timing.simulate_program(
+            ctx.values["program"], ctx.options.get("measure_args"),
+            ctx.options.get("measure_memory"), config=ctx.sim_config,
+            tracer=collector, placement=ctx.values.get("placement"),
+            simulate_threads=_simulator(ctx))
+        if collector is not None:
+            return {"mt_result": result, "mt_trace": analyze(collector)}
+        return {"mt_result": result}
+    finally:
+        if pause_gc:
+            gc.enable()
 
 
 def _count_simulate_mt(ctx: PipelineContext) -> None:

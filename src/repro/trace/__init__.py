@@ -1,8 +1,9 @@
 """``repro.trace`` — simulated-time execution tracing, stall
 attribution, and dynamic critical-path analysis.
 
-The timing simulator (:mod:`repro.machine.timing`) accepts an optional
-``tracer`` (a :class:`TraceCollector`); when provided it emits one
+The timing simulator (:mod:`repro.machine.fast_timing`, and its oracle
+:mod:`repro.machine.timing`) accepts an optional ``tracer`` (a
+:class:`TraceCollector`); when provided it emits one
 :class:`~repro.trace.events.InstructionEvent` per dynamic instruction
 with a structured stall breakdown and the dependence edges that
 constrained it, plus :class:`~repro.trace.events.QueueSample` counter

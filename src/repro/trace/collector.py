@@ -51,7 +51,7 @@ class CoreAccount:
     """Running attribution state of one core."""
 
     __slots__ = ("core", "busy_cycles", "last_issue_cycle", "stalls",
-                 "pending_control", "events", "finish")
+                 "pending_control", "events", "finish", "last_thread")
 
     def __init__(self, core: int):
         self.core = core
@@ -61,6 +61,7 @@ class CoreAccount:
         self.pending_control = 0.0
         self.events = 0
         self.finish = 0.0
+        self.last_thread: Optional[int] = None  # issued last on this core
 
     def total_attributed(self) -> float:
         return self.busy_cycles + sum(self.stalls.values())
@@ -101,7 +102,6 @@ class TraceCollector:
         # of the collector may never do.
         self.cluster_of: Dict[int, int] = {}
         self.finished = False
-        self._next_seq = 0
 
     # -- simulator hooks ---------------------------------------------------
 
@@ -118,45 +118,62 @@ class TraceCollector:
                  extra: Optional[Dict[str, object]] = None) -> int:
         """Record one issued instruction; returns its event ``seq`` so
         the simulator can thread dependence edges through registers,
-        queues, and fences."""
-        seq = self._next_seq
-        self._next_seq += 1
-        account = self.cores.get(core)
-        if account is None:
-            account = self.cores[core] = CoreAccount(core)
-        klass = self.op_classes.get(op_class)
-        if klass is None:
-            klass = self.op_classes[op_class] = ClassAccount(op_class)
-        thread_stalls = self.threads.get(thread)
-        if thread_stalls is None:
-            thread_stalls = self.threads[thread] = _zero_stalls()
+        queues, and fences.
 
-        raw = dict(stall) if stall else {}
+        The simulators call this positionally, once per dynamic
+        instruction.  ``stall`` is *taken over*, not copied: it becomes
+        the event's ``stall`` (with the pending ``control`` redirect
+        added), so the caller hands in a fresh dict per event."""
+        seq = self.total_events
+        self.total_events = seq + 1
+        try:
+            account = self.cores[core]
+        except KeyError:
+            account = self.cores[core] = CoreAccount(core)
+        try:
+            klass = self.op_classes[op_class]
+        except KeyError:
+            klass = self.op_classes[op_class] = ClassAccount(op_class)
+        try:
+            thread_stalls = self.threads[thread]
+        except KeyError:
+            thread_stalls = self.threads[thread] = _zero_stalls()
+        account.last_thread = thread
+
         if account.pending_control:
-            raw["control"] = (raw.get("control", 0.0)
-                              + account.pending_control)
+            if not stall:
+                stall = {}
+            stall["control"] = (stall.get("control", 0.0)
+                                + account.pending_control)
             account.pending_control = 0.0
 
         # Gap attribution: issue-less cycles since the last issue cycle
         # on this core, claimed by the raw components in priority order.
-        if issue != account.last_issue_cycle:
-            gap = float(issue - account.last_issue_cycle - 1)
+        last_issue = account.last_issue_cycle
+        if issue != last_issue:
             account.last_issue_cycle = issue
             account.busy_cycles += 1
-            remaining = gap
-            for category in _CLAIM_ORDER:
-                component = raw.get(category, 0.0)
-                if component <= 0.0 or remaining <= 0.0:
-                    continue
-                take = component if component < remaining else remaining
-                account.stalls[category] += take
-                klass.stalls[category] += take
-                thread_stalls[category] += take
-                remaining -= take
+            remaining = float(issue - last_issue - 1)
             if remaining > 0.0:
-                account.stalls["other"] += remaining
-                klass.stalls["other"] += remaining
-                thread_stalls["other"] += remaining
+                stalls = account.stalls
+                class_stalls = klass.stalls
+                if stall:
+                    for category in _CLAIM_ORDER:
+                        component = stall.get(category, 0.0)
+                        if component <= 0.0:
+                            continue
+                        take = (component if component < remaining
+                                else remaining)
+                        stalls[category] += take
+                        class_stalls[category] += take
+                        thread_stalls[category] += take
+                        remaining -= take
+                        if remaining <= 0.0:
+                            break
+                if remaining > 0.0:
+                    stalls["other"] += remaining
+                    class_stalls["other"] += remaining
+                    thread_stalls["other"] += remaining
 
         if control_penalty:
             # The redirect stalls the *next* issue on this core.
@@ -164,10 +181,9 @@ class TraceCollector:
 
         account.events += 1
         klass.count += 1
-        self.total_events += 1
         self.events.append(InstructionEvent(
             seq, core, thread, iid, op, op_class, issue, complete,
-            queue=queue, stall=raw, deps=deps, extra=extra))
+            queue, stall, deps, extra))
         return seq
 
     def on_queue_depth(self, queue: int, cycle: float,
@@ -180,7 +196,10 @@ class TraceCollector:
                   cache_stats: Optional[Dict[str, int]] = None,
                   comm_stats: Optional[Dict[str, float]] = None) -> None:
         """Close the run: attribute each core's completion tail as
-        ``drain`` so the per-core accounting sums to its finish time."""
+        ``drain`` so the per-core accounting sums to its finish time.
+        The tail belongs to the thread that issued last on the core
+        (``core_finish`` is indexed by core id, the thread table by
+        thread index — they differ under any non-identity placement)."""
         self.core_finish = list(core_finish)
         for core, finish in enumerate(core_finish):
             account = self.cores.get(core)
@@ -192,9 +211,8 @@ class TraceCollector:
             drain = float(finish) - issued_through
             if drain > 0.0:
                 account.stalls["drain"] += drain
-                thread_stalls = self.threads.setdefault(core,
-                                                        _zero_stalls())
-                thread_stalls["drain"] += drain
+                if account.last_thread is not None:
+                    self.threads[account.last_thread]["drain"] += drain
         self.cache_stats = dict(cache_stats or {})
         self.comm_stats = dict(comm_stats or {})
         self.finished = True

@@ -123,9 +123,14 @@ def critical_path(events: Iterable[InstructionEvent]) -> CriticalPath:
     if not window:
         return CriticalPath([], 0.0, [], {}, 0.0, truncated=False)
     by_seq = {event.seq: event for event in window}
-    current: Optional[InstructionEvent] = max(
-        window, key=lambda event: (event.complete, event.seq))
+    # The last-completing event (latest seq on ties).
+    current: Optional[InstructionEvent] = window[0]
     length = current.complete
+    for event in window:
+        if event.complete > length or (event.complete == length
+                                       and event.seq > current.seq):
+            current = event
+            length = event.complete
 
     path: List[InstructionEvent] = []
     kinds: List[Optional[str]] = []

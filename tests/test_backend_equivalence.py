@@ -5,12 +5,13 @@ program the production core (:mod:`repro.machine.fast_timing`) produces
 results **bit-identical** to the reference loop
 (:mod:`repro.machine.timing`) — cycles, per-core finish times, stall
 attributions, queue internals, live-outs, memory images, and the
-int-vs-float type of every number.  The grid is every registry workload
-x {paper-dual, quad-2x2} x {GREMIO, DSWP} x {reference untraced,
-reference traced}, plus the single-threaded simulator per workload,
-whole-pipeline ``Evaluation.metrics()`` parity, seeded random programs
-from :mod:`repro.check.generate`, and the pipeline's choice between the
-two loops.
+int-vs-float type of every number — and, with a tracer attached,
+everything the tracer sees.  The grid is every registry workload
+x {paper-dual, quad-2x2} x {GREMIO, DSWP} x {untraced, traced}, plus
+the single-threaded simulator per workload, whole-pipeline
+``Evaluation.metrics()`` parity, seeded random programs from
+:mod:`repro.check.generate`, the error paths, and the pipeline's choice
+between the two loops.
 """
 
 import pytest
@@ -19,8 +20,11 @@ from repro.api import (EvaluateRequest, RequestValidationError,
                        configure_cache, evaluate, evaluate_workload,
                        get_cache, get_workload, workload_names)
 from repro.check.differential_backend import (diff_snapshots,
+                                              run_error_cases,
                                               run_fuzz_case,
-                                              snapshot_result)
+                                              run_workload_case,
+                                              snapshot_result,
+                                              snapshot_trace)
 from repro.machine import timing
 from repro.machine.fast_timing import (simulate_program_fast,
                                        simulate_single_fast)
@@ -92,25 +96,76 @@ def test_multi_threaded_bit_identical(name, technique, topology,
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("name", workload_names())
 def test_traced_runs_bit_identical(name, technique, topology, n_threads):
-    """The pipeline runs the reference loop for a traced simulation and
-    the fast core for an untraced one, so the two must agree on the
-    whole result — and the event stream must account for exactly the
-    cycles the untraced run reports."""
+    """Traced fast == traced reference on everything a tracer sees: the
+    ``InstructionEvent`` stream field by field (``stall`` key order
+    included), queue samples and peaks, the core/class/thread tables,
+    ``verify()`` and the ``analyze()`` document, critical path included
+    — and the traced result is the untraced one, accounting for exactly
+    its cycles."""
     from repro.trace import TraceCollector
     built = _built(name, technique, topology, n_threads)
     inputs = get_workload(name).make_inputs("train")
-    collector = TraceCollector()
-    traced = timing.simulate_program(
+    label = "%s/%s/%s/traced" % (name, technique, topology)
+    reference_trace, fast_trace = TraceCollector(), TraceCollector()
+    reference = timing.simulate_program(
         built.program, inputs.args, inputs.memory, config=built.config,
-        tracer=collector)
-    fast = simulate_program_fast(
+        tracer=reference_trace)
+    traced = simulate_program_fast(
+        built.program, inputs.args, inputs.memory, config=built.config,
+        tracer=fast_trace)
+    untraced = simulate_program_fast(
         built.program, inputs.args, inputs.memory, config=built.config)
-    _assert_identical(snapshot_result(traced), snapshot_result(fast),
-                      "%s/%s/%s/traced-vs-fast" % (name, technique,
-                                                   topology))
-    assert collector.total_cycles == fast.cycles
-    for core, row in collector.core_table().items():
-        assert row["total"] == row["finish"] == fast.core_finish[core]
+    _assert_identical(snapshot_trace(reference_trace),
+                      snapshot_trace(fast_trace), label)
+    _assert_identical(snapshot_result(reference), snapshot_result(traced),
+                      label + "/result")
+    _assert_identical(snapshot_result(traced), snapshot_result(untraced),
+                      label + "/untraced")
+    assert fast_trace.total_events == untraced.dynamic_instructions
+    assert fast_trace.total_cycles == untraced.cycles
+    for core, row in fast_trace.core_table().items():
+        assert row["total"] == row["finish"] == untraced.core_finish[core]
+
+
+def test_snapshot_trace_tells_events_apart():
+    """The traced gate is only as good as its snapshot: one stall key
+    reordered, one ``3`` turned ``3.0``, must each show as a diff."""
+    from repro.trace import TraceCollector
+
+    def snap(stall, complete):
+        collector = TraceCollector()
+        collector.on_event(0, 0, 6, "movi", "alu", 0, 1)
+        collector.on_event(0, 0, 7, "add", "alu", 3, complete, stall,
+                           ((0, "order", 0.0),))
+        collector.on_finish([5.0])
+        return snapshot_trace(collector)
+    base = snap({"operand_wait": 1.0, "port_conflict": 1.0}, 4)
+    assert not diff_snapshots(base, snap(
+        {"operand_wait": 1.0, "port_conflict": 1.0}, 4))
+    assert diff_snapshots(base, snap(
+        {"port_conflict": 1.0, "operand_wait": 1.0}, 4))
+    assert diff_snapshots(base, snap(
+        {"operand_wait": 1.0, "port_conflict": 1.0}, 4.0))
+
+
+def test_ring_eviction_bit_identical():
+    """A ring far smaller than the run: both loops drop the same events
+    and keep the same exact aggregates."""
+    case = run_workload_case("adpcmdec", "dswp", "quad-2x2", 4,
+                             trace_limit=64)
+    assert case.ok, "\n".join(case.divergences[:10])
+
+
+@pytest.mark.parametrize("traced", (False, True))
+def test_error_paths_identical(traced):
+    """A trap, a deadlock and the step limit raise the same exception
+    type and message on both loops, tracer attached or not."""
+    from repro.trace import DEFAULT_EVENT_LIMIT
+    cases = run_error_cases(DEFAULT_EVENT_LIMIT if traced else 0)
+    assert len(cases) == 3
+    for case in cases:
+        assert case.ok, "%s diverged:\n%s" % (
+            case.label, "\n".join(case.divergences))
 
 
 @pytest.fixture
@@ -151,17 +206,21 @@ class TestEvaluationMetrics:
 @pytest.mark.parametrize("seed", range(25))
 def test_fuzz_programs_bit_identical(seed):
     """Seeded random programs (repro.check.generate): single-threaded
-    plus a random-partition MTCG program per seed, both loops —
-    including identical trap type and message when the program traps."""
-    case = run_fuzz_case(seed)
-    assert case.ok, "fuzz seed %d diverged:\n%s" % (
-        seed, "\n".join(case.divergences[:10]))
+    plus a random-partition MTCG program per seed, both loops, untraced
+    and traced — including identical trap type and message when the
+    program traps."""
+    from repro.trace import DEFAULT_EVENT_LIMIT
+    for trace_limit in (0, DEFAULT_EVENT_LIMIT):
+        case = run_fuzz_case(seed, trace_limit=trace_limit)
+        assert case.ok, "%s diverged:\n%s" % (
+            case.label, "\n".join(case.divergences[:10]))
 
 
 @pytest.mark.usefixtures("no_cache")
 class TestOneSimulator:
-    """The pipeline picks the loop from ``trace``; ``backend`` survives
-    only as the oracle seam of ``evaluate_workload`` and the wire."""
+    """The pipeline runs the fast core, traced or not; ``backend``
+    survives only as the oracle seam of ``evaluate_workload`` and the
+    wire."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -182,8 +241,10 @@ class TestOneSimulator:
 
     @pytest.mark.parametrize("options,expected", [
         ({}, {"reference": [], "fast": [1, 2]}),
-        ({"trace": True}, {"reference": [2], "fast": [1]}),
+        ({"trace": True}, {"reference": [], "fast": [1, 2]}),
         ({"backend": "reference"}, {"reference": [1, 2], "fast": []}),
+        ({"backend": "reference", "trace": True},
+         {"reference": [1, 2], "fast": []}),
     ])
     def test_selection(self, calls, options, expected):
         evaluation = evaluate_workload(get_workload("ks"), scale="train",
@@ -212,12 +273,17 @@ class TestOneSimulator:
         with pytest.raises(ValueError, match="backend"):
             evaluate_workload(get_workload("ks"), backend="turbo")
 
-    def test_fast_core_cannot_trace(self):
-        """A tracer handed to the fast entry points is an error, not a
-        silent re-route to the reference loop."""
+    def test_fast_core_traces(self):
+        """A tracer handed to the fast entry points is driven by the
+        fast loop itself: one event per dynamic instruction, reconciled
+        against the result."""
         from repro.trace import TraceCollector
         workload = get_workload("ks")
         inputs = workload.make_inputs("train")
-        with pytest.raises(TypeError, match="tracer"):
-            simulate_single_fast(workload.build(), inputs.args,
-                                 inputs.memory, tracer=TraceCollector())
+        collector = TraceCollector()
+        result = simulate_single_fast(workload.build(), inputs.args,
+                                      inputs.memory, tracer=collector)
+        collector.verify()
+        assert collector.finished
+        assert collector.total_events == result.dynamic_instructions
+        assert collector.total_cycles == result.cycles

@@ -146,3 +146,48 @@ class TestSingleThreadedTrace:
         # No synchronization array in play on one core.
         assert totals.get("sa_queue_full", 0) == 0
         assert totals.get("sa_queue_empty", 0) == 0
+
+
+class TestPlacedThreads:
+    """``core_finish`` is indexed by core id, the thread table by thread
+    index: under a non-identity placement the drain tail must land on
+    the thread that ran on the core, not on a thread numbered like it."""
+
+    def test_drain_goes_to_the_thread_on_the_core(self):
+        collector = TraceCollector()
+        collector.on_event(0, 0, 1, "movi", "alu", 0, 1.0)
+        collector.on_event(2, 1, 2, "load", "memory", 0, 5.0)
+        collector.on_finish([1.0, 0.0, 5.0])
+        collector.verify()
+        assert sorted(collector.threads) == [0, 1]  # no phantom thread 2
+        assert collector.threads[1]["drain"] == 4.0
+        assert collector.threads[0]["drain"] == 0.0
+        assert collector.core_table()[2]["drain"] == 4.0
+
+    def test_quad_2x2_thread_rows_sum_to_core_rows(self):
+        """End to end on the production core: a GREMIO program whose
+        first thread finishes with a completion tail, placed off the
+        identity on ``quad-2x2``."""
+        from repro.api import get_workload
+        from repro.machine.fast_timing import simulate_program_fast
+        from repro.pipeline.core import parallelize
+        workload = get_workload("435.gromacs")
+        inputs = workload.make_inputs("train")
+        built = parallelize(
+            workload.build(), technique="gremio", n_threads=3,
+            profile_args=inputs.args, profile_memory=inputs.memory,
+            cache=False, topology="quad-2x2")
+        placement = (2, 0, 3)
+        collector = TraceCollector()
+        simulate_program_fast(built.program, inputs.args, inputs.memory,
+                              config=built.config, placement=placement,
+                              tracer=collector)
+        analysis = analyze(collector)
+        assert analysis.stall_totals["drain"] > 0, \
+            "the case must have a completion tail to attribute"
+        assert sorted(analysis.thread_table) == [0, 1, 2]
+        for thread, core in enumerate(placement):
+            for category in STALL_CATEGORIES:
+                assert (analysis.thread_table[thread][category]
+                        == analysis.core_table[core][category]), (
+                    thread, core, category)

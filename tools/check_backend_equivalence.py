@@ -3,10 +3,13 @@
 ``backend-equivalence`` job): run the differential sweep of
 :mod:`repro.check.differential_backend` — every workload x topology
 preset x partitioner (plus single-threaded runs) and N seeded fuzz
-programs — on the fast core and the reference loop and require **zero**
-divergences.  Results must be bit-identical down to numeric types; any
-difference fails the job and the full machine-readable divergence
-report is written to ``--report`` for upload as a CI artifact.
+programs and the error paths (trap, deadlock, step limit), each
+untraced, with a trace collector attached, and with a collector whose
+ring evicts — on the fast core and the reference loop and require
+**zero** divergences.  Results and everything a tracer sees must be
+bit-identical down to numeric types; any difference fails the job and
+the full machine-readable divergence report is written to ``--report``
+for upload as a CI artifact.
 
 Usage: PYTHONPATH=src python tools/check_backend_equivalence.py \
            [--fuzz-seeds 25] [--scale train] \

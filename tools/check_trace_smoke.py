@@ -4,10 +4,15 @@ job): validate that an emitted ``trace.json`` is a well-formed Chrome
 Trace Format document Perfetto can load — the JSON object format with a
 ``traceEvents`` list holding complete ("X"), metadata ("M"), and
 counter ("C") events with the required keys — and that the embedded
-summary reconciles with the event stream.
+summary reconciles with the event stream.  Given the cell the CLI
+traced (``--workload``), it then re-runs that cell in process on the
+*reference* loop with a fresh collector and requires the ``analyze()``
+JSON to equal the ``--report-json`` file byte for byte: the CLI traces
+on the production core, so this is the bit-identity gate at CLI level.
 
 Usage: PYTHONPATH=src python tools/check_trace_smoke.py trace.json \
-           [--expect-counters] [--report-json report.json]
+           [--expect-counters] [--report-json report.json \
+            [--workload adpcm --partitioner gremio --scale train]]
 Exits nonzero (with a diagnostic) on any failed expectation.
 """
 
@@ -106,6 +111,24 @@ def check_report(path: str) -> None:
           % (path, report["total_cycles"], report["top_stall_reason"]))
 
 
+def check_against_reference(path: str, workload: str, partitioner: str,
+                            scale: str) -> None:
+    """The report the CLI wrote (fast core) against the same cell
+    traced on the reference loop."""
+    from repro.api import evaluate_workload, get_workload
+    from repro.trace import stall_report_json
+    evaluation = evaluate_workload(
+        get_workload(workload), technique=partitioner, scale=scale,
+        trace=True, backend="reference")
+    with open(path) as handle:
+        written = handle.read()
+    if written != stall_report_json(evaluation.trace) + "\n":
+        fail("report %s differs from the reference loop's analysis of "
+             "%s/%s/%s" % (path, workload, partitioner, scale))
+    print("trace-smoke: %s equals the reference loop's report "
+          "(%d events)" % (path, evaluation.trace.events_recorded))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="trace.json path to validate")
@@ -113,10 +136,18 @@ def main() -> int:
                         help="require SA queue-occupancy counter tracks")
     parser.add_argument("--report-json", default=None,
                         help="also validate a --report-json document")
+    parser.add_argument("--workload", default=None,
+                        help="the traced cell's workload: also compare "
+                             "--report-json with the reference loop's")
+    parser.add_argument("--partitioner", default="gremio")
+    parser.add_argument("--scale", default="ref")
     args = parser.parse_args()
     check_trace(args.trace, args.expect_counters)
     if args.report_json:
         check_report(args.report_json)
+        if args.workload:
+            check_against_reference(args.report_json, args.workload,
+                                    args.partitioner, args.scale)
     print("trace-smoke: PASS")
     return 0
 
