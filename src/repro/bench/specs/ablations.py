@@ -16,7 +16,8 @@ from typing import Dict, List, Tuple
 
 from ...analysis import build_pdg
 from ...coco.driver import optimize as coco_optimize
-from ...interp import run_function, static_profile
+from ...executor import run_compiled
+from ...interp import static_profile
 from ...interp.context import ThreadContext
 from ...interp.profile import EdgeProfile
 from ...interp.state import bind_params, make_memory
@@ -55,7 +56,7 @@ def _train_derivation(workload) -> tuple:
     if cached is None:
         function = normalize(workload.build())
         train = workload.make_inputs("train")
-        profile = run_function(function, train.args,
+        profile = run_compiled(function, train.args,
                                train.memory).profile
         cached = (profile, build_pdg(function))
         _TRAIN_DERIVATIONS[workload.name] = cached
@@ -433,7 +434,7 @@ def _comm_with_profile(workload, which: str, mode: BenchMode) -> int:
         if which == "train":
             profile = train_profile
         elif which == "oracle":
-            profile = run_function(function, measure.args,
+            profile = run_compiled(function, measure.args,
                                    measure.memory).profile
         else:
             profile = static_profile(function)
@@ -470,7 +471,7 @@ def _breakdown(name: str, technique: str, coco: bool,
     function = normalize(workload.build())
     train = workload.make_inputs("train")
     measure = workload.make_inputs(mode.scale)
-    profile = run_function(function, train.args, train.memory).profile
+    profile = run_compiled(function, train.args, train.memory).profile
     pdg = build_pdg(function)
     config = technique_config(technique)
     partition = make_partitioner(technique, config).partition(

@@ -14,7 +14,7 @@ import time
 
 from ...analysis import build_pdg
 from ...coco.driver import optimize as coco_optimize
-from ...interp import run_function
+from ...executor import run_compiled
 from ...machine import DEFAULT_CONFIG
 from ...mtcg import generate
 from ...partition.dswp import DSWPPartitioner
@@ -40,7 +40,7 @@ def collect_compile_time(mode: BenchMode) -> MetricMap:
     workload = get_workload(COMPILE_BENCH)
     function = normalize(workload.build())
     train = workload.make_inputs("train")
-    profile = run_function(function, train.args, train.memory).profile
+    profile = run_compiled(function, train.args, train.memory).profile
     pdg = build_pdg(function)
     gremio = GremioPartitioner(DEFAULT_CONFIG)
     dswp = DSWPPartitioner(DEFAULT_CONFIG)

@@ -41,6 +41,8 @@ import random
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..executor.untimed import run_compiled
+from ..interp.interpreter import run_function
 from ..ir.builder import FunctionBuilder
 from ..machine import timing
 from ..machine.config import DEFAULT_CONFIG
@@ -49,6 +51,7 @@ from ..machine.fast_timing import (simulate_program_fast,
                                    simulate_threads_fast)
 from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
+from ..pipeline.fingerprint import fingerprint_profile
 from ..pipeline.stages import normalize
 from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
 from ..workloads import all_workloads, get_workload
@@ -210,11 +213,11 @@ class CaseResult:
             "%d divergences" % len(self.divergences))
 
 
-def _capture(run, trace_limit: int):
+def _capture(run, trace_limit: int, snapshot_of=snapshot_result):
     """Run one loop (``run(tracer)``), with a collector of
     ``trace_limit`` events when that is nonzero; returns the snapshot
-    and the host seconds of the run alone.  An exception is an
-    observable too — both loops must raise the same type with the same
+    of its result and the host seconds of the run alone.  An exception
+    is an observable too — both loops must raise the same type with the same
     message (fuzz programs trap by design: division by zero, undefined
     registers), whatever the tracer had seen by then."""
     collector = TraceCollector(limit=trace_limit) if trace_limit else None
@@ -224,7 +227,7 @@ def _capture(run, trace_limit: int):
     except Exception as error:
         return _error(error), time.perf_counter() - started
     seconds = time.perf_counter() - started
-    snapshot = {"result": snapshot_result(result)}
+    snapshot = {"result": snapshot_of(result)}
     if collector is not None:
         snapshot["trace"] = snapshot_trace(collector)
     return snapshot, seconds
@@ -238,10 +241,12 @@ def _label(label: str, trace_limit: int) -> str:
 
 
 def _compare(label: str, run_reference, run_fast,
-             trace_limit: int = 0) -> CaseResult:
+             trace_limit: int = 0,
+             snapshot_of=snapshot_result) -> CaseResult:
     label = _label(label, trace_limit)
-    reference, reference_seconds = _capture(run_reference, trace_limit)
-    fast, fast_seconds = _capture(run_fast, trace_limit)
+    reference, reference_seconds = _capture(run_reference, trace_limit,
+                                            snapshot_of)
+    fast, fast_seconds = _capture(run_fast, trace_limit, snapshot_of)
     return CaseResult(label, diff_snapshots(reference, fast),
                       reference_seconds, fast_seconds)
 
@@ -380,6 +385,169 @@ def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
     return cases
 
 
+# ---------------------------------------------------------------------------
+# The untimed executor (the ``profile`` stage's) against its oracle.
+
+def snapshot_run(run) -> Dict[str, object]:
+    """Every observable of a :class:`~repro.interp.interpreter
+    .RunResult`, typed.  The profile's two dicts are item lists, so key
+    order counts, and its fingerprint — what partition cache keys are
+    made of — is compared outright."""
+    profile = run.profile
+    return _typed({
+        "block_counts": list(profile.block_counts.items()),
+        "edge_counts": list(profile.edge_counts.items()),
+        "profile_fingerprint": fingerprint_profile(profile),
+        "regs": dict(sorted(run.regs.items())),
+        "live_outs": run.live_outs,
+        "memory": list(run.memory.snapshot()),
+        "dynamic_instructions": run.dynamic_instructions,
+        "opcode_counts": dict(sorted(
+            (opcode.value, count)
+            for opcode, count in run.opcode_counts.items())),
+    })
+
+
+def run_executor_case(label: str, function, args=None, memory=None,
+                      expect: Optional[str] = None,
+                      **options) -> CaseResult:
+    """Compare :func:`~repro.executor.untimed.run_compiled` (the "fast"
+    side of the :class:`CaseResult`) with :func:`~repro.interp
+    .interpreter.run_function` on one function and input set: equal
+    :func:`snapshot_run`, or the same exception type and message.
+    ``expect`` names the exception type the run must end in — an error
+    case in which both sides *succeed* is a divergence too."""
+    case = _compare(
+        "profile/" + label,
+        lambda tracer: run_function(function, args, memory, **options),
+        lambda tracer: run_compiled(function, args, memory, **options),
+        snapshot_of=snapshot_run)
+    if expect is not None:
+        try:
+            run_function(function, args, memory, **options)
+            raised = "no exception"
+        except Exception as error:
+            raised = type(error).__name__
+        if raised != expect:
+            case.divergences.append("oracle raised %s, case expects %s"
+                                    % (raised, expect))
+    return case
+
+
+def run_executor_workload_case(workload_name: str,
+                               scale: str = "train") -> CaseResult:
+    """Both executors on a registry workload as the ``profile`` stage
+    sees it (normalized), on its ``scale`` inputs."""
+    workload = get_workload(workload_name)
+    inputs = workload.make_inputs(scale)
+    return run_executor_case("%s/%s" % (workload_name, scale),
+                             normalize(workload.build()),
+                             inputs.args, inputs.memory)
+
+
+def run_executor_fuzz_case(seed: int, depth: int = 2) -> CaseResult:
+    """Both executors on the seeded random program of
+    :func:`run_fuzz_case` (same seed, same program)."""
+    rng = random.Random(seed)
+    function = normalize(render_program(random_sketch(rng, depth=depth)))
+    return run_executor_case("fuzz-%d" % seed, function, random_args(rng))
+
+
+def run_executor_frontend_case(iteration: int, seed: int = 0,
+                               depth: int = 2) -> CaseResult:
+    """Both executors on program ``iteration`` of the frontend fuzzer's
+    run ``seed`` (:func:`repro.frontend.fuzz.run_frontend_fuzz`: the
+    grammar's sketches rendered to Python and compiled by the frontend,
+    so FP conversions, ``fdiv`` and ``fsqrt`` appear), on its first
+    input set."""
+    from ..frontend import compile_source
+    from ..frontend.fuzz import fuzz_args, sketch_to_python
+    rng = random.Random(seed * 1_000_003 + iteration)
+    source = sketch_to_python(random_sketch(rng, depth=depth))
+    args = fuzz_args(rng)
+    program = compile_source(source, name="fuzz_program")
+    return run_executor_case(
+        "frontend-%d-%d" % (seed, iteration), program.function,
+        {"in0": args["in0"], "in1": args["in1"]}, {"m": args["memory"]})
+
+
+def run_executor_error_cases() -> List[CaseResult]:
+    """One run per way a single-threaded execution ends in an
+    exception; both executors must raise the same type and message."""
+    def program(body):
+        builder = FunctionBuilder("faulty", params=["r_n", "p_m"],
+                                  live_outs=["r_s"])
+        builder.mem("m", 4, ptr="p_m")
+        builder.label("entry")
+        builder.movi("r_s", 1)
+        builder.movi("r_zero", 0)
+        builder.itof("r_half", "r_s")
+        body(builder)
+        builder.exit()
+        return builder.build(verify=False)  # not what a frontend emits
+
+    def count_to_n(builder):
+        builder.movi("r_i", 0)
+        builder.jmp("loop")
+        builder.label("loop")
+        builder.add("r_i", "r_i", 1)
+        builder.cmplt("r_c", "r_i", "r_n")
+        builder.br("r_c", "loop", "done")
+        builder.label("done")
+
+    trap, memory_error = "TrapError", "MemoryError_"
+    table = (
+        ("undef-first-source", trap, lambda b: b.add("r_s", "r_x", "r_s")),
+        ("undef-second-source", trap, lambda b: b.add("r_s", "r_s", "r_x")),
+        ("undef-immediate-form", trap, lambda b: b.add("r_s", "r_x", 1)),
+        ("undef-unary", trap, lambda b: b.neg("r_s", "r_x")),
+        ("undef-load-base", trap, lambda b: b.load("r_s", "r_x")),
+        ("undef-store-base", trap, lambda b: b.store("r_x", "r_s")),
+        ("undef-store-value", trap, lambda b: b.store("p_m", "r_x")),
+        ("undef-branch", trap, lambda b: (b.br("r_x", "t", "t"),
+                                          b.label("t"))),
+        ("idiv-zero", trap, lambda b: b.idiv("r_s", "r_n", "r_zero")),
+        ("idiv-zero-immediate", trap, lambda b: b.idiv("r_s", "r_n", 0)),
+        ("imod-zero", trap, lambda b: b.imod("r_s", "r_n", "r_zero")),
+        ("fdiv-zero", trap, lambda b: b.fdiv("r_s", "r_half", "r_zero")),
+        ("load-out-of-bounds", memory_error,
+         lambda b: b.load("r_s", "p_m", 4)),
+        ("load-negative-address", memory_error,
+         lambda b: b.load("r_s", "p_m", -1)),
+        ("store-out-of-bounds", memory_error,
+         lambda b: b.store("p_m", "r_s", 4)),
+        ("load-float-address", trap, lambda b: b.load("r_s", "r_half")),
+        ("store-float-address", trap,
+         lambda b: b.store("r_half", "r_s")),
+        ("produce", trap, lambda b: b.produce(0, "r_s")),
+        ("produce-sync", trap, lambda b: b.produce_sync(0)),
+        ("consume", trap, lambda b: b.consume("r_s", 0)),
+        ("consume-sync", trap, lambda b: b.consume_sync(0)),
+    )
+    cases = [run_executor_case("error/" + label, program(body),
+                               {"r_n": 3}, expect=expect)
+             for label, expect, body in table]
+    # count_to_n runs 5 + 3n + 1 instructions: the budget that just fits,
+    # one that ends on a block boundary, one that ends inside a block,
+    # and none at all.
+    counting = program(count_to_n)
+    for max_steps, expect in ((15, None), (14, "ExecutionLimitExceeded"),
+                              (13, "ExecutionLimitExceeded"),
+                              (0, "ExecutionLimitExceeded")):
+        cases.append(run_executor_case(
+            "error/max-steps-%d" % max_steps, counting, {"r_n": 3},
+            expect=expect, max_steps=max_steps))
+    cases.append(run_executor_case(
+        "error/unknown-argument", counting, {"r_n": 3, "r_bogus": 1},
+        expect=memory_error))
+    cases.append(run_executor_case(
+        "error/missing-argument", counting, {}, expect=memory_error))
+    cases.append(run_executor_case(
+        "error/unknown-memory-object", counting, {"r_n": 3},
+        {"nope": [1]}, expect=memory_error))
+    return cases
+
+
 class DifferentialReport:
     """Aggregate of one equivalence sweep."""
 
@@ -442,7 +610,10 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     Every (workload x topology x technique) cell plus the
     single-threaded run per workload, then one :func:`run_fuzz_case`
     per seed, then :func:`run_error_cases` — each once per entry of
-    :data:`TRACE_LIMITS`.  Any divergence makes ``report.ok`` false;
+    :data:`TRACE_LIMITS`; and the untimed executor against
+    ``run_function`` on every workload, on the program of every fuzz
+    seed (the grammar's and the frontend fuzzer's) and on its own
+    error cases.  Any divergence makes ``report.ok`` false;
     nothing short-circuits, so the report always carries the complete
     failure list.
     """
@@ -458,6 +629,7 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     names = list(workloads) if workloads is not None \
         else [workload.name for workload in all_workloads()]
     for name in names:
+        add([run_executor_workload_case(name, scale)])
         add(_workload_cases(name, None, None, 2, scale, TRACE_LIMITS))
         for topology in topologies:
             n_threads = _TOPOLOGY_THREADS.get(topology, 2)
@@ -465,8 +637,11 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
                 add(_workload_cases(name, technique, topology, n_threads,
                                     scale, TRACE_LIMITS))
     for seed in fuzz_seeds:
+        add([run_executor_fuzz_case(seed),
+             run_executor_frontend_case(seed)])
         add(run_fuzz_case(seed, trace_limit=limit)
             for limit in TRACE_LIMITS)
+    add(run_executor_error_cases())
     for limit in TRACE_LIMITS:
         add(run_error_cases(limit))
     return report

@@ -7,9 +7,11 @@ records.  The reference simulator pays, per dynamic instruction, for a
 allocation, an opcode ``is``-chain) plus a second dispatch in
 ``_time_plain_instruction`` (a ``SIGNATURES`` lookup per ``kind`` read,
 ``Counter`` port accounting, several method calls).  The fast core
-compiles each thread's CFG once into flat per-block record tuples —
-integer op-class codes, pre-resolved branch targets, pre-computed port
-indices/limits/latencies, pre-bound value-semantics callables — and runs
+compiles each thread's CFG once into flat per-block record tuples
+(:func:`repro.executor.records.compile_function` — integer op-class
+codes, pre-resolved branch targets, pre-computed port
+indices/limits/latencies, pre-bound value-semantics callables; the
+untimed profiling executor dispatches on the same records) and runs
 one loop that executes and times each instruction directly against
 array-backed core state.
 
@@ -48,55 +50,20 @@ from collections import Counter
 from functools import partial
 from typing import List, Mapping, Optional, Sequence
 
-from ..interp.context import _BINARY, _UNARY, TrapError
+from ..executor.records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME,
+                                CONSUME_SYNC, EXIT, JMP, LOAD, MOVI,
+                                PORT_MEM, PRODUCE, PRODUCE_SYNC, STORE,
+                                UNDEF, compile_function, trap_undef)
+from ..interp.context import TrapError
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
-from ..ir.instructions import COMM_OPCODES, OpKind, Opcode
+from ..ir.instructions import COMM_OPCODES
 from ..trace.events import PRODUCER_CATEGORY
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
 from .functional import DeadlockError, MTExecutionLimitExceeded
 from .timing import (SAPortSchedule, TimedQueues, TimedResult,
                      simulate_program, simulate_single)
-
-# Op-class codes of the compiled dispatch records.  Ordered roughly by
-# dynamic frequency so the dispatch chain tests the hot classes first.
-_ALU_RR = 0        # binary op, two register sources
-_ALU_RI = 1        # binary op, register + immediate
-_ALU_UN = 2        # unary op
-_MOVI = 3
-_LOAD = 4
-_STORE = 5
-_BR = 6
-_JMP = 7
-_EXIT = 8
-_NOP = 9
-_PRODUCE = 10
-_PRODUCE_SYNC = 11
-_CONSUME = 12
-_CONSUME_SYNC = 13
-
-#: Issue-port classes, by index: alu, memory, fp, branch.
-_PORT_ALU, _PORT_MEM, _PORT_FP, _PORT_BR = 0, 1, 2, 3
-
-
-def _fdiv(a, b):
-    """FDIV value semantics (the reference checks before dividing)."""
-    if float(b) == 0.0:
-        raise TrapError("float division by zero")
-    return float(a) / float(b)
-
-
-#: Sentinel filling the slots of never-written registers.  The register
-#: file is a flat list indexed by the compile-time register table, so
-#: "undefined" must be a value; reading it traps exactly where the
-#: reference's ``KeyError`` would.
-_UNDEF = object()
-
-
-def _trap_undef(register: str, function_name: str):
-    raise TrapError("read of undefined register %r in %s"
-                    % (register, function_name))
 
 
 class _FastCore:
@@ -172,7 +139,7 @@ def _issue_sa(core, earliest, limit, issue_width):
             core.cycle = t
             core.issued_in_cycle = 0
             pu[0] = pu[1] = pu[2] = pu[3] = 0
-        if core.issued_in_cycle < issue_width and pu[_PORT_MEM] < limit:
+        if core.issued_in_cycle < issue_width and pu[PORT_MEM] < limit:
             free = t
             while booked.get(free, 0) >= ports:
                 free += 1
@@ -183,7 +150,7 @@ def _issue_sa(core, earliest, limit, issue_width):
                 continue
             booked[t] = booked.get(t, 0) + 1
             core.issued_in_cycle += 1
-            pu[_PORT_MEM] += 1
+            pu[PORT_MEM] += 1
             core.min_issue = t
             tf = t + 1.0
             if tf > core.finish:
@@ -199,13 +166,6 @@ _LOAD_CATEGORY = {level: PRODUCER_CATEGORY.get("load_" + level,
                                                "operand_wait")
                   for level in ("l1", "l2", "l3", "mem")}
 _LOAD_EXTRA = {level: {"cache_level": level} for level in _LOAD_CATEGORY}
-
-#: Op-class name of an event, by record code (ALU records: by port).
-_TRACE_CLASS = {_LOAD: "memory", _STORE: "memory", _BR: "branch",
-                _JMP: "branch", _EXIT: "branch", _NOP: "alu",
-                _PRODUCE: "comm", _PRODUCE_SYNC: "comm",
-                _CONSUME: "comm", _CONSUME_SYNC: "comm"}
-
 
 def _trace_emit(on_event, core, thread, consts, t, complete, raw, deps,
                 t0, queue=None, penalty=0, extra=None):
@@ -351,115 +311,6 @@ def _trace_consume(on_event, core, thread, consts, dest, data_ready,
     return seq
 
 
-def compile_function(function: Function, config: MachineConfig,
-                     trace: bool = False):
-    """Compile one thread CFG into per-block dispatch records.
-
-    Returns ``(blocks, meta, reg_index, reg_names, trace_meta)``:
-    ``blocks[i]`` is
-    the record list of the i-th basic block (branch targets pre-resolved
-    to block indices), ``meta[ridx]`` the source :class:`Instruction` of
-    record ``ridx`` (used for end-of-run opcode accounting and error
-    messages), and ``reg_index``/``reg_names`` the register table —
-    records refer to registers by index into a flat list-backed register
-    file (params first, then first-use order), which replaces every
-    per-step dict probe of the reference with a list subscript.
-    ``trace_meta`` is ``None`` unless ``trace`` is set; then it is a
-    table parallel to ``meta`` with each record's trace constants
-    ``(op name, op class, iid, source-register indices)`` — what the
-    trace hooks need that the dispatch record does not carry.  The
-    compile is linear in static code size and performs no dynamic work.
-    """
-    _ = function.entry  # same ValueError as ThreadContext on empty CFGs
-    label_index = {block.label: i for i, block in enumerate(function.blocks)}
-    alu_limit = config.alu_ports
-    mem_limit = config.memory_ports
-    fp_limit = config.fp_ports
-    br_limit = config.branch_ports
-    reg_index: dict = {}
-    reg_names: list = []
-
-    def reg(name):
-        i = reg_index.get(name)
-        if i is None:
-            i = len(reg_names)
-            reg_index[name] = i
-            reg_names.append(name)
-        return i
-
-    for param in function.params:
-        reg(param)
-    meta = []
-    trace_meta = [] if trace else None
-    blocks = []
-    for block in function.blocks:
-        records = []
-        for instr in block.instructions:
-            ridx = len(meta)
-            meta.append(instr)
-            op = instr.op
-            if op is Opcode.LOAD:
-                rec = (_LOAD, ridx, instr, reg(instr.dest),
-                       reg(instr.srcs[0]), instr.imm or 0, mem_limit)
-            elif op is Opcode.STORE:
-                rec = (_STORE, ridx, instr, reg(instr.srcs[0]),
-                       reg(instr.srcs[1]), instr.imm or 0, mem_limit)
-            elif op is Opcode.BR:
-                rec = (_BR, ridx, instr, reg(instr.srcs[0]), instr.iid,
-                       label_index[instr.labels[0]],
-                       label_index[instr.labels[1]], br_limit)
-            elif op is Opcode.JMP:
-                rec = (_JMP, ridx, instr, label_index[instr.labels[0]],
-                       br_limit)
-            elif op is Opcode.EXIT:
-                rec = (_EXIT, ridx, instr, br_limit)
-            elif op is Opcode.MOVI:
-                rec = (_MOVI, ridx, instr, reg(instr.dest), instr.imm,
-                       alu_limit, config.latency_of(instr))
-            elif op is Opcode.NOP:
-                rec = (_NOP, ridx, instr, alu_limit)
-            elif op is Opcode.PRODUCE:
-                rec = (_PRODUCE, ridx, instr, reg(instr.srcs[0]),
-                       instr.queue, mem_limit)
-            elif op is Opcode.PRODUCE_SYNC:
-                rec = (_PRODUCE_SYNC, ridx, instr, instr.queue, mem_limit)
-            elif op is Opcode.CONSUME:
-                rec = (_CONSUME, ridx, instr, reg(instr.dest),
-                       instr.queue, mem_limit)
-            elif op is Opcode.CONSUME_SYNC:
-                rec = (_CONSUME_SYNC, ridx, instr, instr.queue, mem_limit)
-            else:
-                if op is Opcode.FDIV:
-                    fn = _fdiv
-                else:
-                    fn = _BINARY.get(op) or _UNARY.get(op)
-                    if fn is None:  # pragma: no cover - all opcodes covered
-                        raise TrapError("unimplemented opcode %s" % op.value)
-                if instr.kind is OpKind.FP:
-                    pidx, limit = _PORT_FP, fp_limit
-                else:
-                    pidx, limit = _PORT_ALU, alu_limit
-                latency = config.latency_of(instr)
-                srcs = instr.srcs
-                if len(srcs) == 2:
-                    rec = (_ALU_RR, ridx, instr, fn, reg(instr.dest),
-                           reg(srcs[0]), reg(srcs[1]), pidx, limit, latency)
-                elif instr.imm is not None:
-                    rec = (_ALU_RI, ridx, instr, fn, reg(instr.dest),
-                           reg(srcs[0]), instr.imm, pidx, limit, latency)
-                else:
-                    rec = (_ALU_UN, ridx, instr, fn, reg(instr.dest),
-                           reg(srcs[0]), pidx, limit, latency)
-            records.append(rec)
-            if trace:
-                op_class = _TRACE_CLASS.get(rec[0]) or (
-                    "fp" if instr.kind is OpKind.FP else "alu")
-                trace_meta.append((op.name.lower(), op_class, instr.iid,
-                                   tuple(reg(s) for s in instr.srcs)))
-        blocks.append(records)
-    return blocks, meta, reg_index, reg_names, trace_meta
-
-
 def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                           memory_owner: Function,
                           args: Optional[Mapping[str, object]] = None,
@@ -517,7 +368,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
         # must win over a bad placement.
         blocks, meta, reg_index, reg_names, trace_meta = compile_function(
             function, config, tracing)
-        regs = [_UNDEF] * len(reg_names)
+        regs = [UNDEF] * len(reg_names)
         for name, value in params.items():
             regs[reg_index[name]] = value
         thread_regs.append(regs)
@@ -601,15 +452,15 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             for _ in range(64):
                 rec = recs[pos]
                 code = rec[0]
-                if code == _ALU_RR:
+                if code == ALU_RR:
                     (_c, ridx, _i, fn, dest, s0, s1, pidx, limit,
                      latency) = rec
                     v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
+                    if v0 is UNDEF:
+                        trap_undef(names[s0], fname)
                     v1 = regs[s1]
-                    if v1 is _UNDEF:
-                        _trap_undef(names[s1], fname)
+                    if v1 is UNDEF:
+                        trap_undef(names[s1], fname)
                     regs[dest] = fn(v0, v1)
                     e = rr[s0]
                     e2 = rr[s1]
@@ -644,12 +495,12 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                      t, fin, dest)
                     rr[dest] = fin
                     pos += 1
-                elif code == _ALU_RI:
+                elif code == ALU_RI:
                     (_c, ridx, _i, fn, dest, s0, imm, pidx, limit,
                      latency) = rec
                     v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
+                    if v0 is UNDEF:
+                        trap_undef(names[s0], fname)
                     regs[dest] = fn(v0, imm)
                     e = rr[s0]
                     if e > c_min_issue:
@@ -681,12 +532,12 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                      t, fin, dest)
                     rr[dest] = fin
                     pos += 1
-                elif code == _ALU_UN:
+                elif code == ALU_UN:
                     (_c, ridx, _i, fn, dest, s0, pidx, limit,
                      latency) = rec
                     v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
+                    if v0 is UNDEF:
+                        trap_undef(names[s0], fname)
                     regs[dest] = fn(v0)
                     e = rr[s0]
                     if e > c_min_issue:
@@ -718,7 +569,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                      t, fin, dest)
                     rr[dest] = fin
                     pos += 1
-                elif code == _MOVI:
+                elif code == MOVI:
                     _c, ridx, _i, dest, imm, limit, latency = rec
                     regs[dest] = imm
                     t = c_min_issue
@@ -745,11 +596,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                      t, fin, dest)
                     rr[dest] = fin
                     pos += 1
-                elif code == _LOAD:
+                elif code == LOAD:
                     _c, ridx, _i, dest, s0, offset, limit = rec
                     base = regs[s0]
-                    if base is _UNDEF:
-                        _trap_undef(names[s0], fname)
+                    if base is UNDEF:
+                        trap_undef(names[s0], fname)
                     address = base + offset
                     if not isinstance(address, int):
                         raise TrapError("non-integer address %r"
@@ -805,18 +656,18 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                       hierarchy.last_level)
                     rr[dest] = fin
                     pos += 1
-                elif code == _STORE:
+                elif code == STORE:
                     _c, ridx, _i, s0, s1, offset, limit = rec
                     base = regs[s0]
-                    if base is _UNDEF:
-                        _trap_undef(names[s0], fname)
+                    if base is UNDEF:
+                        trap_undef(names[s0], fname)
                     address = base + offset
                     if not isinstance(address, int):
                         raise TrapError("non-integer address %r"
                                         % (address,))
                     value = regs[s1]
-                    if value is _UNDEF:
-                        _trap_undef(names[s1], fname)
+                    if value is UNDEF:
+                        trap_undef(names[s1], fname)
                     if 0 <= address < mem_size:
                         mem_words[address] = value
                     else:
@@ -861,11 +712,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                       thread_tmeta[index][ridx], rr,
                                       c_mem_fence, t, tf, tf == c_last_mem)
                     pos += 1
-                elif code == _BR:
+                elif code == BR:
                     _c, ridx, _i, s0, iid, tk, nt, limit = rec
                     v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
+                    if v0 is UNDEF:
+                        trap_undef(names[s0], fname)
                     taken = bool(v0)
                     e = rr[s0]
                     if e > c_min_issue:
@@ -915,7 +766,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                      t, float(ti), penalty=penalty)
                     recs = thread_blocks[index][tk if taken else nt]
                     pos = 0
-                elif code == _JMP:
+                elif code == JMP:
                     _c, ridx, _i, target, limit = rec
                     t = c_min_issue
                     while True:
@@ -941,8 +792,8 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                                      t, float(ti))
                     recs = thread_blocks[index][target]
                     pos = 0
-                elif code == _PRODUCE or code == _PRODUCE_SYNC:
-                    if code == _PRODUCE:
+                elif code == PRODUCE or code == PRODUCE_SYNC:
+                    if code == PRODUCE:
                         _c, ridx, _i, s0, q, limit = rec
                     else:
                         _c, ridx, _i, q, limit = rec
@@ -953,8 +804,8 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     if s0 is not None:
                         own_ready = rr[s0]
                         value = regs[s0]
-                        if value is _UNDEF:
-                            _trap_undef(names[s0], fname)
+                        if value is UNDEF:
+                            trap_undef(names[s0], fname)
                     else:
                         own_ready = c_last_mem
                         value = 0
@@ -988,8 +839,8 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     if ti > c_finish:
                         c_finish = ti
                     pos += 1
-                elif code == _CONSUME or code == _CONSUME_SYNC:
-                    if code == _CONSUME:
+                elif code == CONSUME or code == CONSUME_SYNC:
+                    if code == CONSUME:
                         _c, ridx, _i, dest, q, limit = rec
                     else:
                         _c, ridx, _i, q, limit = rec
@@ -1033,7 +884,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     if available > c_finish:
                         c_finish = available
                     pos += 1
-                elif code == _EXIT:
+                elif code == EXIT:
                     _c, ridx, _i, limit = rec
                     t = c_min_issue
                     while True:
@@ -1065,7 +916,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                             % (memory_owner.name, max_steps))
                     live[index] = False
                     break
-                else:  # _NOP
+                else:  # NOP
                     _c, ridx, _i, limit = rec
                     t = c_min_issue
                     while True:
@@ -1135,7 +986,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     for register in memory_owner.live_outs:
         i = exit_index.get(register)
         value = exit_regs[i] if i is not None else None
-        live_outs[register] = None if value is _UNDEF else value
+        live_outs[register] = None if value is UNDEF else value
     core_finish = [0.0] * max(len(cores), max(placement[:n],
                                               default=-1) + 1)
     for core in cores:

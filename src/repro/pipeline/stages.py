@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 from ..analysis.alias import AliasAnalysis
 from ..analysis.pdg import build_pdg
 from ..coco.driver import optimize as coco_optimize
-from ..interp.interpreter import run_function
+from ..executor.untimed import run_compiled
 from ..interp.profile import static_profile
 from ..ir.cfg import Function
 from ..ir.interning import intern_program
@@ -246,7 +246,7 @@ def _run_profile(ctx: PipelineContext) -> dict:
     profile_args = ctx.options.get("profile_args")
     profile_memory = ctx.options.get("profile_memory")
     if profile_args or profile_memory:
-        profile = run_function(ctx.function, profile_args,
+        profile = run_compiled(ctx.function, profile_args,
                                profile_memory).profile
     else:
         profile = static_profile(ctx.function)

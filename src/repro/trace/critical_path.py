@@ -95,12 +95,16 @@ def _binding_dep(event: InstructionEvent,
                  by_seq: Dict[int, InstructionEvent]):
     """The dependence edge that bound this event's issue: max
     constraint, informative kinds preferred on ties.  Returns
-    ``(pred_or_None, kind, evicted)``."""
+    ``(pred_or_None, kind, evicted)``.  Only edges to strictly earlier
+    events count (the simulator emits no other kind), so the backward
+    walk terminates on any input, a hand-built cycle included."""
     best = None
     best_key = None
     evicted = False
     for dep in event.deps:
         pred_seq, kind = dep[0], dep[1]
+        if pred_seq >= event.seq:
+            continue
         constraint = dep[2] if len(dep) > 2 else None
         pred = by_seq.get(pred_seq)
         if pred is None:

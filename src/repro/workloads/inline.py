@@ -66,25 +66,20 @@ def _reject(error) -> "Exception":
 
 class _SourceProgram:
     """The build/make_inputs/reference callables of a
-    frontend-compiled program; the compiled form is memoized per
-    process.  Pool workers are sent cells — workload *names* — never
-    a :class:`Workload`."""
+    frontend-compiled program.  ``program`` is the compile that
+    validated the source: it answers every question about the program's
+    signature, so only :meth:`build` compiles again.  Pool workers are
+    sent cells — workload *names* — never a :class:`Workload`."""
 
     def __init__(self, workload_name: str, text: str,
                  function_name: Optional[str],
-                 scale_args: Optional[Dict[str, Dict[str, int]]]):
+                 scale_args: Optional[Dict[str, Dict[str, int]]],
+                 program):
         self.workload_name = workload_name
         self.text = text
         self.function_name = function_name
         self.scale_args = scale_args or {}
-        self._memo = None
-
-    def compiled(self):
-        if self._memo is None:
-            from ..frontend import compile_source
-            self._memo = compile_source(self.text,
-                                        name=self.function_name)
-        return self._memo
+        self.program = program
 
     def build(self) -> Function:
         # A fresh Function each time: pipeline stages normalize and
@@ -95,13 +90,13 @@ class _SourceProgram:
     def make_inputs(self, scale: str) -> WorkloadInputs:
         from ..frontend import random_inputs
         args, arrays = random_inputs(
-            self.compiled(), rng_for(self.workload_name, scale))
+            self.program, rng_for(self.workload_name, scale))
         args.update(self.scale_args.get(scale, {}))
         return WorkloadInputs(args=args, memory=arrays)
 
     def reference(self, inputs: WorkloadInputs) -> Dict[str, object]:
         from ..frontend import python_callable
-        program = self.compiled()
+        program = self.program
         fn = python_callable(self.text, name=program.name)
         arrays = {k: list(v) for k, v in inputs.memory.items()}
         ordered = [arrays[p.name] if p.kind == "array"
@@ -143,7 +138,8 @@ def source_workload(name: str, text: str,
     except FrontendError as error:
         raise _reject(error)
 
-    factory = _SourceProgram(name, text, function_name, scale_args)
+    factory = _SourceProgram(name, text, function_name, scale_args,
+                             program)
     return Workload(
         name=name, benchmark=benchmark, function_name=program.name,
         exec_percent=exec_percent, suite=suite, build=factory.build,

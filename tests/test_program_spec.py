@@ -156,6 +156,30 @@ class TestInlineMaterialization:
         assert "__ret0" in reference
         assert "y" in reference
 
+    def test_source_compiles_once_per_build(self, monkeypatch):
+        """The compile that validates the source also answers
+        ``make_inputs`` and ``reference``; only ``build()`` compiles
+        again, to a fresh ``Function`` each time."""
+        from repro import frontend
+        from repro.workloads.inline import source_workload
+        calls = []
+        compile_source = frontend.compile_source
+
+        def counting(text, name=None):
+            calls.append(name)
+            return compile_source(text, name=name)
+
+        monkeypatch.setattr(frontend, "compile_source", counting)
+        workload = source_workload("compile-count", SAXPY)
+        assert len(calls) == 1
+        workload.reference(workload.make_inputs("train"))
+        workload.make_inputs("ref")
+        assert len(calls) == 1
+        first, second = workload.build(), workload.build()
+        assert len(calls) == 3
+        assert first is not second
+        assert first.blocks[0] is not second.blocks[0]
+
     def test_ir_program_round_trips_through_spec(self):
         from repro.ir.printer import format_function
         workload = resolve_program(ProgramSpec.source(SAXPY))

@@ -111,6 +111,22 @@ class TestHandcraftedChains:
         assert all(cycles >= 0.0
                    for cycles in path.edge_totals.values())
 
+    def test_cyclic_deps_terminate(self):
+        """Edges to an event's own or a later seq are never followed:
+        a hand-built cycle ends the walk instead of spinning in it."""
+        events = [
+            _event(0, 0, 3.0, deps=[(1, "register", 9.0)]),
+            _event(1, 3, 7.0, deps=[(1, "register", 8.0),
+                                    (0, "register", 3.0)]),
+            _event(2, 7, 12.0, deps=[(2, "order", 12.0),
+                                     (1, "register", 7.0)]),
+        ]
+        path = critical_path(events)
+        assert [e.seq for e in path.events] == [0, 1, 2]
+        assert not path.truncated
+        assert path.root_cycles == 3.0
+        assert path.edge_totals == {"register": 9.0}
+
 
 class TestRealTraces:
     @pytest.fixture(scope="class")

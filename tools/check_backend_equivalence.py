@@ -5,8 +5,11 @@
 preset x partitioner (plus single-threaded runs) and N seeded fuzz
 programs and the error paths (trap, deadlock, step limit), each
 untraced, with a trace collector attached, and with a collector whose
-ring evicts — on the fast core and the reference loop and require
-**zero** divergences.  Results and everything a tracer sees must be
+ring evicts — on the fast core and the reference loop, plus the untimed
+executor of the ``profile`` stage against ``run_function`` on every
+workload, every fuzz program (the grammar's and the frontend fuzzer's)
+and its own error paths, and require **zero** divergences.  Results,
+profiles and everything a tracer sees must be
 bit-identical down to numeric types; any difference fails the job and
 the full machine-readable divergence report is written to ``--report``
 for upload as a CI artifact.
