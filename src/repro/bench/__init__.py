@@ -3,15 +3,14 @@
 The papers' entire evaluation (GREMIO/DSWP speedups, COCO communication
 reduction, the ablation and sensitivity studies) is registered as
 :class:`BenchSpec` objects on a common interface: an id, the
-evaluation-matrix cells to prewarm, and a metric extractor.  Two
-frontends drive the same specs:
-
-* the pytest modules under ``benchmarks/`` — human-readable figure
-  tables plus the paper-shape assertions;
-* ``python -m repro bench [--smoke|--full] [--jobs N]`` — a headless
-  runner that emits a schema-versioned ``BENCH_RESULTS.json`` and,
-  with ``--compare baselines/bench_baseline.json``, gates against a
-  committed baseline under per-metric tolerance bands.
+evaluation-matrix cells to prewarm, a metric extractor, and the paper's
+claims those metrics test, each judged ``holds``, ``deviates`` or
+``n/a``.  ``python -m repro bench [--smoke|--full] [--jobs N]`` runs
+them, prints the fidelity scorecard and writes a schema-versioned
+``BENCH_RESULTS.json``; with ``--compare`` it gates every exact value,
+the ``claim/<id>`` statuses among them, against a committed baseline.
+The ``benchmarks/`` module renders the same specs at full scale and
+keeps EXPERIMENTS.md's generated block in step with them.
 
 See ``docs/benchmarking.md`` for the schema and the baseline-update
 workflow.
@@ -20,10 +19,11 @@ workflow.
 from .compare import Comparison, MetricDelta, compare
 from .harness import BENCH_ORDER, clear_memo, evaluation, prewarm
 from .results import SCHEMA, BenchResults, SchemaError, SpecResult
-from .runner import run_bench, select_specs
-from .spec import (EXACT, FULL, MODES, SMOKE, STRICT_TIME_BAND,
-                   TIME_BAND, BenchMode, BenchSpec, Metric, all_specs,
-                   bench_spec, get_spec, register, spec_ids)
+from .runner import run_bench, scorecard, select_specs
+from .spec import (DEVIATES, EXACT, FULL, HOLDS, MODES, NA, SMOKE,
+                   STRICT_TIME_BAND, TIME_BAND, BenchMode, BenchSpec, Claim,
+                   Metric, Verdict, all_specs, bench_spec, get_spec,
+                   register, spec_ids)
 
 __all__ = [
     # specs
@@ -31,6 +31,8 @@ __all__ = [
     "EXACT", "TIME_BAND", "STRICT_TIME_BAND", "register", "bench_spec",
     "get_spec",
     "all_specs", "spec_ids",
+    # claims
+    "Claim", "Verdict", "HOLDS", "DEVIATES", "NA", "scorecard",
     # harness
     "BENCH_ORDER", "evaluation", "prewarm", "clear_memo",
     # results + comparison

@@ -3,23 +3,26 @@
 For every selected spec: bulk-prewarm its evaluation-matrix cells
 through ``evaluate_many`` (``--jobs N`` fans the cells no cache entry
 answers across a process pool; on a warm cache each cell is one entry
-load), then time the spec's metric extractor.  The merged per-stage
-telemetry and cache traffic of the whole run land in the results' host
-section — the ``BENCH_RESULTS.json`` perf trajectory tracks the
-pipeline's own wall-clock and cache behavior alongside the paper
-metrics.
+load), then time the spec's metric extractor and judge its claims — one
+exact ``claim/<id>`` metric each, so the baseline comparator gates the
+scorecard like any simulator value.  The merged per-stage telemetry and
+cache traffic of the whole run land in the results' host section — the
+``BENCH_RESULTS.json`` perf trajectory tracks the pipeline's own
+wall-clock and cache behavior alongside the paper metrics.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, Iterable, List, Optional
 
 from ..api import (MatrixCell, get_cache, global_telemetry,
                    reset_global_telemetry)
 from .harness import prewarm
 from .results import BenchResults, SpecResult
-from .spec import BenchMode, BenchSpec, all_specs, get_spec
+from .spec import (DEVIATES, HOLDS, NA, STATUS_CODES, BenchMode, BenchSpec,
+                   Metric, all_specs, get_spec)
 
 ProgressFn = Optional[Callable[[str], None]]
 
@@ -61,6 +64,9 @@ def run_bench(mode: BenchMode, jobs: int = 1,
             progress("collecting %s" % spec.id)
         spec_started = time.perf_counter()
         metrics = spec.collect(mode)
+        metrics.update({"claim/" + verdict.claim.id:
+                        Metric(STATUS_CODES[verdict.status], unit="claim")
+                        for verdict in spec.judge(metrics)})
         results.specs[spec.id] = SpecResult(
             spec_id=spec.id, title=spec.title,
             seconds=time.perf_counter() - spec_started,
@@ -79,3 +85,21 @@ def run_bench(mode: BenchMode, jobs: int = 1,
         "enabled": int(cache.enabled),
     }
     return results
+
+
+def scorecard(results: BenchResults) -> str:
+    """The claims of the specs in ``results``, judged from the recorded
+    metrics, as a Markdown table sorted by claim id."""
+    verdicts = sorted((verdict for spec_id, result in results.specs.items()
+                       for verdict in get_spec(spec_id).judge(
+                           result.metrics)),
+                      key=lambda verdict: verdict.claim.id)
+    counts = Counter(verdict.status for verdict in verdicts)
+    return "\n".join(
+        ["| claim | paper | measured | status |", "|---|---|---|---|"]
+        + ["| `%s` | %s | %s | %s |" % (verdict.claim.id,
+                                         verdict.claim.paper,
+                                         verdict.measured, verdict.status)
+           for verdict in verdicts]
+        + ["", "%d claims: %d hold, %d deviate, %d n/a"
+           % (len(verdicts), counts[HOLDS], counts[DEVIATES], counts[NA])])

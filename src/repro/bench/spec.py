@@ -1,13 +1,13 @@
 """The ``BenchSpec`` interface: machine-readable benchmark definitions.
 
-Every experiment of the papers' evaluation (one ``benchmarks/bench_*``
-module each) is registered here as a :class:`BenchSpec` — an id, the
-matrix cells it evaluates (so a runner can prewarm them through
-``evaluate_many``), and a *metric extractor* that returns a flat
-``{name: Metric}`` mapping.  The pytest benchmark modules and the
-headless ``python -m repro bench`` runner both drive the same specs, so
-the printed figure tables and the ``BENCH_RESULTS.json`` perf
-trajectory can never drift apart.
+Every experiment of the papers' evaluation is registered here as a
+:class:`BenchSpec` — an id, the matrix cells it evaluates (so a runner
+can prewarm them through ``evaluate_many``), a *metric extractor* that
+returns a flat ``{name: Metric}`` mapping, and the paper's claims
+(:class:`Claim`) that those metrics test.  ``python -m repro bench`` and the
+``benchmarks/`` module both drive the same specs, so the gated
+``BENCH_RESULTS.json`` values, the fidelity scorecard and the tables
+EXPERIMENTS.md quotes cannot drift apart.
 
 Metric names are ``/``-separated paths (``speedup/gremio/181.mcf``);
 benchmark names may contain dots, so ``.`` is *not* a separator.
@@ -25,7 +25,7 @@ Tolerances select the comparator's regression policy per metric:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import MatrixCell
 
@@ -91,26 +91,97 @@ MODES = {"smoke": SMOKE, "full": FULL}
 
 MetricMap = Dict[str, Metric]
 
+# -- claims -----------------------------------------------------------------
+
+#: A claim's statuses, and the value its exact ``claim/<id>`` metric
+#: records, so the baseline comparator gates the scorecard.
+HOLDS, DEVIATES, NA = "holds", "deviates", "n/a"
+STATUS_CODES = {HOLDS: 1, NA: 0, DEVIATES: -1}
+
+
+class Absent(LookupError):
+    """A claim read a metric its spec did not emit."""
+
+
+class Readings:
+    """What a claim's check sees of its spec's metrics: a value by exact
+    name, or every value under a name prefix.  Nothing found raises
+    :class:`Absent`, which makes the claim read ``n/a`` — there is no
+    default value to hide a misspelt name behind."""
+
+    def __init__(self, metrics: MetricMap):
+        self._metrics = metrics
+
+    def __getitem__(self, name: str) -> float:
+        if name not in self._metrics:
+            raise Absent(name)
+        return self._metrics[name].value
+
+    def under(self, prefix: str) -> Dict[str, float]:
+        """``{rest of the name: value}`` for every name under ``prefix``."""
+        found = {name[len(prefix):]: metric.value
+                 for name, metric in self._metrics.items()
+                 if name.startswith(prefix)}
+        if not found:
+            raise Absent(prefix + "*")
+        return found
+
 
 @dataclass(frozen=True)
+class Claim:
+    """One statement of the paper's evaluation.  ``check`` reads the
+    metrics of the spec carrying the claim and returns the measured value
+    (as text) and whether the statement holds."""
+
+    id: str        # "<experiment>/<slug>", e.g. "COCO-Fig7/never-increases"
+    paper: str     # the paper's statement or value
+    check: Callable[[Readings], Tuple[str, bool]]
+
+    def judge(self, metrics: MetricMap) -> "Verdict":
+        try:
+            measured, holds = self.check(Readings(metrics))
+        except Absent as missing:
+            return Verdict(self, NA, "no `%s`" % missing.args[0])
+        return Verdict(self, HOLDS if holds else DEVIATES, measured)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    claim: Claim
+    status: str        # HOLDS | DEVIATES | NA
+    measured: str
+
+
+@dataclass(frozen=True, eq=False)
 class BenchSpec:
     """One registered experiment.
 
     ``collect`` runs the experiment under a :class:`BenchMode` and
     returns the metrics; ``cells`` (optional) names the evaluation-
     matrix cells the experiment consumes, so the runner can bulk-prewarm
-    them across a process pool before collecting serially.
+    them across a process pool before collecting serially; ``claims``
+    are judged over what ``collect`` returns.
     """
 
     id: str
     title: str
-    source: str          # the benchmarks/ module this spec reproduces
     collect: Callable[[BenchMode], MetricMap]
     cells: Optional[Callable[[BenchMode], List[MatrixCell]]] = None
-    tags: Sequence[str] = field(default_factory=tuple)
+    claims: List[Claim] = field(default_factory=list)
 
     def prewarm_cells(self, mode: BenchMode) -> List[MatrixCell]:
         return self.cells(mode) if self.cells is not None else []
+
+    def claim(self, id: str, paper: str) -> Callable:
+        """Decorator: attach the decorated check as a :class:`Claim`."""
+        def wrap(check: Callable[[Readings], Tuple[str, bool]]) -> Claim:
+            claim = Claim(id, paper, check)
+            self.claims.append(claim)
+            return claim
+        return wrap
+
+    def judge(self, metrics: MetricMap) -> List[Verdict]:
+        return [claim.judge(metrics) for claim in self.claims]
 
 
 _REGISTRY: Dict[str, BenchSpec] = {}
@@ -123,15 +194,16 @@ def register(spec: BenchSpec) -> BenchSpec:
     return spec
 
 
-def bench_spec(id: str, title: str, source: str,
+def bench_spec(id: str, title: str,
                cells: Optional[Callable[[BenchMode],
-                                        List[MatrixCell]]] = None,
-               tags: Sequence[str] = ()) -> Callable:
-    """Decorator form: registers the decorated collect function."""
+                                        List[MatrixCell]]] = None
+               ) -> Callable:
+    """Decorator form: registers the decorated collect function and
+    returns the :class:`BenchSpec`, whose :meth:`~BenchSpec.claim`
+    attaches the claims that follow it."""
     def wrap(collect: Callable[[BenchMode], MetricMap]) -> BenchSpec:
-        return register(BenchSpec(id=id, title=title, source=source,
-                                  collect=collect, cells=cells,
-                                  tags=tuple(tags)))
+        return register(BenchSpec(id=id, title=title, collect=collect,
+                                  cells=cells))
     return wrap
 
 

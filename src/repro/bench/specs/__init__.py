@@ -1,21 +1,6 @@
-"""Spec definitions, one module per experiment family.  Importing this
-package registers every spec with :mod:`repro.bench.spec`."""
+"""Spec definitions, one module per experiment family, each claim beside
+the metrics it reads.  Importing this package registers every spec with
+:mod:`repro.bench.spec`."""
 
 from . import (ablations, hostperf, paper, scaling,  # noqa: F401
                synthetic, trace, tune)
-
-#: Every spec id, grouped the way the benchmarks/ directory is.
-FAMILIES = {
-    "paper": ["fig6_setup", "fig1_breakdown", "fig7_comm_reduction",
-              "fig8_speedup", "gremio_speedup", "gremio_vs_dswp"],
-    "ablations": ["ext_scaling", "ablation_hierarchy",
-                  "ablation_machine", "branch_prediction",
-                  "memory_disambiguation", "region_selection",
-                  "scheduler_interaction", "profile_sensitivity",
-                  "overhead_breakdown"],
-    "hostperf": ["compile_time"],
-    "trace": ["trace_attribution"],
-    "scaling": ["topology_scaling"],
-    "tune": ["tune_smoke"],
-    "synthetic": ["synthetic_frontend"],
-}

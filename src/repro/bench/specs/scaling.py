@@ -12,9 +12,8 @@ the clustered machine model.
 The second half compares the ``identity`` and ``affinity`` thread
 placers on the clustered quad machine — the affinity placer must never
 lose to identity (it falls back to the identity placement unless the
-estimated crossing cost strictly improves), which
-``benchmarks/bench_topology_scaling.py`` and the CI scaling-smoke job
-assert from these metrics.
+estimated crossing cost strictly improves), which the claims below and
+the CI scaling-smoke job check from these metrics.
 """
 
 from __future__ import annotations
@@ -78,9 +77,8 @@ def _scaling_cells(mode: BenchMode) -> List[MatrixCell]:
 @bench_spec(
     id="topology_scaling",
     title="TOPO-E1: thread scaling across machine topologies",
-    source="benchmarks/bench_topology_scaling.py",
     cells=_scaling_cells)
-def collect_topology_scaling(mode: BenchMode) -> MetricMap:
+def topology_scaling(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     for technique in TECHNIQUES:
         for name in _benches(mode):
@@ -110,3 +108,37 @@ def collect_topology_scaling(mode: BenchMode) -> MetricMap:
             metrics["placer_gain/%s/%s" % (technique, name)] = Metric(
                 placed["identity"] - placed["affinity"], unit="cycles")
     return metrics
+
+
+@topology_scaling.claim("TOPO-E1/one-thread-topology-invariant",
+                        "the flat dual core is the one-cluster case: one "
+                        "thread never crosses clusters")
+def _one_thread_invariant(m):
+    curves = m.under("mt_cycles/")    # "<technique>/<name>/<preset>/<n>t"
+    single: Dict[str, set] = {}
+    for key, cycles in curves.items():
+        run, _preset, threads = key.rsplit("/", 2)
+        if threads == "1t":
+            single.setdefault(run, set()).add(cycles)
+    same = sum(len(counts) == 1 for counts in single.values())
+    low = min(curves.values())
+    return ("1T cycles equal on every preset for %d/%d runs; min %d "
+            "cycles (> 0)" % (same, len(single), low),
+            same == len(single) and low > 0)
+
+
+@topology_scaling.claim("TOPO-E1/affinity-never-loses",
+                        "the affinity placer never loses to identity")
+def _affinity_never_loses(m):
+    gains = m.under("placer_gain/").values()
+    return "gain ≥ %d cycles" % min(gains), min(gains) >= 0
+
+
+@topology_scaling.claim("TOPO-E1/affinity-improves-somewhere",
+                        "crossing-aware placement pays on a clustered "
+                        "machine")
+def _affinity_improves(m):
+    gains = m.under("placer_gain/")
+    improved = [key for key, gain in gains.items() if gain > 0]
+    return ("improved: %s" % (", ".join(improved) or "none"),
+            bool(improved))

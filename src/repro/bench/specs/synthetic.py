@@ -31,11 +31,10 @@ def _benches(mode: BenchMode) -> List[str]:
 @bench_spec(
     id="synthetic_frontend",
     title="FE-E1: frontend-compiled synthetic kernels",
-    source="benchmarks/bench_synthetic_frontend.py",
     cells=lambda mode: [MatrixCell(name, technique, scale=mode.scale)
                         for technique in TECHNIQUES
                         for name in _benches(mode)])
-def collect_synthetic(mode: BenchMode) -> MetricMap:
+def synthetic_frontend(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     for technique in TECHNIQUES:
         for name in _benches(mode):
@@ -48,3 +47,23 @@ def collect_synthetic(mode: BenchMode) -> MetricMap:
                                                  unit="cycles")
             metrics["speedup/" + key] = Metric(ev["speedup"], unit="x")
     return metrics
+
+
+@synthetic_frontend.claim("FE-E1/kernels-simulate",
+                          "frontend-emitted IR runs through the whole "
+                          "pipeline")
+def _kernels_simulate(m):
+    cycles = list(m.under("mt_cycles/").values()) \
+        + list(m.under("st_cycles/").values())
+    return "min %d cycles over %d runs (> 0)" % (min(cycles),
+                                                  len(cycles)), \
+        min(cycles) > 0
+
+
+@synthetic_frontend.claim("FE-E1/some-kernel-profits",
+                          "the family exposes TLP, it is not decorative")
+def _some_kernel_profits(m):
+    speedups = m.under("speedup/")
+    best = max(speedups, key=speedups.get)
+    return "best %s %.3fx (> 1)" % (best, speedups[best]), \
+        speedups[best] > 1.0

@@ -3,7 +3,8 @@ and the dominant stall reason per (technique, workload).
 
 All metrics are **informational** (``tolerance=None``): they explain
 bench deltas rather than gate them, so attribution-model refinements
-never fail CI.  The top stall reason is encoded as its index in the
+never fail CI; the claim below gates only their shape.  The top stall
+reason is encoded as its index in the
 canonical :data:`repro.trace.STALL_CATEGORIES` order so the metric
 *names* stay stable across runs (the comparator gates on missing
 names, not on informational values).
@@ -30,9 +31,8 @@ def _benches(mode: BenchMode) -> List[str]:
 
 @bench_spec(
     id="trace_attribution",
-    title="Trace: dynamic critical path and dominant stall reason",
-    source="benchmarks/bench_trace_attribution.py")
-def collect_trace(mode: BenchMode) -> MetricMap:
+    title="Trace: dynamic critical path and dominant stall reason")
+def trace_attribution(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     for technique in TECHNIQUES:
         for name in _benches(mode):
@@ -53,3 +53,17 @@ def collect_trace(mode: BenchMode) -> MetricMap:
                 float(summary.get("top_stall_cycles", 0.0)),
                 unit="cycles", tolerance=None)
     return metrics
+
+
+@trace_attribution.claim("TRACE/attributed",
+                         "every traced run has a critical path and a "
+                         "named dominant stall")
+def _attributed(m):
+    paths = m.under("critical_path_cycles/")
+    codes = sorted({int(m["top_stall_code/" + key]) for key in paths})
+    named = all(0 <= code < len(STALL_CATEGORIES) for code in codes)
+    stalled = min(m["top_stall_cycles/" + key] for key in paths)
+    reasons = (", ".join(STALL_CATEGORIES[code] for code in codes)
+               if named else "unnamed %s" % codes)
+    return ("%d runs; top stalls: %s" % (len(paths), reasons),
+            named and min(paths.values()) > 0 and stalled >= 0)

@@ -37,9 +37,8 @@ def _request(mode: BenchMode) -> TuneRequest:
 
 @bench_spec(
     id="tune_smoke",
-    title="TUNE-E1: auto-tuned configuration vs paper defaults",
-    source="benchmarks/bench_tune_smoke.py")
-def collect_tune_smoke(mode: BenchMode) -> MetricMap:
+    title="TUNE-E1: auto-tuned configuration vs paper defaults")
+def tune_smoke(mode: BenchMode) -> MetricMap:
     result = tune(_request(mode))
     metrics: MetricMap = {
         "candidates_evaluated": Metric(float(result.evaluated),
@@ -56,3 +55,18 @@ def collect_tune_smoke(mode: BenchMode) -> MetricMap:
             metrics["improvement_vs_%s_pct/%s"
                     % (label, workload)] = Metric(pct, unit="%")
     return metrics
+
+
+@tune_smoke.claim("TUNE-E1/never-loses-to-defaults",
+                  "a search over the policy space never loses to the "
+                  "fixed GREMIO and DSWP heuristics")
+def _never_loses(m):
+    best = m.under("best_cycles/")
+    gains = [m["improvement_vs_%s_pct/%s" % (label, name)]
+             for name in best for label in ("gremio", "dswp")]
+    return ("%d candidates; gains %+.1f %% to %+.1f %%"
+            % (m["candidates_evaluated"], min(gains), max(gains)),
+            m["candidates_evaluated"] > 0 and min(gains) >= 0
+            and all(cycles <= m["%s_cycles/%s" % (label, name)]
+                    for name, cycles in best.items()
+                    for label in ("gremio", "dswp")))

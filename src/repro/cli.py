@@ -20,7 +20,8 @@ Commands:
   Python-to-IR frontend against CPython instead;
 * ``bench`` — the machine-readable benchmark subsystem of
   :mod:`repro.bench`: run every registered spec (``--smoke`` or
-  ``--full``), emit a schema-versioned ``BENCH_RESULTS.json``, and gate
+  ``--full``), print the fidelity scorecard of the paper claims they
+  judge, emit a schema-versioned ``BENCH_RESULTS.json``, and gate
   against a committed baseline (``--compare``) under per-metric
   tolerance bands; ``--update-baseline`` refreshes the baseline
   (mirroring the ``REPRO_REGEN_GOLDENS`` convention,
@@ -63,8 +64,8 @@ from .api import (PLACERS, STRATEGIES, TECHNIQUES, TOPOLOGIES,
                   workload_names)
 from .ir.printer import format_function
 from .machine.config import config_table
-from .report import table
-from .stats import arithmetic_mean, geomean, relative_communication
+from .report import headline, table
+from .stats import geomean
 from .workloads import all_workloads, benchmark_table, get_workload
 
 
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: %(default)s)")
 
     report = sub.add_parser(
-        "report", help="regenerate the EXPERIMENTS.md headline table "
+        "report", help="print the headline result table as Markdown "
                        "(all workloads x {GREMIO, DSWP} x {MTCG, +COCO})",
         parents=[cache_parent])
     report.add_argument("--threads", type=int, default=2)
@@ -567,36 +568,22 @@ def _sweep(args) -> int:
 
 
 def _report(args) -> int:
-    """The EXPERIMENTS.md headline table, as Markdown."""
+    """The headline result table of every workload, as Markdown
+    (:func:`repro.report.headline`, which also renders the table in
+    EXPERIMENTS.md's generated block)."""
     names = workload_names()
+    keys = [(name, technique, coco) for name in names
+            for technique in ("gremio", "dswp") for coco in (False, True)]
     try:
-        cells = [result.metrics for result in evaluate_many([
+        results = evaluate_many([
             EvaluateRequest(program=ProgramSpec.registry(name),
                             technique=technique, coco=coco,
                             n_threads=args.threads, scale=args.scale)
-            for name in names for technique in ("gremio", "dswp")
-            for coco in (False, True)])]
+            for name, technique, coco in keys])
     except RequestValidationError as error:
         raise SystemExit("report: %s" % error)
-    print("| benchmark | GREMIO | GREMIO+COCO | DSWP | DSWP+COCO "
-          "| relcomm G | relcomm D | comm% G | comm% D |")
-    print("|---|---|---|---|---|---|---|---|---|")
-    rows = []
-    for index, name in enumerate(names):
-        g_base, g_coco, d_base, d_coco = cells[4 * index:4 * index + 4]
-        rows.append((name, g_base["speedup"], g_coco["speedup"],
-                     d_base["speedup"], d_coco["speedup"],
-                     relative_communication(g_coco, g_base),
-                     relative_communication(d_coco, d_base),
-                     100 * g_base["communication_fraction"],
-                     100 * d_base["communication_fraction"]))
-        print("| %s | %.3f | %.3f | %.3f | %.3f | %.1f%% | %.1f%% "
-              "| %.1f%% | %.1f%% |" % rows[-1])
-    _, g, gc, d, dc, rel_g, rel_d, _, _ = zip(*rows)
-    print("| **geomean / avg** | **%.3f** | **%.3f** | **%.3f** "
-          "| **%.3f** | **%.1f%%** | **%.1f%%** | | |"
-          % (geomean(g), geomean(gc), geomean(d), geomean(dc),
-             arithmetic_mean(rel_g), arithmetic_mean(rel_d)))
+    cells = {key: result.metrics for key, result in zip(keys, results)}
+    print(headline(names, lambda *key: cells[key]))
     if args.timings:
         _print_telemetry()
     return 0
@@ -660,12 +647,12 @@ def _bench(args) -> int:
     import os
 
     from .bench import (MODES, SchemaError, BenchResults, all_specs,
-                        compare, run_bench, select_specs)
+                        compare, run_bench, scorecard, select_specs)
 
     if args.list:
-        rows = [(spec.id, spec.title, spec.source)
+        rows = [(spec.id, spec.title, str(len(spec.claims)))
                 for spec in all_specs()]
-        print(table(["id", "title", "source"], rows,
+        print(table(["id", "title", "claims"], rows,
                     title="registered bench specs"))
         return 0
 
@@ -681,6 +668,8 @@ def _bench(args) -> int:
     print("bench: %d specs, %d metrics -> %s (%.1fs, mode=%s)"
           % (len(results.specs), len(results.metric_items()), args.out,
              results.total_seconds, results.mode))
+    print()
+    print(scorecard(results))
     if args.timings:
         _print_telemetry()
 

@@ -84,7 +84,7 @@ class GremioPartitioner(Partitioner):
         atomic units.  Instruction granularity (the default) lets the
         forward-flow discipline and occupancy charges do the clustering
         and measures better on the CMP model; the flag remains as an
-        ablation (see benchmarks/bench_ablation_hierarchy.py).
+        ablation (the ``ablation_hierarchy`` bench spec, GREMIO-E3).
         """
         self.config = config
         self.split_threshold = split_threshold

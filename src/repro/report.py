@@ -1,4 +1,5 @@
-"""ASCII tables and bar charts for the experiment harnesses.
+"""ASCII tables and bar charts for the experiment harnesses, and the
+Markdown headline table.
 
 Every benchmark prints its table/figure through these helpers so the
 regenerated experiments look uniform (and diff cleanly run-to-run).
@@ -6,7 +7,54 @@ regenerated experiments look uniform (and diff cleanly run-to-run).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
+
+from .stats import (arithmetic_mean, communicates, geomean,
+                    relative_communication)
+
+TECHNIQUES = ("gremio", "dswp")
+
+
+def headline(names: Sequence[str],
+             cell: Callable[[str, str, bool], Mapping[str, float]]) -> str:
+    """The headline result table as Markdown, one row per workload:
+    GREMIO's and DSWP's speedups without and with COCO, COCO's dynamic
+    communication relative to baseline MTCG, and the baseline's
+    communication share; then the geomean speedups and the mean relative
+    communication.  A workload whose baseline code does not communicate
+    has no relative communication (—) and stays out of the mean, as in
+    the Figure 7 spec.  ``cell(name, technique, coco)`` returns an
+    evaluated cell's ``metrics``."""
+    configs = [(technique, coco) for technique in TECHNIQUES
+               for coco in (False, True)]
+    speedups: List[List[float]] = [[] for _ in configs]
+    relcomm: List[List[float]] = [[] for _ in TECHNIQUES]
+    rows = [["benchmark", "GREMIO", "GREMIO+COCO", "DSWP", "DSWP+COCO",
+             "relcomm G", "relcomm D", "comm% G", "comm% D"],
+            ["---"] * 9]
+    for name in names:
+        row = [name]
+        for values, config in zip(speedups, configs):
+            values.append(cell(name, *config)["speedup"])
+            row.append("%.3f" % values[-1])
+        shares = []
+        for values, technique in zip(relcomm, TECHNIQUES):
+            base = cell(name, technique, False)
+            shares.append("%.1f%%" % (100.0 * base["communication_fraction"]))
+            if not communicates(base):
+                row.append("—")
+                continue
+            values.append(relative_communication(
+                cell(name, technique, True), base))
+            row.append("%.1f%%" % values[-1])
+        rows.append(row + shares)
+    rows.append(["**geomean / mean**"]
+                + ["**%.3f**" % geomean(values) for values in speedups]
+                + ["**%.1f%%**" % arithmetic_mean(values)
+                   for values in relcomm]
+                + ["", ""])
+    return "\n".join("| %s |" % " | ".join(row) for row in rows)
 
 
 def table(headers: Sequence[str], rows: Iterable[Sequence[object]],

@@ -38,6 +38,13 @@ def within_band(current: float, baseline: float,
     return abs(delta) <= tolerance
 
 
+def communicates(base_metrics) -> bool:
+    """Whether a cell's baseline MTCG code communicates at all.  Only
+    then does its relative communication count: Figure 7 and its average
+    leave the other functions out."""
+    return base_metrics["communication_instructions"] > 0
+
+
 def relative_communication(coco_metrics, base_metrics) -> float:
     """Dynamic communication after COCO relative to baseline MTCG, in %
     (the metric of the companion paper's Figure 7; 100% = unchanged),

@@ -227,6 +227,7 @@ class TestTimingMultiThread:
 class TestConfig:
     def test_config_table_mentions_parameters(self):
         text = config_table()
+        assert "6 issue" in text
         assert "16 KB" in text
         assert "141" in text
         assert "256 queues" in text
