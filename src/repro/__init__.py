@@ -16,21 +16,33 @@ The stable programmatic surface is the :mod:`repro.api` facade (typed
 callables); ``python -m repro serve`` exposes the same facade over
 JSON/HTTP.  See DESIGN.md for the paper-provenance note and the system
 inventory.
+
+The names below load on first use, so importing one subpackage
+(``repro.frontend``, ``repro.ir``) does not pull in the pipeline.
 """
 
-from . import api
-from .api import (API_SCHEMA_VERSION, TECHNIQUES, EvaluateRequest,
-                  EvaluateResult, Evaluation, MatrixCell,
-                  Parallelization, RequestValidationError, evaluate,
-                  evaluate_many, evaluate_workload, parallelize)
-from .workloads import all_workloads, get_workload, workload_names
+import importlib
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "api", "API_SCHEMA_VERSION", "EvaluateRequest", "EvaluateResult",
-    "RequestValidationError", "evaluate", "evaluate_many",
-    "Evaluation", "Parallelization", "TECHNIQUES", "MatrixCell",
-    "evaluate_workload", "parallelize",
-    "all_workloads", "get_workload", "workload_names", "__version__",
-]
+#: Each top-level name and the submodule that defines it.
+_EXPORTS = {
+    "api": "repro.api",
+    **dict.fromkeys(
+        ("API_SCHEMA_VERSION", "EvaluateRequest", "EvaluateResult",
+         "RequestValidationError", "evaluate", "evaluate_many",
+         "Evaluation", "Parallelization", "TECHNIQUES", "MatrixCell",
+         "evaluate_workload", "parallelize"), "repro.api"),
+    **dict.fromkeys(("all_workloads", "get_workload", "workload_names"),
+                    "repro.workloads"),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    module = importlib.import_module(_EXPORTS[name])
+    return module if name == "api" else getattr(module, name)

@@ -9,7 +9,7 @@ check long before that).
 
 All evaluations run with the oracle check on — CPython executing the
 kernel source is the reference — which is the same contract the
-frontend differential fuzzer enforces, applied to the full pipeline.
+differential fuzzer (``repro fuzz``) enforces on random programs.
 """
 
 from __future__ import annotations

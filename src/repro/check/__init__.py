@@ -14,10 +14,12 @@ the test suite into reusable, CLI-driven infrastructure:
 * :mod:`repro.check.oracle` — the differential execution oracle with a
   bounded-step watchdog classifying hangs as deadlock vs. livelock;
 * :mod:`repro.check.generate` — the random structured-program /
-  random-partition grammar (shared by the fuzzer and the property
-  tests; hypothesis strategies in :mod:`repro.check.strategies`);
-* :mod:`repro.check.fuzz` — the resumable fuzzing loop behind
-  ``python -m repro fuzz``, with greedy shrinking and a persistent
+  random-partition grammar, rendered to IR or to Python source (shared
+  by the fuzzer and the property tests; hypothesis strategies in
+  :mod:`repro.check.strategies`);
+* :mod:`repro.check.fuzz` — the fuzzing loop behind ``python -m repro
+  fuzz``: CPython against the frontend, the validators, the oracle and
+  the production simulator, with greedy shrinking and a replayable
   failure corpus.
 
 See ``docs/correctness.md`` for the invariants and workflow.
@@ -27,11 +29,11 @@ from .differential_backend import (CaseResult, DifferentialReport,
                                    diff_snapshots, run_differential,
                                    run_fuzz_case, run_workload_case,
                                    snapshot_result)
-from .fuzz import FuzzFailure, FuzzReport, run_fuzz
-from .generate import (MEM_SIZE, SAFE_BINOPS, ProgramSketch, random_args,
-                       random_partition, random_sketch, render_program,
-                       shrink_candidates, sketch_from_json, sketch_size,
-                       sketch_to_json)
+from .fuzz import FuzzFailure, FuzzReport, replay, run_fuzz
+from .generate import (MEM_SIZE, SAFE_BINOPS, ProgramSketch, fuzz_args,
+                       random_args, random_partition, random_sketch,
+                       render_program, shrink_candidates, sketch_from_json,
+                       sketch_size, sketch_to_json, sketch_to_python)
 from .oracle import VERDICTS, OracleResult, run_oracle
 from .validators import (MTValidationError, ValidationReport, Violation,
                          check_channel_balance, check_deadlock_freedom,
@@ -47,12 +49,12 @@ __all__ = [
     # oracle
     "OracleResult", "VERDICTS", "run_oracle",
     # generation
-    "MEM_SIZE", "SAFE_BINOPS", "ProgramSketch", "random_args",
-    "random_partition", "random_sketch", "render_program",
+    "MEM_SIZE", "SAFE_BINOPS", "ProgramSketch", "fuzz_args",
+    "random_args", "random_partition", "random_sketch", "render_program",
     "shrink_candidates", "sketch_from_json", "sketch_size",
-    "sketch_to_json",
+    "sketch_to_json", "sketch_to_python",
     # fuzzing
-    "FuzzFailure", "FuzzReport", "run_fuzz",
+    "FuzzFailure", "FuzzReport", "replay", "run_fuzz",
     # backend equivalence
     "CaseResult", "DifferentialReport", "diff_snapshots",
     "run_differential", "run_fuzz_case", "run_workload_case",

@@ -42,6 +42,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..executor.untimed import run_compiled
+from ..frontend.compiler import compile_source
 from ..interp.interpreter import run_function
 from ..ir.builder import FunctionBuilder
 from ..machine import timing
@@ -55,8 +56,9 @@ from ..pipeline.fingerprint import fingerprint_profile
 from ..pipeline.stages import normalize
 from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
 from ..workloads import all_workloads, get_workload
-from .generate import random_args, random_partition, random_sketch, \
-    render_program
+from .generate import (PYTHON_ENTRY, fuzz_args, random_args,
+                       random_partition, random_sketch, render_program,
+                       sketch_to_python)
 
 ProgressFn = Optional[Callable[[str], None]]
 
@@ -455,17 +457,14 @@ def run_executor_fuzz_case(seed: int, depth: int = 2) -> CaseResult:
 
 def run_executor_frontend_case(iteration: int, seed: int = 0,
                                depth: int = 2) -> CaseResult:
-    """Both executors on program ``iteration`` of the frontend fuzzer's
-    run ``seed`` (:func:`repro.frontend.fuzz.run_frontend_fuzz`: the
-    grammar's sketches rendered to Python and compiled by the frontend,
-    so FP conversions, ``fdiv`` and ``fsqrt`` appear), on its first
-    input set."""
-    from ..frontend import compile_source
-    from ..frontend.fuzz import fuzz_args, sketch_to_python
+    """Both executors on program ``iteration`` of the fuzzer's run
+    ``seed`` (:func:`repro.check.fuzz.run_fuzz`: the grammar's sketches
+    rendered to Python and compiled by the frontend, so FP conversions,
+    ``fdiv`` and ``fsqrt`` appear), on its first input set."""
     rng = random.Random(seed * 1_000_003 + iteration)
     source = sketch_to_python(random_sketch(rng, depth=depth))
     args = fuzz_args(rng)
-    program = compile_source(source, name="fuzz_program")
+    program = compile_source(source, name=PYTHON_ENTRY)
     return run_executor_case(
         "frontend-%d-%d" % (seed, iteration), program.function,
         {"in0": args["in0"], "in1": args["in1"]}, {"m": args["memory"]})
@@ -612,7 +611,7 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     per seed, then :func:`run_error_cases` — each once per entry of
     :data:`TRACE_LIMITS`; and the untimed executor against
     ``run_function`` on every workload, on the program of every fuzz
-    seed (the grammar's and the frontend fuzzer's) and on its own
+    seed (rendered to IR, and compiled from Python) and on its own
     error cases.  Any divergence makes ``report.ok`` false;
     nothing short-circuits, so the report always carries the complete
     failure list.

@@ -29,6 +29,12 @@ A sketch is a list of *statements*, each a tuple:
 ``("loop", trips, body)``        bounded counted loop
 =============  ==========================================================
 
+A sketch renders two ways: to IR (:func:`render_program`) and to Python
+source in the frontend's subset (:func:`sketch_to_python`), which the
+fuzzer runs under CPython as the ground truth and compiles with
+:mod:`repro.frontend`.  The Python rendering ends in a float epilogue,
+which raises where ``float()`` of a huge integer overflows.
+
 Sketches are JSON-serializable (:func:`sketch_to_json` /
 :func:`sketch_from_json`), which is how the fuzzer persists minimized
 reproducers into its corpus.
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..ir import Function, FunctionBuilder, Opcode
 from ..partition import Partition
@@ -165,6 +171,120 @@ def render_program(sketch: ProgramSketch) -> Function:
     return builder.build()
 
 
+#: How each grammar ALU op renders as a Python expression.
+_PY_BINOPS = {
+    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}",
+    "and": "{a} & {b}", "or": "{a} | {b}", "xor": "{a} ^ {b}",
+    "min": "min({a}, {b})", "max": "max({a}, {b})",
+    "cmpeq": "int({a} == {b})", "cmpne": "int({a} != {b})",
+    "cmplt": "int({a} < {b})", "cmple": "int({a} <= {b})",
+    "cmpgt": "int({a} > {b})", "cmpge": "int({a} >= {b})",
+}
+
+#: A fixed float-flavoured epilogue so every generated program also
+#: exercises the FP lowering (conversions, fdiv, sqrt, ternary).
+_EPILOGUE = [
+    "fa = float(r0) / 16.0",
+    "fb = math.sqrt(float(abs(r1) + 1)) * 0.5",
+    "fr = fa + fb if fa < fb else fa - fb",
+    "return (r0, r1, r2 + int(fr))",
+]
+
+#: The name of the function :func:`sketch_to_python` defines.
+PYTHON_ENTRY = "fuzz_program"
+
+
+def sketch_to_python(sketch: ProgramSketch) -> str:
+    """Render a program sketch as Python source in the frontend subset.
+
+    The rendering is deterministic in the sketch alone (stable corpus
+    entries) and intentionally varies surface syntax — augmented
+    assignment when the destination aliases an operand, ternaries for
+    some min/max — so the fuzz load covers more of the compiler than a
+    single canonical spelling would."""
+    lines: List[str] = [
+        "import math",
+        "",
+        "",
+        "def %s(in0: int, in1: int, m: \"int[%d]\"):"
+        % (PYTHON_ENTRY, MEM_SIZE),
+        "    r0 = in0",
+        "    r1 = in1",
+        "    r2 = in0 + in1",
+        "    r3 = in0 - in1",
+        "    r4 = 7",
+        "    r5 = -3",
+    ]
+    loop_depth_counter = [0]
+    statement_counter = [0]
+
+    def reg(index: int) -> str:
+        return "r%d" % index
+
+    def emit(statements, indent: int, in_loop: bool) -> None:
+        pad = "    " * indent
+        start = len(lines)
+        for statement in statements:
+            kind = statement[0]
+            statement_counter[0] += 1
+            variant = statement_counter[0]
+            if kind == "breakif":
+                _, cond = statement
+                if not in_loop:
+                    continue  # mirrors render_program's no-op
+                lines.append(pad + "if %s > 15:" % reg(cond))
+                lines.append(pad + "    break")
+            elif kind == "alu":
+                _, op, dest, a, b = statement
+                if op in ("add", "sub", "mul", "and", "or", "xor") \
+                        and dest == a and variant % 2:
+                    symbol = _PY_BINOPS[op].format(a="", b="").strip()
+                    lines.append(pad + "%s %s= %s"
+                                 % (reg(dest), symbol, reg(b)))
+                elif op in ("min", "max") and variant % 3 == 0:
+                    relation = "<=" if op == "min" else ">="
+                    lines.append(pad + "%s = %s if %s %s %s else %s"
+                                 % (reg(dest), reg(a), reg(a), relation,
+                                    reg(b), reg(b)))
+                else:
+                    lines.append(pad + "%s = %s"
+                                 % (reg(dest),
+                                    _PY_BINOPS[op].format(a=reg(a),
+                                                          b=reg(b))))
+            elif kind == "movi":
+                _, dest, value = statement
+                lines.append(pad + "%s = %d" % (reg(dest), value))
+            elif kind == "load":
+                _, dest, addr = statement
+                lines.append(pad + "%s = m[%s & %d]"
+                             % (reg(dest), reg(addr), MEM_SIZE - 1))
+            elif kind == "store":
+                _, value, addr = statement
+                lines.append(pad + "m[%s & %d] = %s"
+                             % (reg(addr), MEM_SIZE - 1, reg(value)))
+            elif kind == "if":
+                _, cond, then_statements, else_statements = statement
+                lines.append(pad + "if %s > 0:" % reg(cond))
+                emit(then_statements, indent + 1, in_loop)
+                lines.append(pad + "else:")
+                emit(else_statements, indent + 1, in_loop)
+            elif kind == "loop":
+                _, trips, body = statement
+                loop_depth_counter[0] += 1
+                loop_var = "i%d" % loop_depth_counter[0]
+                lines.append(pad + "for %s in range(%d):"
+                             % (loop_var, trips))
+                emit(body, indent + 1, True)
+            else:  # pragma: no cover
+                raise AssertionError("unknown statement %r" % (statement,))
+        if len(lines) == start:
+            lines.append(pad + "pass")
+
+    emit(sketch.statements, 1, False)
+    lines.extend("    " + line for line in _EPILOGUE)
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Pure-random sampling (the fuzzer's front end).
 
@@ -206,6 +326,13 @@ def random_sketch(rng: random.Random, depth: int = 2) -> ProgramSketch:
 
 def random_args(rng: random.Random) -> dict:
     return {"r_in0": rng.randint(-50, 50), "r_in1": rng.randint(-50, 50)}
+
+
+def fuzz_args(rng: random.Random) -> Dict[str, object]:
+    """One input set of a :func:`sketch_to_python` program: its two
+    scalars and the initial ``m`` image."""
+    return {"in0": rng.randint(-50, 50), "in1": rng.randint(-50, 50),
+            "memory": [rng.randint(-50, 50) for _ in range(MEM_SIZE)]}
 
 
 def random_partition(rng: random.Random, function: Function,

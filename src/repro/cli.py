@@ -14,10 +14,11 @@ Commands:
   summarize; ``--jobs N`` fans cells across a process pool, and the
   persistent artifact cache makes repeat sweeps cheap;
 * ``fuzz`` — the differential fuzzing loop of :mod:`repro.check`:
-  random programs x {GREMIO, DSWP, random partitions} x {COCO on/off},
-  every cell statically validated and differentially executed, failures
-  shrunk and persisted to ``--corpus``; ``--frontend`` fuzzes the
-  Python-to-IR frontend against CPython instead;
+  random Python programs, run under CPython and compiled by the
+  frontend, x {GREMIO, DSWP, random partitions} x {COCO on/off}, every
+  cell statically validated, differentially executed and simulated on
+  the production core against CPython's result, failures shrunk and
+  persisted to ``--corpus``;
 * ``bench`` — the machine-readable benchmark subsystem of
   :mod:`repro.bench`: run every registered spec (``--smoke`` or
   ``--full``), print the fidelity scorecard of the paper claims they
@@ -143,10 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
                                     program_parent])
     _common_options(sweep)
 
-    fuzz = sub.add_parser(
-        "fuzz", help="differential fuzzing of the whole pipeline "
-                     "(random programs x partitioners x COCO, validated "
-                     "and differentially executed)")
+    fuzz_help = ("differential fuzzing of the whole pipeline against "
+                 "CPython: random Python programs through the frontend, "
+                 "then x partitioners x COCO through MTCG, the "
+                 "validators, the execution oracle and the production "
+                 "simulator")
+    fuzz = sub.add_parser("fuzz", help=fuzz_help, description=fuzz_help)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--iterations", type=int, default=None,
                       help="fuzzing iterations (default 100; 25 under "
@@ -160,11 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-threads", type=int, default=3)
     fuzz.add_argument("--depth", type=int, default=2,
                       help="program nesting depth of generated sketches")
-    fuzz.add_argument("--frontend", action="store_true",
-                      help="fuzz the Python-to-IR frontend instead: "
-                           "render each sketch as Python source, compile "
-                           "it, and differentially execute the emitted "
-                           "IR against CPython")
 
     bench = sub.add_parser(
         "bench", help="run the machine-readable benchmark specs and "
@@ -595,8 +593,6 @@ def _fuzz(args) -> int:
     if iterations is None:
         iterations = 25 if args.smoke else 100
     seed = 0 if args.smoke else args.seed
-    if args.frontend:
-        return _fuzz_frontend(args, seed, iterations)
     report = run_fuzz(seed=seed, iterations=iterations,
                       corpus_dir=args.corpus,
                       max_threads=args.max_threads, depth=args.depth,
@@ -608,33 +604,9 @@ def _fuzz(args) -> int:
     if report.failures:
         print()
         for failure in report.failures:
-            print("FAILURE iteration %d cell %s%s (%s): shrunk %d -> %d "
+            print("FAILURE iteration %d cell %s (%s): shrunk %d -> %d "
                   "statements"
-                  % (failure.iteration, failure.cell,
-                     "+coco" if failure.coco else "", failure.kind,
-                     failure.original_size, failure.shrunk_size))
-            print("  " + failure.detail.replace("\n", "\n  "))
-        if args.corpus:
-            print("reproducers written to %s" % args.corpus)
-        return 1
-    return 0
-
-
-def _fuzz_frontend(args, seed: int, iterations: int) -> int:
-    from .frontend import run_frontend_fuzz
-    report = run_frontend_fuzz(seed=seed, iterations=iterations,
-                               corpus_dir=args.corpus, depth=args.depth,
-                               progress=print)
-    print(report.summary())
-    rows = [(name, str(value))
-            for name, value in sorted(report.counters.items())]
-    print(table(["counter", "total"], rows,
-                title="frontend fuzz counters"))
-    if report.failures:
-        print()
-        for failure in report.failures:
-            print("FAILURE iteration %d (%s): shrunk %d -> %d statements"
-                  % (failure.iteration, failure.kind,
+                  % (failure.iteration, failure.label, failure.kind,
                      failure.original_size, failure.shrunk_size))
             print("  " + failure.detail.replace("\n", "\n  "))
         if args.corpus:

@@ -7,14 +7,13 @@ Public surface::
     program = compile_source(open("kernel.py").read())
     program.function          # verified repro.ir Function
 
-See ``docs/frontend.md`` for the supported subset and the differential
-fuzz workflow (``python -m repro fuzz --frontend``).
+See ``docs/frontend.md`` for the supported subset; ``python -m repro
+fuzz`` (:mod:`repro.check.fuzz`) checks the lowering against CPython.
 """
 
 from .compiler import (CompiledProgram, ParamSpec, compile_function,
                        compile_source, python_callable, random_inputs)
 from .errors import FrontendError
-from .fuzz import run_frontend_fuzz, sketch_to_python
 
 __all__ = [
     "CompiledProgram",
@@ -24,6 +23,4 @@ __all__ = [
     "compile_source",
     "python_callable",
     "random_inputs",
-    "run_frontend_fuzz",
-    "sketch_to_python",
 ]

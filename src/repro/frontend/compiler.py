@@ -17,7 +17,7 @@ The accepted subset (documented in ``docs/frontend.md``):
 The lowering is *semantics-exact* against CPython on the values the
 reference interpreter can observe: opcode flavours are chosen so that
 every reachable value compares ``==`` to what the source function
-computes (the differential fuzzer in :mod:`repro.frontend.fuzz` holds
+computes (the differential fuzzer in :mod:`repro.check.fuzz` holds
 this to account).  Notably ``//`` and ``%`` emit a truncating-to-floor
 fix-up sequence, ``int()`` always lowers to ``ftoi`` (exact on ints),
 and negative array indices wrap exactly like Python's.

@@ -1,19 +1,25 @@
 """The Python-to-IR frontend: compilation, CPython-exact semantics,
 precise diagnostics, the printer/parser round-trip over emitted IR,
-and the fixed-seed differential fuzz loop."""
+its place in the layering, and the frontend stage of ``repro fuzz``
+(the whole chain is tests/test_check_fuzz.py)."""
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.check.generate import random_sketch
+import repro.check.fuzz as fuzz_mod
+from repro.check.fuzz import replay, run_fuzz
+from repro.check.generate import random_sketch, sketch_to_python
 from repro.frontend import (FrontendError, compile_source,
-                            python_callable, random_inputs,
-                            run_frontend_fuzz, sketch_to_python)
-from repro.frontend.fuzz import run_differential_case
+                            python_callable, random_inputs)
 from repro.interp.interpreter import run_function
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
@@ -271,54 +277,59 @@ class TestRandomInputs:
 
 
 class TestFrontendFuzz:
+    """The frontend stage of ``repro fuzz`` on its own: with no
+    partition cells the driver only checks the compiled IR against
+    CPython on every input set."""
+
+    FRONTEND_ONLY = {"techniques": (), "random_partitions": 0}
+
     def test_fixed_seed_run_is_clean(self):
-        report = run_frontend_fuzz(seed=0, iterations=25)
+        report = run_fuzz(seed=0, iterations=25, **self.FRONTEND_ONLY)
         assert report.ok, [f.detail for f in report.failures]
-        assert report.programs_generated == 25
-        assert report.counters.get("agreed") == 25
-
-    def test_rendered_sketches_are_diverse_and_deterministic(self):
-        rng = random.Random(11)
-        sources = {sketch_to_python(random_sketch(rng, depth=2))
-                   for _ in range(10)}
-        assert len(sources) > 1
-        rng_a, rng_b = random.Random(5), random.Random(5)
-        assert (sketch_to_python(random_sketch(rng_a, depth=2))
-                == sketch_to_python(random_sketch(rng_b, depth=2)))
-
-    def test_differential_case_flags_real_divergence(self):
-        # A deliberately wrong "compiled" program must be caught.
-        good = "def f(in0: int, in1: int, m: \"int[32]\"):\n" \
-               "    return in0 + in1\n"
-        bad = "def f(in0: int, in1: int, m: \"int[32]\"):\n" \
-              "    return in0 - in1\n"
-        program = compile_source(bad)
-        fn = python_callable(good)
-        divergence = run_differential_case(
-            program, fn,
-            {"in0": 3, "in1": 2, "memory": [0] * 32})
-        assert divergence is not None
-        assert "mismatch" in divergence
+        assert report.cells_run == 0
+        assert report.counters["frontend_agreed"] == 25 * 3  # every arg set
 
     def test_failures_persist_to_corpus(self, tmp_path, monkeypatch):
-        # Force a divergence by sabotaging the oracle comparison via a
-        # patched evaluator, then check the corpus layout.
-        import repro.frontend.fuzz as fuzz_mod
-        real = fuzz_mod._evaluate_sketch
-        calls = {"n": 0}
+        """A miscompiled program is a frontend failure of the iteration:
+        its reproducer (no cell) and source land in the corpus, and the
+        JSON alone replays it."""
+        real = fuzz_mod.compile_source
 
-        def flaky(sketch, arg_sets):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return "divergence", "synthetic failure for corpus test"
-            return real(sketch, arg_sets)
+        def miscompile(source, name=None):
+            return real(source.replace("return (r0,", "return (r0 + 1,"),
+                        name=name)
 
-        monkeypatch.setattr(fuzz_mod, "_evaluate_sketch", flaky)
-        report = run_frontend_fuzz(seed=3, iterations=1,
-                                   corpus_dir=str(tmp_path))
+        monkeypatch.setattr(fuzz_mod, "compile_source", miscompile)
+        report = run_fuzz(seed=3, iterations=1, corpus_dir=str(tmp_path),
+                          **self.FRONTEND_ONLY)
         assert not report.ok
         names = {path.name for path in tmp_path.iterdir()}
-        assert "frontend-report.json" in names
-        assert any(name.startswith("frontend-failure-")
-                   and name.endswith(".json") for name in names)
-        assert any(name.endswith(".py") for name in names)
+        assert {"report-seed3.json", "failure-seed3-000-frontend.json",
+                "failure-seed3-000-frontend.py"} <= names
+        payload = json.loads(
+            (tmp_path / "failure-seed3-000-frontend.json").read_text())
+        assert payload["cell"] is None
+        assert payload["kind"] == "frontend-divergence"
+        assert replay(payload)[0] == "frontend-divergence"
+
+
+class TestLayering:
+    def test_import_loads_no_checker_pipeline_or_simulator(self):
+        """The frontend sits below the checker: importing it in a fresh
+        interpreter loads nothing of ``repro.check``, the pipeline, the
+        simulators or the tracer."""
+        code = ("import sys, repro.frontend\n"
+                "print('\\n'.join(sorted(sys.modules)))\n")
+        source_root = str(Path(compile_source.__code__.co_filename)
+                          .parents[2])
+        env = dict(os.environ, PYTHONPATH=source_root)
+        loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                                stdout=subprocess.PIPE, env=env,
+                                text=True).stdout.split()
+        assert "repro.frontend.compiler" in loaded
+        forbidden = [name for name in loaded
+                     if name.split(".")[:2] in (["repro", "check"],
+                                                ["repro", "pipeline"],
+                                                ["repro", "machine"],
+                                                ["repro", "trace"])]
+        assert not forbidden, forbidden

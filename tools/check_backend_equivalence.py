@@ -7,7 +7,7 @@ programs and the error paths (trap, deadlock, step limit), each
 untraced, with a trace collector attached, and with a collector whose
 ring evicts — on the fast core and the reference loop, plus the untimed
 executor of the ``profile`` stage against ``run_function`` on every
-workload, every fuzz program (the grammar's and the frontend fuzzer's)
+workload, every fuzz program (rendered to IR, and compiled from Python)
 and its own error paths, and require **zero** divergences.  Results,
 profiles and everything a tracer sees must be
 bit-identical down to numeric types; any difference fails the job and
