@@ -628,8 +628,7 @@ def _breakdown(name: str, technique: str, coco: bool,
     else:
         program = generate(function, pdg, partition)
     run = run_mt_program(program, measure.args, measure.memory,
-                         queue_capacity=config.sa_queue_size,
-                         count_per_instruction=True)
+                         queue_capacity=config.sa_queue_size)
     return classify_overheads(program, run)
 
 

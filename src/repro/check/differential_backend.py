@@ -27,6 +27,9 @@ module is the executable form of that contract:
   and the trace snapshots are compared too;
 * :func:`run_error_cases` — a trap, a deadlock and a step-limit run:
   both loops must raise the same exception type and message;
+* :func:`run_functional_case` / :func:`run_executor_case` hold the
+  untimed executor's MT case to the reference loop's functional
+  observables, and its one-thread case to ``run_function``;
 * :func:`run_differential` sweeps the whole grid (all workloads x
   topology presets x partitioners, plus N fuzz seeds and the error
   cases), every case untraced, traced, and traced on a ring small
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import random
 import time
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..executor.untimed import run_compiled
@@ -50,6 +54,7 @@ from ..machine.config import DEFAULT_CONFIG
 from ..machine.fast_timing import (simulate_program_fast,
                                    simulate_single_fast,
                                    simulate_threads_fast)
+from ..machine.functional import run_mt_program
 from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
 from ..pipeline.fingerprint import fingerprint_profile
@@ -275,7 +280,8 @@ def _workload_cases(workload_name: str, technique: Optional[str],
                     topology: Optional[str], n_threads: int, scale: str,
                     trace_limits: Sequence[int]) -> List[CaseResult]:
     """One :func:`run_workload_case` per entry of ``trace_limits``, all
-    on one build."""
+    on one build — and for an MT build, one :func:`run_functional_case`
+    on it after them."""
     workload = get_workload(workload_name)
     inputs = workload.make_inputs(scale)
     label = "%s/%s/%s/%dT" % (workload_name, technique or "st",
@@ -298,8 +304,28 @@ def _workload_cases(workload_name: str, technique: Optional[str],
                 lambda tracer: simulate_program_fast(
                     built.program, inputs.args, inputs.memory,
                     config=built.config, tracer=tracer))
-    return [_compare(label, *runs, trace_limit=limit)
-            for limit in trace_limits]
+    cases = [_compare(label, *runs, trace_limit=limit)
+             for limit in trace_limits]
+    if technique is not None:
+        cases.append(run_functional_case(label, built.program, inputs.args,
+                                         inputs.memory, built.config))
+    return cases
+
+
+def _fuzz_program(seed: int, depth: int, max_threads: int):
+    """The seeded random program of :func:`run_fuzz_case`: the function
+    (normalized), its arguments, and its MTCG program on a random
+    partition."""
+    from ..analysis.pdg import build_pdg
+    rng = random.Random(seed)
+    sketch = random_sketch(rng, depth=depth)
+    args = random_args(rng)
+    n_threads = rng.randint(2, max_threads)
+    function = render_program(sketch)
+    normalize(function)
+    partition = random_partition(random.Random(seed * 7919 + 13),
+                                 function, n_threads=n_threads)
+    return function, args, generate(function, build_pdg(function), partition)
 
 
 def run_fuzz_case(seed: int, depth: int = 2,
@@ -310,25 +336,14 @@ def run_fuzz_case(seed: int, depth: int = 2,
     partition of the same function (the adversarial shapes the
     workload registry never produces); ``trace_limit`` as in
     :func:`run_workload_case`."""
-    rng = random.Random(seed)
-    sketch = random_sketch(rng, depth=depth)
-    args = random_args(rng)
-    n_threads = rng.randint(2, max_threads)
-
-    function = render_program(sketch)
-    normalize(function)
+    function, args, program = _fuzz_program(seed, depth, max_threads)
+    n_threads = program.n_threads
     st = _compare("fuzz-%d/st" % seed,
                   lambda tracer: timing.simulate_single(
                       function, args, tracer=tracer),
                   lambda tracer: simulate_single_fast(
                       function, args, tracer=tracer),
                   trace_limit)
-
-    from ..analysis.pdg import build_pdg
-    pdg = build_pdg(function)
-    partition = random_partition(random.Random(seed * 7919 + 13),
-                                 function, n_threads=n_threads)
-    program = generate(function, pdg, partition)
     mt = _compare("fuzz-%d/random-%dT" % (seed, n_threads),
                   lambda tracer: timing.simulate_program(
                       program, args, tracer=tracer),
@@ -343,11 +358,10 @@ def run_fuzz_case(seed: int, depth: int = 2,
         st.fast_seconds + mt.fast_seconds)
 
 
-def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
-    """Runs that end in an exception — a trap (read of an undefined
-    register), a deadlock (two threads consuming from queues nobody
-    feeds) and the step limit — on both thread loops: each must raise
-    the same exception type with the same message, tracer or not."""
+def _error_programs():
+    """``(label, program, max_steps)`` of the runs that end in an
+    exception: a trap (read of an undefined register), a deadlock (two
+    threads consuming from queues nobody feeds) and the step limit."""
     def thread(name, body):
         builder = FunctionBuilder(name, params=["r_n"], live_outs=["r_s"])
         builder.label("entry")
@@ -364,27 +378,105 @@ def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
         builder.jmp("loop")
         builder.label("never")
 
-    programs = (
-        ("trap", [thread("trap", lambda b: b.add("r_s", "r_undefined", 1))],
-         {}),
-        ("deadlock", [thread("wait0", lambda b: b.consume("r_s", 0)),
-                      thread("wait1", lambda b: b.consume_sync(1))],
-         {"n_queues": 2}),
-        ("max-steps", [thread("spin", spin)], {"max_steps": 500}),
+    def program(*threads, n_queues=0):
+        return SimpleNamespace(original=threads[0], threads=list(threads),
+                               n_threads=len(threads), exit_thread=0,
+                               n_queues=n_queues, channels=[])
+
+    return (
+        ("trap", program(thread("trap", lambda b: b.add("r_s", "r_undefined",
+                                                         1))), 100_000),
+        ("deadlock", program(thread("wait0", lambda b: b.consume("r_s", 0)),
+                             thread("wait1", lambda b: b.consume_sync(1)),
+                             n_queues=2), 100_000),
+        ("max-steps", program(thread("spin", spin)), 500),
     )
+
+
+def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
+    """The :func:`_error_programs` on both thread loops: each must raise
+    the same exception type with the same message, tracer or not."""
     cases = []
-    for label, functions, options in programs:
+    for label, program, max_steps in _error_programs():
         def run(simulate_threads, tracer):
             return simulate_threads(
-                functions, 0, functions[0], {"r_n": 3},
-                config=DEFAULT_CONFIG.with_cores(len(functions)),
-                tracer=tracer, **options)
+                program.threads, 0, program.original, {"r_n": 3},
+                config=DEFAULT_CONFIG.with_cores(program.n_threads),
+                n_queues=program.n_queues, max_steps=max_steps,
+                tracer=tracer)
         cases.append(_compare(
             "error/%s" % label,
             lambda tracer: run(timing.simulate_threads, tracer),
             lambda tracer: run(simulate_threads_fast, tracer),
             trace_limit))
     return cases
+
+
+# ---------------------------------------------------------------------------
+# The untimed executor's MT case against the reference stepper.
+
+def snapshot_functional(result) -> Dict[str, object]:
+    """The functional observables of an MT run, typed: what both an
+    :class:`~repro.machine.functional.MTRunResult` and a
+    :class:`~repro.machine.timing.TimedResult` carry."""
+    return _typed({
+        "live_outs": result.live_outs,
+        "memory": list(result.memory.snapshot()),
+        "per_thread_instructions": list(result.per_thread_instructions),
+        "per_thread_communication":
+            list(result.per_thread_communication),
+        "opcode_counts": dict(sorted(
+            (opcode.value, count)
+            for opcode, count in result.opcode_counts.items())),
+        "pushes_per_queue": list(getattr(result.queues, "pushes_per_queue",
+                                         [])),
+    })
+
+
+def run_functional_case(label: str, program, args=None, memory=None,
+                        config=DEFAULT_CONFIG,
+                        max_steps: int = 100_000_000) -> CaseResult:
+    """Compare :func:`~repro.machine.functional.run_mt_program` (the
+    "fast" side) at ``config.sa_queue_size`` with the reference timed
+    loop (one ``ThreadContext`` step per instruction) on ``config``:
+    equal :func:`snapshot_functional`, or the same exception type and
+    message."""
+    return _compare(
+        "functional/" + label,
+        lambda tracer: timing.simulate_program(
+            program, args, memory, config=config, max_steps=max_steps,
+            simulate_threads=timing.simulate_threads),
+        lambda tracer: run_mt_program(program, args, memory,
+                                      config.sa_queue_size, max_steps),
+        snapshot_of=snapshot_functional)
+
+
+def run_functional_workload_case(workload_name: str, technique: str,
+                                 topology: Optional[str] = None,
+                                 n_threads: int = 2,
+                                 scale: str = "train") -> CaseResult:
+    """:func:`run_functional_case` on one registry workload's MT build
+    (the cell of :func:`run_workload_case`)."""
+    return _workload_cases(workload_name, technique, topology, n_threads,
+                           scale, ())[0]
+
+
+def run_functional_fuzz_cases(seed: int, depth: int = 2,
+                              max_threads: int = 3) -> List[CaseResult]:
+    """:func:`run_functional_case` on the random partition of
+    :func:`run_fuzz_case` (same seed, same program), with one-entry
+    queues and with DSWP's 32-entry queues."""
+    _, args, program = _fuzz_program(seed, depth, max_threads)
+    return [run_functional_case("fuzz-%d/q%d" % (seed, config.sa_queue_size),
+                                program, args, config=config)
+            for config in (DEFAULT_CONFIG, DEFAULT_CONFIG.for_dswp())]
+
+
+def run_functional_error_cases() -> List[CaseResult]:
+    """:func:`run_functional_case` on the :func:`_error_programs`."""
+    return [run_functional_case("error/" + label, program, {"r_n": 3},
+                                max_steps=max_steps)
+            for label, program, max_steps in _error_programs()]
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +701,12 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     Every (workload x topology x technique) cell plus the
     single-threaded run per workload, then one :func:`run_fuzz_case`
     per seed, then :func:`run_error_cases` — each once per entry of
-    :data:`TRACE_LIMITS`; and the untimed executor against
+    :data:`TRACE_LIMITS`; the untimed executor against
     ``run_function`` on every workload, on the program of every fuzz
     seed (rendered to IR, and compiled from Python) and on its own
-    error cases.  Any divergence makes ``report.ok`` false;
+    error cases; and ``run_mt_program`` against the reference timed
+    loop on every MT cell, every fuzz seed's random partition and the
+    error programs.  Any divergence makes ``report.ok`` false;
     nothing short-circuits, so the report always carries the complete
     failure list.
     """
@@ -638,9 +732,11 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     for seed in fuzz_seeds:
         add([run_executor_fuzz_case(seed),
              run_executor_frontend_case(seed)])
+        add(run_functional_fuzz_cases(seed))
         add(run_fuzz_case(seed, trace_limit=limit)
             for limit in TRACE_LIMITS)
     add(run_executor_error_cases())
+    add(run_functional_error_cases())
     for limit in TRACE_LIMITS:
         add(run_error_cases(limit))
     return report

@@ -4,9 +4,9 @@ observable.
 
 The oracle is the dynamic half of the correctness subsystem (the static
 half is :mod:`repro.check.validators`): it executes the original
-function on the reference interpreter and the MTCG output on the
-functional MT machine (via the tracers in :mod:`repro.debug`), then
-compares
+function and the MTCG output on the untimed executor
+(:class:`repro.executor.untimed.Execution`, one thread without queues
+and the functional MT machine) with a write log, then compares
 
 * **live-out registers** (the declared results),
 * **per-address memory write sequences** (same order, same values — the
@@ -15,18 +15,20 @@ compares
   duplicated writes even when final values coincide),
 * **queue residue** (every produced value must be consumed).
 
-A bounded-step watchdog classifies non-terminating MT runs: all live
-threads blocked on queues is a **deadlock** (with the structured
-:class:`~repro.debug.DeadlockReport`); running past the step budget
-while still making progress is a **livelock**.
+A bounded-step watchdog classifies non-terminating MT runs: a round in
+which no live thread advances is a **deadlock** (with the structured
+:class:`~repro.executor.untimed.DeadlockReport`); running past the step
+budget while still making progress is a **livelock**.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from ..debug import (DeadlockReport, Divergence, diff_write_traces,
-                     trace_mt, trace_single)
+from ..debug import Divergence, diff_write_traces
+from ..executor.untimed import (DeadlockError, DeadlockReport, Execution,
+                                MTExecutionLimitExceeded)
+from ..interp.interpreter import ExecutionLimitExceeded
 from ..ir.cfg import Function
 from ..mtcg.program import MTProgram
 
@@ -81,41 +83,48 @@ def run_oracle(function: Function, program: MTProgram,
                queue_capacity: int = 32,
                max_steps: int = 2_000_000) -> OracleResult:
     """Differentially execute ``function`` vs ``program`` and classify."""
-    st_trace = trace_single(function, args, initial_memory, max_steps)
-    if st_trace.exhausted:
+    st_writes: list = []
+    try:
+        st = Execution([function], function, args, initial_memory,
+                       writes=st_writes).run(max_steps)
+    except ExecutionLimitExceeded:
         return OracleResult(
             "st-timeout",
             "single-threaded run exceeded %d steps" % max_steps,
-            st_stores=len(st_trace.writes))
+            st_stores=len(st_writes))
 
-    mt_trace = trace_mt(program, args, initial_memory, queue_capacity,
-                        max_steps)
-    st_stores = len(st_trace.writes)
-    mt_stores = len(mt_trace.writes)
-    if mt_trace.deadlock is not None:
+    mt_writes: list = []
+    st_stores = len(st_writes)
+    try:
+        mt = Execution.for_program(program, args, initial_memory,
+                                   queue_capacity,
+                                   writes=mt_writes).run(max_steps)
+    except DeadlockError as error:
+        report = error.report
         return OracleResult(
             "deadlock",
             "threads %s blocked on queue(s) %s"
-            % (mt_trace.deadlock.blocked_threads,
-               mt_trace.deadlock.blocking_queues),
-            deadlock=mt_trace.deadlock,
-            st_stores=st_stores, mt_stores=mt_stores)
-    if mt_trace.exhausted:
+            % (report.blocked_threads, report.blocking_queues),
+            deadlock=report, st_stores=st_stores,
+            mt_stores=len(mt_writes))
+    except MTExecutionLimitExceeded:
         return OracleResult(
             "livelock",
             "MT run still progressing after %d steps (ST finished in %d)"
-            % (mt_trace.steps, st_trace.steps),
-            st_stores=st_stores, mt_stores=mt_stores)
+            % (max_steps, st.steps),
+            st_stores=st_stores, mt_stores=len(mt_writes))
+    mt_stores = len(mt_writes)
 
-    divergence = diff_write_traces(st_trace.writes, mt_trace.writes)
+    divergence = diff_write_traces(st_writes, mt_writes)
     if divergence is not None:
         return OracleResult("divergence", divergence.describe(),
                             divergence=divergence,
                             st_stores=st_stores, mt_stores=mt_stores)
 
-    st_liveouts = {register: st_trace.regs.get(register)
+    st_regs = st.registers(0)
+    st_liveouts = {register: st_regs.get(register)
                    for register in function.live_outs}
-    exit_regs = mt_trace.thread_regs[program.exit_thread]
+    exit_regs = mt.registers(program.exit_thread)
     mt_liveouts = {register: exit_regs.get(register)
                    for register in function.live_outs}
     if st_liveouts != mt_liveouts:
@@ -131,10 +140,9 @@ def run_oracle(function: Function, program: MTProgram,
             "MT executed %d stores, ST %d" % (mt_stores, st_stores),
             st_stores=st_stores, mt_stores=mt_stores)
 
-    if not mt_trace.queues.all_empty():
-        residue = {queue: len(pending)
-                   for queue, pending in
-                   enumerate(mt_trace.queues.queues) if pending}
+    residue = {queue: len(pending)
+               for queue, pending in enumerate(mt.fifo) if pending}
+    if residue:
         return OracleResult(
             "queue-residue",
             "values left in queues at exit: %r" % (residue,),

@@ -3,240 +3,20 @@ single-threaded oracle.
 
 When a partitioner/codegen change breaks semantics, the failing symptom
 (a wrong live-out, a differing memory word) is far from the cause.  This
-module re-executes both versions and reports the *first divergent memory
-write* and the register-state mismatches around it — the tool we use on
+module re-executes both versions on the untimed executor with a write
+log, as the differential oracle of :mod:`repro.check.oracle` does, and
+reports the *first divergent memory write* — the tool we use on
 ourselves when a property test shrinks a counterexample.
-
-The tracers are also the execution layer of the differential oracle in
-:mod:`repro.check.oracle`: :func:`trace_single` and :func:`trace_mt`
-return full write traces plus final register state, and an MT run that
-stops making progress yields a structured :class:`DeadlockReport`
-(blocked threads, blocking queues/channels, pending queue occupancy)
-instead of silently truncating the trace.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional
 
-from .interp.context import StepStatus, ThreadContext
-from .interp.state import bind_params, make_memory
+from .executor.untimed import Execution, WriteRecord
 from .ir.cfg import Function
-from .ir.instructions import Instruction, Opcode
-from .machine.functional import FifoQueues
 from .mtcg.program import MTProgram
-from .trace.events import FunctionalEvent, RingBuffer
-
-#: How many of the most recent functional steps a deadlock report keeps.
-RECENT_EVENT_CAPACITY = 256
-
-
-class WriteRecord:
-    __slots__ = ("address", "value", "iid", "thread")
-
-    def __init__(self, address: int, value, iid: int, thread: int):
-        self.address = address
-        self.value = value
-        self.iid = iid
-        self.thread = thread
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<write mem[%d]=%r by iid %d (thread %d)>" % (
-            self.address, self.value, self.iid, self.thread)
-
-
-class BlockedThread:
-    """One thread stuck on a queue operation when progress stopped."""
-
-    __slots__ = ("thread", "instruction", "queue")
-
-    def __init__(self, thread: int, instruction: Optional[Instruction],
-                 queue: Optional[int]):
-        self.thread = thread
-        self.instruction = instruction
-        self.queue = queue
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<thread %d blocked on q%s at %r>" % (
-            self.thread, self.queue, self.instruction)
-
-
-class DeadlockReport:
-    """Structured account of an MT execution that stopped progressing:
-    which threads are blocked, on which queues/channels, and what is
-    still pending in every queue."""
-
-    def __init__(self, blocked: List[BlockedThread],
-                 occupancy: Dict[int, int],
-                 channels: List = (),
-                 recent_events: List[FunctionalEvent] = ()):
-        self.blocked = blocked
-        self.occupancy = occupancy      # queue id -> pending value count
-        self.channels = list(channels)  # CommChannels of blocking queues
-        # The last functional steps before progress stopped (bounded).
-        self.recent_events = list(recent_events)
-
-    @property
-    def blocked_threads(self) -> List[int]:
-        return [record.thread for record in self.blocked]
-
-    @property
-    def blocking_queues(self) -> List[int]:
-        return sorted({record.queue for record in self.blocked
-                       if record.queue is not None})
-
-    def describe(self) -> str:
-        lines = ["deadlock: %d thread(s) blocked"
-                 % len(self.blocked)]
-        for record in self.blocked:
-            instruction = record.instruction
-            what = (instruction.op.value if instruction is not None
-                    else "?")
-            lines.append("  thread %d blocked on %s (queue %s), "
-                         "queue holds %d pending value(s)"
-                         % (record.thread, what, record.queue,
-                            self.occupancy.get(record.queue, 0)))
-        for channel in self.channels:
-            lines.append("  blocking channel: %r" % (channel,))
-        if self.recent_events:
-            tail = self.recent_events[-8:]
-            lines.append("  last %d step(s) before the stall:"
-                         % len(tail))
-            for event in tail:
-                lines.append("    " + event.describe())
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<DeadlockReport threads=%r queues=%r>" % (
-            self.blocked_threads, self.blocking_queues)
-
-
-class DeadlockDetected(Exception):
-    """Raised when an MT trace deadlocks; carries the report and the
-    writes observed before progress stopped."""
-
-    def __init__(self, report: DeadlockReport,
-                 writes: List[WriteRecord]):
-        super().__init__(report.describe())
-        self.report = report
-        self.writes = writes
-
-
-class STTrace:
-    """A single-threaded execution's observable effects."""
-
-    __slots__ = ("writes", "regs", "steps", "exhausted")
-
-    def __init__(self, writes: List[WriteRecord], regs: Dict[str, object],
-                 steps: int, exhausted: bool):
-        self.writes = writes
-        self.regs = regs
-        self.steps = steps
-        self.exhausted = exhausted
-
-
-class MTTrace:
-    """A multi-threaded execution's observable effects."""
-
-    __slots__ = ("writes", "thread_regs", "steps", "deadlock",
-                 "exhausted", "queues")
-
-    def __init__(self, writes: List[WriteRecord],
-                 thread_regs: List[Dict[str, object]], steps: int,
-                 deadlock: Optional[DeadlockReport], exhausted: bool,
-                 queues: FifoQueues):
-        self.writes = writes
-        self.thread_regs = thread_regs
-        self.steps = steps
-        self.deadlock = deadlock
-        self.exhausted = exhausted
-        self.queues = queues
-
-
-def trace_single(function: Function, args=None, initial_memory=None,
-                 max_steps: int = 5_000_000) -> STTrace:
-    memory = make_memory(function, initial_memory)
-    regs = bind_params(function, dict(args) if args else {})
-    context = ThreadContext(function, regs, memory, None)
-    writes: List[WriteRecord] = []
-    steps = 0
-    while not context.exited and steps < max_steps:
-        instruction = context.current_instruction()
-        result = context.step()
-        steps += 1
-        if instruction is not None and instruction.op is Opcode.STORE:
-            writes.append(WriteRecord(result.mem_address,
-                                      memory.load(result.mem_address),
-                                      instruction.iid, 0))
-    return STTrace(writes, context.regs, steps,
-                   exhausted=not context.exited)
-
-
-def trace_mt(program: MTProgram, args=None, initial_memory=None,
-             queue_capacity: int = 32,
-             max_steps: int = 5_000_000) -> MTTrace:
-    memory = make_memory(program.original, initial_memory)
-    queues = FifoQueues(program.n_queues, queue_capacity)
-    contexts = [ThreadContext(fn, bind_params(fn, dict(args) if args
-                                              else {}), memory, queues)
-                for fn in program.threads]
-    writes: List[WriteRecord] = []
-    live = [not c.exited for c in contexts]
-    deadlock: Optional[DeadlockReport] = None
-    recent = RingBuffer(RECENT_EVENT_CAPACITY)
-    steps = 0
-    while any(live) and steps < max_steps:
-        progressed = False
-        for index, context in enumerate(contexts):
-            if not live[index]:
-                continue
-            instruction = context.current_instruction()
-            result = context.step()
-            if result.status is StepStatus.BLOCKED:
-                continue
-            progressed = True
-            steps += 1
-            if instruction is not None:
-                recent.append(FunctionalEvent(
-                    steps, index, instruction.op.value, instruction.iid,
-                    queue=(instruction.queue
-                           if instruction.is_communication() else None)))
-            if result.status is StepStatus.EXITED:
-                live[index] = False
-            if instruction is not None \
-                    and instruction.op is Opcode.STORE:
-                writes.append(WriteRecord(result.mem_address,
-                                          memory.load(result.mem_address),
-                                          instruction.iid, index))
-        if not progressed:
-            deadlock = _deadlock_report(program, contexts, live, queues,
-                                        recent)
-            break
-    return MTTrace(writes, [c.regs for c in contexts], steps, deadlock,
-                   exhausted=(deadlock is None and any(live)), queues=queues)
-
-
-def _deadlock_report(program: MTProgram, contexts: List[ThreadContext],
-                     live: List[bool], queues: FifoQueues,
-                     recent: Optional[RingBuffer] = None
-                     ) -> DeadlockReport:
-    blocked: List[BlockedThread] = []
-    for index, context in enumerate(contexts):
-        if not live[index]:
-            continue
-        instruction = context.current_instruction()
-        queue = (instruction.queue if instruction is not None
-                 and instruction.is_communication() else None)
-        blocked.append(BlockedThread(index, instruction, queue))
-    occupancy = {queue: len(pending)
-                 for queue, pending in enumerate(queues.queues)
-                 if pending}
-    channels = [program.channel_by_queue(record.queue)
-                for record in blocked if record.queue is not None]
-    return DeadlockReport(blocked, occupancy,
-                          [c for c in channels if c is not None],
-                          recent_events=(recent.snapshot()
-                                         if recent is not None else ()))
 
 
 class Divergence:
@@ -280,11 +60,9 @@ def diff_write_traces(st_writes: List[WriteRecord],
     expected = by_address(st_writes)
     actual = by_address(mt_writes)
     for address in sorted(set(expected) | set(actual)):
-        exp_list = expected.get(address, [])
-        act_list = actual.get(address, [])
-        for index in range(max(len(exp_list), len(act_list))):
-            exp = exp_list[index] if index < len(exp_list) else None
-            act = act_list[index] if index < len(act_list) else None
+        pairs = zip_longest(expected.get(address, ()),
+                            actual.get(address, ()))
+        for index, (exp, act) in enumerate(pairs):
             if exp is None or act is None or exp.value != act.value:
                 return Divergence(address, index, exp, act)
     return None
@@ -294,37 +72,22 @@ def find_divergence(function: Function, program: MTProgram,
                     args: Optional[Mapping[str, object]] = None,
                     initial_memory: Optional[Mapping[str, object]] = None,
                     queue_capacity: int = 32,
-                    max_steps: int = 5_000_000,
-                    on_deadlock: str = "raise") -> Optional[Divergence]:
+                    max_steps: int = 5_000_000) -> Optional[Divergence]:
     """Compare the per-address sequences of memory writes between the
     single-threaded oracle and the MT execution; return the first
     mismatch, or None when the write streams agree everywhere.
 
-    When the MT execution deadlocks, ``on_deadlock`` selects the
-    behavior: ``"raise"`` (default) raises :class:`DeadlockDetected`
-    carrying the structured :class:`DeadlockReport`; ``"truncate"``
-    keeps the historical behavior of diffing whatever writes happened
-    before progress stopped (see :func:`find_divergence_truncating`).
+    A deadlocked MT run raises ``DeadlockError`` carrying its structured
+    ``DeadlockReport`` (``.report``: blocked threads, blocking
+    queues/channels, queue occupancy, each blocked thread's last
+    instructions) and the writes seen before progress stopped
+    (``.writes``); a trap or a run past ``max_steps`` raises as in
+    :func:`repro.executor.run_compiled` and ``run_mt_program``.
     """
-    if on_deadlock not in ("raise", "truncate"):
-        raise ValueError("on_deadlock must be 'raise' or 'truncate', "
-                         "got %r" % (on_deadlock,))
-    st_trace = trace_single(function, args, initial_memory, max_steps)
-    mt_trace = trace_mt(program, args, initial_memory, queue_capacity,
-                        max_steps)
-    if mt_trace.deadlock is not None and on_deadlock == "raise":
-        raise DeadlockDetected(mt_trace.deadlock, mt_trace.writes)
-    return diff_write_traces(st_trace.writes, mt_trace.writes)
-
-
-def find_divergence_truncating(function: Function, program: MTProgram,
-                               args=None, initial_memory=None,
-                               queue_capacity: int = 32,
-                               max_steps: int = 5_000_000
-                               ) -> Optional[Divergence]:
-    """Compatibility wrapper: the pre-DeadlockReport behavior, where a
-    deadlocked MT run is diffed as-is (the missing writes then surface
-    as a divergence)."""
-    return find_divergence(function, program, args, initial_memory,
-                           queue_capacity, max_steps,
-                           on_deadlock="truncate")
+    st_writes: List[WriteRecord] = []
+    mt_writes: List[WriteRecord] = []
+    Execution([function], function, args, initial_memory,
+              writes=st_writes).run(max_steps)
+    Execution.for_program(program, args, initial_memory, queue_capacity,
+                          writes=mt_writes).run(max_steps)
+    return diff_write_traces(st_writes, mt_writes)

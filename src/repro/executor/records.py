@@ -4,9 +4,9 @@ A record is a tuple led by an integer op-class code, with everything a
 loop needs to execute (and time) the instruction already resolved:
 register *indices* into a flat list-backed register file, branch targets
 as block indices, the value-semantics callable, port class, port limit
-and latency.  Both executors — the untimed single-thread loop of
-:mod:`.untimed` and the timed multi-thread loop of
-:mod:`repro.machine.fast_timing` — dispatch on these records, so the
+and latency.  Both executors — the untimed loop of :mod:`.untimed` and
+the timed loop of :mod:`repro.machine.fast_timing` — dispatch on these
+records, so the
 instruction set's value and trap semantics (``UNDEF`` registers,
 division, address checks) are compiled once, here, from the tables of
 :mod:`repro.interp.context`, the step-at-a-time oracle.

@@ -1,13 +1,12 @@
 """Functional execution: interpreter, thread contexts, profiles."""
 
-from .context import (QueueSet, StepResult, StepStatus, ThreadContext,
-                      TrapError)
+from .context import StepResult, StepStatus, ThreadContext, TrapError
 from .interpreter import ExecutionLimitExceeded, RunResult, run_function
 from .profile import EdgeProfile, static_profile
 from .state import Memory, MemoryError_, bind_params, make_memory
 
 __all__ = [
-    "QueueSet", "StepResult", "StepStatus", "ThreadContext", "TrapError",
+    "StepResult", "StepStatus", "ThreadContext", "TrapError",
     "ExecutionLimitExceeded", "RunResult", "run_function", "EdgeProfile",
     "static_profile", "Memory", "MemoryError_", "bind_params", "make_memory",
 ]

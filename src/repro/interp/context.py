@@ -4,9 +4,9 @@
 CFG against a (possibly shared) memory.  Communication opcodes are delegated
 to a queue set supplied by the caller; when a queue operation cannot proceed
 the context reports ``BLOCKED`` without advancing, which is exactly the
-blocking produce/consume semantics of the synchronization array.  The same
-stepper drives the single-threaded interpreter, the functional multi-threaded
-simulator, and (via its step results) the timing model.
+blocking produce/consume semantics of the synchronization array.  It drives
+the two references the compiled executors are held to: the single-threaded
+interpreter and (via its step results) the reference timing loop.
 """
 
 from __future__ import annotations
@@ -86,41 +86,29 @@ class StepStatus(enum.Enum):
 class StepResult:
     """What happened when one instruction (tried to) execute."""
 
-    __slots__ = ("status", "instruction", "mem_address", "branch_taken",
-                 "queue", "value")
+    __slots__ = ("status", "instruction", "mem_address", "branch_taken")
 
     def __init__(self, status: StepStatus, instruction: Optional[Instruction],
                  mem_address: Optional[int] = None,
-                 branch_taken: Optional[bool] = None,
-                 queue: Optional[int] = None, value=None):
+                 branch_taken: Optional[bool] = None):
         self.status = status
         self.instruction = instruction
         self.mem_address = mem_address
         self.branch_taken = branch_taken
-        self.queue = queue
-        self.value = value
-
-
-class QueueSet:
-    """Interface the context uses for communication opcodes.
-
-    ``try_push`` returns False when the queue is full, ``try_pop`` returns
-    ``(False, None)`` when empty.  The single-threaded interpreter passes
-    ``None`` (communication is then illegal).
-    """
-
-    def try_push(self, queue: int, value) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def try_pop(self, queue: int):  # pragma: no cover
-        raise NotImplementedError
 
 
 class ThreadContext:
-    """Architectural state of one thread executing one CFG."""
+    """Architectural state of one thread executing one CFG.
+
+    ``queues`` (a :class:`~repro.machine.functional.FifoQueues`) serves
+    the communication opcodes: ``try_push`` returns False when the queue
+    is full, ``try_pop`` returns ``(False, None)`` when it is empty.  The
+    single-threaded interpreter passes ``None`` (communication is then
+    illegal).
+    """
 
     def __init__(self, function: Function, regs: Dict[str, object],
-                 memory, queues: Optional[QueueSet] = None):
+                 memory, queues=None):
         self.function = function
         self.regs = regs
         self.memory = memory
@@ -128,7 +116,6 @@ class ThreadContext:
         self.block = function.entry
         self.index = 0
         self.exited = False
-        self.steps = 0
 
     # -- helpers ---------------------------------------------------------------
 
@@ -163,28 +150,10 @@ class ThreadContext:
         instruction = self.block.instructions[self.index]
         op = instruction.op
 
-        # Hot path: plain binary ALU ops dominate every profile, so they
-        # dispatch on one dict probe with the operands read inline (the
-        # general ``_operands`` path below stays for the odd shapes and
-        # is what defines the trap behaviour being preserved here).
         handler = _BINARY.get(op)
         if handler is not None:
-            srcs = instruction.srcs
-            imm = instruction.imm
-            self.steps += 1
-            regs = self.regs
-            try:
-                if len(srcs) == 2 and imm is None:
-                    value = handler(regs[srcs[0]], regs[srcs[1]])
-                elif len(srcs) == 1 and imm is not None:
-                    value = handler(regs[srcs[0]], imm)
-                else:
-                    a, b = self._operands(instruction)
-                    value = handler(a, b)
-            except KeyError as error:
-                raise TrapError("read of undefined register %r in %s"
-                                % (error.args[0], self.function.name))
-            regs[instruction.dest] = value
+            a, b = self._operands(instruction)
+            self.regs[instruction.dest] = handler(a, b)
             self.index += 1
             return StepResult(StepStatus.OK, instruction)
 
@@ -195,27 +164,19 @@ class ThreadContext:
             value = (self._read(instruction.srcs[0])
                      if op is Opcode.PRODUCE else 0)
             if not self.queues.try_push(instruction.queue, value):
-                return StepResult(StepStatus.BLOCKED, instruction,
-                                  queue=instruction.queue)
+                return StepResult(StepStatus.BLOCKED, instruction)
             self.index += 1
-            self.steps += 1
-            return StepResult(StepStatus.OK, instruction,
-                              queue=instruction.queue, value=value)
+            return StepResult(StepStatus.OK, instruction)
         if op is Opcode.CONSUME or op is Opcode.CONSUME_SYNC:
             if self.queues is None:
                 raise TrapError("communication outside MT simulation")
             ok, value = self.queues.try_pop(instruction.queue)
             if not ok:
-                return StepResult(StepStatus.BLOCKED, instruction,
-                                  queue=instruction.queue)
+                return StepResult(StepStatus.BLOCKED, instruction)
             if op is Opcode.CONSUME:
                 self.regs[instruction.dest] = value
             self.index += 1
-            self.steps += 1
-            return StepResult(StepStatus.OK, instruction,
-                              queue=instruction.queue, value=value)
-
-        self.steps += 1
+            return StepResult(StepStatus.OK, instruction)
 
         if op is Opcode.EXIT:
             self.exited = True

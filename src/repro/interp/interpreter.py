@@ -27,15 +27,13 @@ class RunResult:
 
     def __init__(self, function: Function, regs: Dict[str, object],
                  memory: Memory, profile: EdgeProfile,
-                 dynamic_instructions: int, opcode_counts: Counter,
-                 trace: Optional[List[int]]):
+                 dynamic_instructions: int, opcode_counts: Counter):
         self.function = function
         self.regs = regs
         self.memory = memory
         self.profile = profile
         self.dynamic_instructions = dynamic_instructions
         self.opcode_counts = opcode_counts
-        self.trace = trace
 
     @property
     def live_outs(self) -> Dict[str, object]:
@@ -53,8 +51,7 @@ class RunResult:
 
 def run_function(function: Function, args: Optional[Mapping[str, object]] = None,
                  initial_memory: Optional[Mapping[str, object]] = None,
-                 max_steps: int = 50_000_000,
-                 keep_trace: bool = False) -> RunResult:
+                 max_steps: int = 50_000_000) -> RunResult:
     """Interpret ``function`` with the given scalar arguments and memory
     initializers.  Raises :class:`ExecutionLimitExceeded` past ``max_steps``.
     """
@@ -63,7 +60,6 @@ def run_function(function: Function, args: Optional[Mapping[str, object]] = None
     context = ThreadContext(function, regs, memory, queues=None)
     profile = EdgeProfile(function)
     opcode_counts: Counter = Counter()
-    trace: Optional[List[int]] = [] if keep_trace else None
 
     steps = 0
     profile.count_block(context.block.label)
@@ -78,11 +74,8 @@ def run_function(function: Function, args: Optional[Mapping[str, object]] = None
         steps += 1
         instruction = result.instruction
         opcode_counts[instruction.op] += 1
-        if trace is not None:
-            trace.append(instruction.iid)
         if instruction.op in (Opcode.BR, Opcode.JMP):
             current = context.block.label
             profile.count_edge(previous_block, current)
             profile.count_block(current)
-    return RunResult(function, regs, memory, profile, steps, opcode_counts,
-                     trace)
+    return RunResult(function, regs, memory, profile, steps, opcode_counts)

@@ -6,10 +6,10 @@ reference, the oracle.  Production simulations — traced ones included —
 run :mod:`.fast_timing`, held bit-identical to it; the pipeline chooses
 between them (:mod:`repro.pipeline.stages`), callers do not."""
 
+from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from .cache import CacheLevel, MemoryHierarchy
 from .config import DEFAULT_CONFIG, CacheConfig, MachineConfig, config_table
-from .functional import (DeadlockError, FifoQueues, MTExecutionLimitExceeded,
-                         MTRunResult, run_mt_program)
+from .functional import FifoQueues, MTRunResult, run_mt_program
 from .placement import (PLACERS, Placement, PlacementError,
                         affinity_placement, identity_placement,
                         make_placement, thread_affinity)

@@ -54,6 +54,7 @@ from ..executor.records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME,
                                 CONSUME_SYNC, EXIT, JMP, LOAD, MOVI,
                                 PORT_MEM, PRODUCE, PRODUCE_SYNC, STORE,
                                 UNDEF, compile_function, trap_undef)
+from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from ..interp.context import TrapError
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
@@ -61,7 +62,6 @@ from ..ir.instructions import COMM_OPCODES
 from ..trace.events import PRODUCER_CATEGORY
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
-from .functional import DeadlockError, MTExecutionLimitExceeded
 from .timing import (SAPortSchedule, TimedQueues, TimedResult,
                      simulate_program, simulate_single)
 

@@ -1,10 +1,12 @@
 """Functional (untimed) multi-threaded simulation.
 
 Runs an :class:`~repro.mtcg.program.MTProgram`'s threads against a shared
-memory and blocking FIFO queues, round-robin, one instruction at a time.
-This is the semantic half of the CMP model: it establishes *what* the
-multi-threaded code computes (which must equal the single-threaded run) and
-detects deadlock; the timing model layers *when* on top.
+memory and blocking FIFO queues on the untimed executor
+(:class:`repro.executor.untimed.Execution`): each thread runs until it
+blocks on a queue operation or exits, round robin.  This is the semantic
+half of the CMP model: it establishes *what* the multi-threaded code
+computes (which must equal the single-threaded run) and detects
+deadlock; the timing model layers *when* on top.
 """
 
 from __future__ import annotations
@@ -12,20 +14,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Dict, List, Mapping, Optional
 
-from ..interp.context import QueueSet, StepStatus, ThreadContext
-from ..interp.state import Memory, bind_params, make_memory
+from ..executor.untimed import Execution
+from ..interp.state import Memory
+from ..ir.instructions import Opcode
 from ..mtcg.program import MTProgram
 
 
-class DeadlockError(Exception):
-    """Every live thread is blocked on a queue operation."""
-
-
-class MTExecutionLimitExceeded(Exception):
-    pass
-
-
-class FifoQueues(QueueSet):
+class FifoQueues:
     """Bounded FIFO queues (the functional view of the synchronization
     array).  ``capacity`` bounds each queue's occupancy; the hardware uses
     32-entry queues for DSWP and single-element queues otherwise."""
@@ -60,13 +55,16 @@ class FifoQueues(QueueSet):
 
 
 class MTRunResult:
-    """Outcome of one functional multi-threaded execution."""
+    """Outcome of one functional multi-threaded execution.
+    ``instruction_counts`` maps ``(thread, iid)`` to its dynamic count:
+    MTCG's threads reuse iids, so an iid alone names no instruction."""
 
     def __init__(self, program: MTProgram, memory: Memory,
                  thread_regs: List[Dict[str, object]],
                  per_thread_instructions: List[int],
                  per_thread_communication: List[int],
-                 opcode_counts: Counter, queues: FifoQueues):
+                 opcode_counts: Counter, queues: FifoQueues,
+                 instruction_counts: Counter):
         self.program = program
         self.memory = memory
         self.thread_regs = thread_regs
@@ -74,8 +72,7 @@ class MTRunResult:
         self.per_thread_communication = per_thread_communication
         self.opcode_counts = opcode_counts
         self.queues = queues
-        # Per-iid dynamic counts; populated when requested.
-        self.instruction_counts: Optional[Counter] = None
+        self.instruction_counts = instruction_counts
 
     @property
     def live_outs(self) -> Dict[str, object]:
@@ -108,63 +105,39 @@ class MTRunResult:
 def run_mt_program(program: MTProgram, args: Optional[Mapping[str, object]] = None,
                    initial_memory: Optional[Mapping[str, object]] = None,
                    queue_capacity: int = 32,
-                   max_steps: int = 100_000_000,
-                   count_per_instruction: bool = False) -> MTRunResult:
-    """Execute all threads round-robin until every thread exits.
+                   max_steps: int = 100_000_000) -> MTRunResult:
+    """Execute all threads until every thread exits.
 
-    Raises :class:`DeadlockError` if all live threads block — which the
-    MTCG pairing invariant promises never happens for generated code.
-    With ``count_per_instruction``, the result carries a dynamic execution
-    count per static instruction (iid) for overhead attribution.
+    Raises ``DeadlockError`` (with its report) if all live threads block
+    — which the MTCG pairing invariant promises never happens for
+    generated code — and ``MTExecutionLimitExceeded`` once more than
+    ``max_steps`` instructions would run.
     """
-    memory = make_memory(program.original, initial_memory)
-    queues = FifoQueues(program.n_queues, queue_capacity)
-    contexts = []
-    for thread_function in program.threads:
-        regs = bind_params(thread_function, dict(args) if args else {})
-        contexts.append(ThreadContext(thread_function, regs, memory, queues))
-
-    n = len(contexts)
+    run = Execution.for_program(program, args, initial_memory,
+                                queue_capacity).run(max_steps)
+    n = len(program.threads)
     per_thread_instructions = [0] * n
     per_thread_communication = [0] * n
     opcode_counts: Counter = Counter()
-    instruction_counts: Optional[Counter] = (
-        Counter() if count_per_instruction else None)
-    total_steps = 0
-
-    live = [not c.exited for c in contexts]
-    while any(live):
-        progressed = False
-        for index, context in enumerate(contexts):
-            if not live[index]:
+    instruction_counts: Counter = Counter()
+    queues = FifoQueues(program.n_queues, queue_capacity)
+    for thread in range(n):
+        for recs, count in zip(run.blocks[thread], run.visits[thread]):
+            if not count:
                 continue
-            result = context.step()
-            if result.status is StepStatus.BLOCKED:
-                continue
-            progressed = True
-            total_steps += 1
-            if total_steps > max_steps:
-                raise MTExecutionLimitExceeded(
-                    "%s exceeded %d steps"
-                    % (program.original.name, max_steps))
-            if result.status is StepStatus.EXITED:
-                live[index] = False
-            instruction = result.instruction
-            if instruction is not None:
-                per_thread_instructions[index] += 1
-                opcode_counts[instruction.op] += 1
-                if instruction_counts is not None:
-                    instruction_counts[instruction.iid] += 1
+            for rec in recs:
+                instruction = rec[2]
+                per_thread_instructions[thread] += count
+                opcode_counts[instruction.op] += count
+                instruction_counts[(thread, instruction.iid)] += count
                 if instruction.is_communication():
-                    per_thread_communication[index] += 1
-        if not progressed and any(live):
-            blocked = [contexts[i].current_instruction()
-                       for i in range(n) if live[i]]
-            raise DeadlockError(
-                "all live threads blocked in %s: %s"
-                % (program.original.name, blocked))
-    result = MTRunResult(program, memory, [c.regs for c in contexts],
-                         per_thread_instructions, per_thread_communication,
-                         opcode_counts, queues)
-    result.instruction_counts = instruction_counts
-    return result
+                    per_thread_communication[thread] += count
+                if instruction.op in (Opcode.PRODUCE, Opcode.PRODUCE_SYNC):
+                    queues.pushes_per_queue[instruction.queue] += count
+    queues.queues = run.fifo
+    queues.total_pushes = sum(queues.pushes_per_queue)
+    queues.max_occupancy = run.max_occupancy
+    return MTRunResult(program, run.memory,
+                       [run.registers(thread) for thread in range(n)],
+                       per_thread_instructions, per_thread_communication,
+                       opcode_counts, queues, instruction_counts)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from ..interp.context import StepStatus, ThreadContext
 from ..interp.state import Memory, bind_params, make_memory
 from ..ir.cfg import Function
@@ -32,7 +33,7 @@ from ..mtcg.program import MTProgram
 from ..trace.events import PRODUCER_CATEGORY
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
-from .functional import (DeadlockError, FifoQueues, MTExecutionLimitExceeded)
+from .functional import FifoQueues
 
 
 class SAPortSchedule:

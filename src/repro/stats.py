@@ -85,23 +85,17 @@ def overhead_breakdown(program, mt_result) -> Dict[str, float]:
     * ``glue`` — jumps/exits (present in single-threaded code too, but
       MTCG adds retargeting trampolines and per-thread entry/exit).
 
-    Requires ``mt_result`` from ``run_mt_program(...,
-    count_per_instruction=True)``.
+    ``mt_result`` is a ``run_mt_program`` result: its counts are keyed by
+    ``(thread, iid)``, since MTCG's threads reuse iids.
     """
     from .ir.instructions import Opcode
-    counts = mt_result.instruction_counts
-    if counts is None:
-        raise ValueError("run with count_per_instruction=True")
-    by_iid = {}
-    for thread in program.threads:
-        for instruction in thread.instructions():
-            by_iid[instruction.iid] = instruction
+    by_key = {(index, instruction.iid): instruction
+              for index, thread in enumerate(program.threads)
+              for instruction in thread.instructions()}
     classes = {"computation": 0, "communication": 0,
                "replicated_control": 0, "glue": 0}
-    for iid, count in counts.items():
-        instruction = by_iid.get(iid)
-        if instruction is None:
-            continue
+    for key, count in mt_result.instruction_counts.items():
+        instruction = by_key[key]
         if instruction.is_communication():
             classes["communication"] += count
         elif instruction.op is Opcode.BR and instruction.origin is not None:

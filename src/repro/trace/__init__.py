@@ -22,8 +22,7 @@ results are bit-identical to an uninstrumented run.
 
 from .events import (EDGE_KINDS, EXECUTE, PRODUCER_CATEGORY,
                      STALL_CATEGORIES, TRACE_SCHEMA_VERSION,
-                     FunctionalEvent, InstructionEvent, QueueSample,
-                     RingBuffer)
+                     InstructionEvent, QueueSample, RingBuffer)
 from .collector import (DEFAULT_EVENT_LIMIT, ClassAccount, CoreAccount,
                         TraceCollector)
 from .critical_path import CriticalPath, critical_path
@@ -34,7 +33,7 @@ from .report import (TraceAnalysis, analyze, stall_report_json,
 __all__ = [
     "TRACE_SCHEMA_VERSION", "STALL_CATEGORIES", "EXECUTE",
     "EDGE_KINDS", "PRODUCER_CATEGORY",
-    "InstructionEvent", "QueueSample", "FunctionalEvent", "RingBuffer",
+    "InstructionEvent", "QueueSample", "RingBuffer",
     "TraceCollector", "CoreAccount", "ClassAccount",
     "DEFAULT_EVENT_LIMIT",
     "CriticalPath", "critical_path",

@@ -129,30 +129,6 @@ class QueueSample:
                                          self.cycle)
 
 
-class FunctionalEvent:
-    """One step of a *functional* (untimed) execution — the lightweight
-    record :mod:`repro.debug` keeps in a ring so deadlock reports can
-    show the last instructions executed before progress stopped."""
-
-    __slots__ = ("step", "thread", "op", "iid", "queue")
-
-    def __init__(self, step: int, thread: int, op: str, iid: int,
-                 queue: Optional[int] = None):
-        self.step = step
-        self.thread = thread
-        self.op = op
-        self.iid = iid
-        self.queue = queue
-
-    def describe(self) -> str:
-        where = " q%d" % self.queue if self.queue is not None else ""
-        return "step %d: thread %d %s (iid %d)%s" % (
-            self.step, self.thread, self.op, self.iid, where)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<%s>" % self.describe()
-
-
 class RingBuffer:
     """A bounded event store: keeps the newest ``capacity`` items and
     counts evictions, so long traced runs stay memory-safe while the

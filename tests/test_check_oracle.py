@@ -5,8 +5,8 @@
 import pytest
 
 from repro.check.oracle import VERDICTS, run_oracle
-from repro.debug import (DeadlockDetected, find_divergence,
-                         find_divergence_truncating, trace_mt)
+from repro.debug import find_divergence
+from repro.machine import DeadlockError, run_mt_program
 from repro.ir import Opcode
 
 from .helpers import build_memory_loop
@@ -75,11 +75,12 @@ class TestOracleVerdicts:
 
 class TestDeadlockReporting:
     def test_trace_mt_returns_structured_report(self):
+        """The report the old ``trace_mt`` returned now rides on the
+        ``DeadlockError`` of the untimed executor."""
         mt = build_crossed_deadlock()
-        trace = trace_mt(mt, max_steps=10_000)
-        assert trace.deadlock is not None
-        assert not trace.exhausted
-        report = trace.deadlock
+        with pytest.raises(DeadlockError) as error:
+            run_mt_program(mt, max_steps=10_000)
+        report = error.value.report
         # Both threads sit on their first consume; nothing was produced,
         # so every blocking queue is empty.
         for blocked in report.blocked:
@@ -89,21 +90,7 @@ class TestDeadlockReporting:
 
     def test_find_divergence_raises_by_default(self):
         mt = build_crossed_deadlock()
-        with pytest.raises(DeadlockDetected) as error:
+        with pytest.raises(DeadlockError) as error:
             find_divergence(mt.original, mt, max_steps=10_000)
         assert error.value.report.blocking_queues == [0, 1]
         assert error.value.writes == []
-
-    def test_find_divergence_truncating_keeps_old_behavior(self):
-        # The crossed program performs no stores, so truncation sees two
-        # identical (empty) write streams and reports no divergence —
-        # exactly the silent-truncation blind spot the structured report
-        # exists to close.
-        mt = build_crossed_deadlock()
-        assert find_divergence_truncating(mt.original, mt,
-                                          max_steps=10_000) is None
-
-    def test_find_divergence_rejects_bad_mode(self):
-        mt = build_crossed_deadlock()
-        with pytest.raises(ValueError):
-            find_divergence(mt.original, mt, on_deadlock="ignore")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.debug import (DeadlockDetected, find_divergence,
-                         find_divergence_truncating)
+from repro.debug import find_divergence
+from repro.executor.untimed import DEADLOCK_TAIL
+from repro.machine import DeadlockError
 from repro.ir import Opcode
 
 from .helpers import build_memory_loop
@@ -58,29 +59,24 @@ class TestFindDivergence:
             break
         args = {"r_n": 12}
         memory = {"arr_in": list(range(12))}
-        with pytest.raises(DeadlockDetected) as error:
+        with pytest.raises(DeadlockError) as error:
             find_divergence(f, mt, args, memory, max_steps=50_000)
         report = error.value.report
         assert report.blocked_threads
         assert report.blocking_queues
         assert "blocked" in report.describe()
-        # The historical truncating mode still diffs whatever writes
-        # happened before the wedge and reports the missing ones.
-        divergence = find_divergence_truncating(f, mt, args, memory,
-                                                max_steps=50_000)
-        assert divergence is not None
 
 
 class TestDeadlockRecentEvents:
     def test_report_carries_functional_step_tail(self):
-        """A deadlock report includes the last functional steps before
-        progress stopped — the context that makes a crossed
-        produce/consume immediately legible."""
-        from repro.debug import trace_mt
+        """A deadlock report includes the last functional steps each
+        blocked thread ran before progress stopped — the context that
+        makes a crossed produce/consume immediately legible."""
+        from repro.machine import run_mt_program
         from .mt_utils import build_crossed_deadlock
-        mt_trace = trace_mt(build_crossed_deadlock(), max_steps=10_000)
-        report = mt_trace.deadlock
-        assert report is not None
+        with pytest.raises(DeadlockError) as error:
+            run_mt_program(build_crossed_deadlock(), max_steps=10_000)
+        report = error.value.report
         assert report.recent_events
         # Both threads got to run their movi before wedging on consume.
         threads_seen = {event.thread for event in report.recent_events}
@@ -90,10 +86,6 @@ class TestDeadlockRecentEvents:
         assert "step" in text
 
     def test_recent_events_window_is_bounded(self):
-        from repro.debug import RECENT_EVENT_CAPACITY, trace_mt
-        from .helpers import build_memory_loop
-        from .mt_utils import make_mt, round_robin_partition
-        from repro.ir import Opcode
         f = build_memory_loop()
         mt = make_mt(f, round_robin_partition(f, 2))
         for thread in mt.threads:
@@ -106,12 +98,13 @@ class TestDeadlockRecentEvents:
             else:
                 continue
             break
-        mt_trace = trace_mt(mt, {"r_n": 12},
-                            {"arr_in": list(range(12))},
-                            max_steps=100_000)
-        report = mt_trace.deadlock
-        assert report is not None
-        assert 0 < len(report.recent_events) <= RECENT_EVENT_CAPACITY
+        with pytest.raises(DeadlockError) as error:
+            find_divergence(f, mt, {"r_n": 12},
+                            {"arr_in": list(range(12))}, max_steps=100_000)
+        report = error.value.report
+        assert report.recent_events
+        assert all(len(record.tail) <= DEADLOCK_TAIL
+                   for record in report.blocked)
         # describe() shows only the tail, not the whole window.
         tail_lines = [line for line in report.describe().splitlines()
                       if line.startswith("    ")]

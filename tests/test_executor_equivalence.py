@@ -1,9 +1,10 @@
 """Differential equivalence of the untimed compiled executor and its
-oracle.
+references.
 
 The contract under test (``src/repro/executor/untimed.py``): on every
-program :func:`repro.executor.run_compiled` — what the ``profile`` stage
-runs — produces the :class:`~repro.interp.interpreter.RunResult` of
+program :func:`repro.executor.run_compiled` — the one-thread case, what
+the ``profile`` stage runs — produces the
+:class:`~repro.interp.interpreter.RunResult` of
 :func:`repro.interp.run_function`: the ``EdgeProfile`` (counts, key
 order, float value types, ``fingerprint_profile``), registers and
 live-outs, the final memory image, ``dynamic_instructions`` and
@@ -12,6 +13,14 @@ with the same message.  The grid is every registry workload (the five
 ``syn.*`` kernels included) x {train, ref}, the ``check.generate``
 programs of 25 fuzz seeds, the frontend fuzzer's programs, and one case
 per error path.
+
+The many-thread case, :func:`repro.machine.run_mt_program`, produces the
+functional observables of the reference timed loop
+(``timing.simulate_threads``): live-outs, memory, per-thread instruction
+and communication counts, opcode counts and pushes per queue — on every
+workload's GREMIO and DSWP build, on the random partitions of the 25
+fuzz seeds at queue capacities 1 and 32, and with the same exception
+type on a trap, a deadlock and the step limit.
 """
 
 import io
@@ -19,10 +28,11 @@ import io
 import pytest
 
 from repro.api import ServiceClient, configure_cache
-from repro.check.differential_backend import (run_executor_error_cases,
-                                              run_executor_frontend_case,
-                                              run_executor_fuzz_case,
-                                              run_executor_workload_case)
+from repro.check.differential_backend import (
+    run_executor_error_cases, run_executor_frontend_case,
+    run_executor_fuzz_case, run_executor_workload_case,
+    run_functional_error_cases, run_functional_fuzz_cases,
+    run_functional_workload_case)
 from repro.executor import run_compiled
 from repro.interp import (ExecutionLimitExceeded, MemoryError_, TrapError,
                           run_function)
@@ -60,6 +70,24 @@ _ERROR_CASES = run_executor_error_cases()
 def test_error_paths_raise_identically(case):
     """Same exception type and message on both executors, and the type
     each case is there for (``expect`` in the harness)."""
+    _assert_ok(case)
+
+
+@pytest.mark.parametrize("technique", ("gremio", "dswp"))
+@pytest.mark.parametrize("name", workload_names())
+def test_mt_workload_runs_identical(name, technique):
+    _assert_ok(run_functional_workload_case(name, technique))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_mt_generated_programs_identical(seed):
+    for case in run_functional_fuzz_cases(seed):
+        _assert_ok(case)
+
+
+@pytest.mark.parametrize("case", run_functional_error_cases(),
+                         ids=lambda case: case.label)
+def test_mt_error_paths_raise_identically(case):
     _assert_ok(case)
 
 

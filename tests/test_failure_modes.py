@@ -7,8 +7,8 @@ import pytest
 from repro.analysis import build_pdg
 from repro.ir import (FunctionBuilder, Opcode,
                       VerificationError, verify_function)
-from repro.machine import DeadlockError, run_mt_program
-from repro.machine.functional import MTExecutionLimitExceeded
+from repro.machine import (DeadlockError, MTExecutionLimitExceeded,
+                           run_mt_program)
 from repro.mtcg import generate
 from repro.mtcg.codegen import CodegenError
 from repro.partition import Partition, PartitionError

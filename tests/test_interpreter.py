@@ -95,12 +95,6 @@ class TestExecution:
             run_function(f, {"r_n": 1000},
                          initial_memory={"arr_in": [0] * 64})
 
-    def test_trace_records_iids(self):
-        r = run_function(build_straightline(), {"r_a": 1, "r_b": 1},
-                         keep_trace=True)
-        assert len(r.trace) == 4
-        assert r.trace == sorted(r.trace)
-
 
 class TestProfile:
     def test_loop_profile_counts(self):

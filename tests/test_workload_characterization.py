@@ -100,8 +100,7 @@ class TestOverheadBreakdownHelper:
         inputs = workload.make_inputs("train")
         f = workload.build()
         mt = make_mt(f, single_thread_partition(f))
-        run = run_mt_program(mt, inputs.args, inputs.memory,
-                             count_per_instruction=True)
+        run = run_mt_program(mt, inputs.args, inputs.memory)
         classes = overhead_breakdown(mt, run)
         assert classes["communication"] == 0.0
         assert classes["replicated_control"] == 0.0
@@ -114,20 +113,45 @@ class TestOverheadBreakdownHelper:
         f = build_paper_figure3()
         mt = make_mt(f, round_robin_partition(f, 2))
         run = run_mt_program(mt, {"r_n": 6},
-                             {"f3_in": [1, 200, 3, 9, 150, 7]},
-                             count_per_instruction=True)
+                             {"f3_in": [1, 200, 3, 9, 150, 7]})
         classes = overhead_breakdown(mt, run)
         assert classes["communication"] > 0
         assert classes["replicated_control"] > 0
         assert abs(sum(classes.values()) - 100.0) < 1e-9
 
-    def test_requires_counting_flag(self):
-        import pytest
+    def test_threads_sharing_an_iid_are_counted_apart(self):
+        """MTCG's threads reuse iids: here thread 0's ``jmp`` (glue) and
+        thread 1's replicated ``br`` both carry iid 1.  Counting by iid
+        alone would file both under whichever class it saw last."""
+        from repro.ir import FunctionBuilder
         from repro.machine import run_mt_program
-        from tests.helpers import build_counted_loop
-        from tests.mt_utils import make_mt, round_robin_partition
-        f = build_counted_loop()
-        mt = make_mt(f, round_robin_partition(f, 2))
-        run = run_mt_program(mt, {"r_n": 5})
-        with pytest.raises(ValueError):
-            overhead_breakdown(mt, run)
+        from repro.mtcg.program import MTProgram
+        from repro.partition import Partition
+
+        def thread(name, branch):
+            builder = FunctionBuilder(name, live_outs=["r0"])
+            builder.label("entry")
+            builder.movi("r0", 0)
+            if branch:
+                builder.br("r0", "done", "done")
+            else:
+                builder.jmp("done")
+            builder.label("done")
+            builder.exit()
+            return builder.build(verify=False)
+
+        t0, t1 = thread("shared.t0", False), thread("shared.t1", True)
+        jmp, br = list(t0.instructions())[1], list(t1.instructions())[1]
+        assert jmp.iid == br.iid
+        br.origin = br.iid
+        original = thread("shared", False)
+        program = MTProgram(
+            original, Partition(original, 2, {
+                i.iid: 0 for i in original.instructions()}),
+            [t0, t1], [], exit_thread=0)
+        classes = overhead_breakdown(program, run_mt_program(program))
+        # movi x2 | jmp + exit x2 | br, of 6 dynamic instructions.
+        assert classes["computation"] == 100.0 * 2 / 6
+        assert classes["glue"] == 100.0 * 3 / 6
+        assert classes["replicated_control"] == 100.0 * 1 / 6
+        assert classes["communication"] == 0.0

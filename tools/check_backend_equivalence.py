@@ -1,18 +1,26 @@
 #!/usr/bin/env python
-"""CI gate for the simulator against its oracle (the
-``backend-equivalence`` job): run the differential sweep of
-:mod:`repro.check.differential_backend` — every workload x topology
-preset x partitioner (plus single-threaded runs) and N seeded fuzz
-programs and the error paths (trap, deadlock, step limit), each
-untraced, with a trace collector attached, and with a collector whose
-ring evicts — on the fast core and the reference loop, plus the untimed
-executor of the ``profile`` stage against ``run_function`` on every
-workload, every fuzz program (rendered to IR, and compiled from Python)
-and its own error paths, and require **zero** divergences.  Results,
-profiles and everything a tracer sees must be
-bit-identical down to numeric types; any difference fails the job and
-the full machine-readable divergence report is written to ``--report``
-for upload as a CI artifact.
+"""CI gate for the simulators and executors against their references
+(the ``backend-equivalence`` job): run the differential sweep of
+:mod:`repro.check.differential_backend` and require **zero**
+divergences.  Three families of cases, counted separately in the log:
+
+* timed core — every workload x topology preset x partitioner (plus
+  single-threaded runs), N seeded fuzz programs and the error paths
+  (trap, deadlock, step limit), each untraced, with a trace collector
+  attached, and with a collector whose ring evicts, on the fast core
+  and the reference loop;
+* profile executor — the untimed executor's one-thread case (the
+  ``profile`` stage) against ``run_function`` on every workload, every
+  fuzz program (rendered to IR, and compiled from Python) and its own
+  error paths;
+* functional MT — ``run_mt_program`` against the reference loop's
+  functional observables on every MT cell, every fuzz seed's random
+  partition (queue capacities 1 and 32) and the error paths.
+
+Results, profiles and everything a tracer sees must be bit-identical
+down to numeric types; any difference fails the job and the full
+machine-readable divergence report is written to ``--report`` for
+upload as a CI artifact.
 
 Usage: PYTHONPATH=src python tools/check_backend_equivalence.py \
            [--fuzz-seeds 25] [--scale train] \
@@ -26,6 +34,20 @@ import json
 import sys
 
 from repro.check import run_differential
+
+#: Case families by the first component of a case label.
+FAMILIES = {"profile": "profile executor", "functional": "functional MT"}
+
+
+def family_counts(report) -> dict:
+    """``{family: [cases, divergent]}`` over the report's cases."""
+    counts: dict = {}
+    for case in report.cases:
+        family = FAMILIES.get(case.label.split("/", 1)[0], "timed core")
+        entry = counts.setdefault(family, [0, 0])
+        entry[0] += 1
+        entry[1] += not case.ok
+    return counts
 
 
 def main() -> int:
@@ -51,6 +73,9 @@ def main() -> int:
     with open(args.report, "w", encoding="utf-8") as handle:
         json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
+    for family, (cases, divergent) in family_counts(report).items():
+        print("backend-equivalence: %s: %d cases, %d divergent"
+              % (family, cases, divergent))
     print(report.summary())
     if not report.ok:
         for case in report.failures:
