@@ -329,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stable node identity for rendezvous "
                             "sharding (default: host:port)")
     serve.add_argument("--tenant-limit", type=int, default=0,
-                       help="per-tenant in-flight/queue cap; 0 = the "
-                            "global queue limit (default: %(default)s)")
+                       help="per-tenant cap on running requests, and "
+                            "on waiting ones; 0 = the queue limit "
+                            "(default: %(default)s)")
     serve.add_argument("--heartbeat-interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="worker heartbeat / monitoring publish "

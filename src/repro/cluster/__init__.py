@@ -30,7 +30,6 @@ never depend on tenant, node, or transport.
 """
 
 from .coordinator import CoordinatorDaemon, CoordinatorService
-from .fairqueue import TenantFairQueue
 from .hashring import rank_nodes, shard_node
 from .monitor import MonitoringChannel
 from .registry import NodeInfo, NodeRegistry
@@ -38,6 +37,6 @@ from .worker import WorkerNode
 
 __all__ = [
     "CoordinatorDaemon", "CoordinatorService", "MonitoringChannel",
-    "NodeInfo", "NodeRegistry", "TenantFairQueue", "WorkerNode",
+    "NodeInfo", "NodeRegistry", "WorkerNode",
     "rank_nodes", "shard_node",
 ]

@@ -28,10 +28,10 @@ node uses — whose route table adds, beyond ``/healthz``, ``/metrics``,
   distribution, tenant queues, store traffic, recent events) as
   server-rendered HTML.
 
-Admission is *queueing*, not shedding: a bounded per-tenant FIFO pool
-drained round-robin (:mod:`~repro.cluster.fairqueue`), so a flooding
-tenant saturates only its own queue while others keep their fair share
-of dispatch slots.
+Admission is the node's tenant gate (:mod:`repro.service.admission`)
+given the proxy budget, so the coordinator *queues* where a node sheds:
+a flooding tenant fills only its own FIFO while the others keep their
+round-robin share of dispatch slots.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from typing import Dict, Optional, Tuple
 
 from ..api import (API_SCHEMA_VERSION, LocalStore, default_cache_dir,
                    http_request)
-from ..service.admission import DEFAULT_TENANT
+from ..service.admission import (AdmissionQueue, DEFAULT_TENANT,
+                                 QueueFullError)
 from ..service.config import ServiceConfig
 from ..service.wire import (HttpDaemon, Reply, Request, Route, answers,
                             intake, not_found)
 from .dashboard import render_dashboard
-from .fairqueue import TenantFairQueue, TenantQueueFullError
 from .hashring import rank_nodes
 from .monitor import MonitoringChannel
 from .registry import MISSED_HEARTBEATS, NodeRegistry
@@ -66,7 +66,7 @@ PROXY_SLACK = 10.0
 
 COUNTERS = (
     "requests_total", "routed_total", "failovers_total",
-    "proxy_errors_total", "no_nodes_total", "shed_total",
+    "proxy_errors_total", "no_nodes_total", "shed_total", "overload_total",
     "validation_errors", "store_gets", "store_get_misses", "store_puts",
     "events_received",
 )
@@ -81,9 +81,8 @@ class CoordinatorService:
         self.registry = NodeRegistry(
             heartbeat_timeout=MISSED_HEARTBEATS
             * config.heartbeat_interval)
-        self.queue = TenantFairQueue(
-            slots=config.queue_limit,
-            tenant_depth=config.tenant_limit or config.queue_limit)
+        self.admission = AdmissionQueue(config.queue_limit,
+                                        config.tenant_limit)
         self.channel = MonitoringChannel()
         self.store = LocalStore(store_directory or default_cache_dir())
         self.started_at = time.time()
@@ -131,23 +130,20 @@ class CoordinatorService:
         if rejection is not None:
             return rejection
         try:
-            ticket = self.queue.submit(tenant)
-        except TenantQueueFullError as error:
+            ticket = self.admission.admit(
+                tenant, self.config.request_timeout + PROXY_SLACK)
+        except QueueFullError as error:
             self.incr("shed_total")
-            return (429, {"error": str(error), "kind": "shed",
-                          "tenant": tenant, "queue_limit": error.limit},
-                    "shed", key)
-        granted = ticket.wait(self.config.request_timeout + PROXY_SLACK)
-        if not granted:
-            self.queue.cancel(ticket)
-            self.incr("shed_total")
+            return error.reply(key)
+        if ticket is None:
+            self.incr("overload_total")
             return (503, {"error": "admission wait timed out",
                           "kind": "overload", "tenant": tenant},
                     "overload", key)
         try:
             return self._route(raw, tenant, key)
         finally:
-            self.queue.release(ticket)
+            self.admission.release(ticket)
 
     def _route(self, payload: bytes, tenant: str, key: str) -> Reply:
         nodes = self.registry.healthy()
@@ -223,7 +219,7 @@ class CoordinatorService:
                 "healthy_nodes": self.registry.healthy(),
                 "shard_distribution": shards,
                 "counters": counters,
-                "admission": self.queue.stats(),
+                "admission": self.admission.stats(),
                 "monitoring": {
                     "published_total": self.channel.published_total},
                 "recent_events": self.channel.recent(20),

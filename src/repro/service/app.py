@@ -11,8 +11,9 @@ One evaluation request travels:
    looked up in the in-process response memo (an LRU of
    :data:`MEMO_ENTRIES` documents): a hit answers immediately with
    ``memoized: true``, bypassing admission entirely;
-3. **admit** — the bounded :class:`AdmissionQueue` sheds with 429 when
-   ``queue_limit`` requests are already in the building;
+3. **admit** — the tenant gate (:class:`AdmissionQueue`) is given a
+   budget of 0, so it sheds with 429 when ``queue_limit`` requests, or
+   this tenant's ``tenant_limit``, are already in the building;
 4. **dispatch** — the worker pool evaluates the cell (crashes retried
    with backoff, see :mod:`repro.service.workers`);
 5. **degrade** — on timeout the worker is cancelled and, when the
@@ -49,7 +50,6 @@ RESULT_STAGE = "service-result"
 MEMO_ENTRIES = 1024
 
 HTTP_OK = 200
-HTTP_TOO_MANY = 429
 HTTP_ERROR = 500
 HTTP_TIMEOUT = 504
 
@@ -61,7 +61,7 @@ class SchedulerService:
         self.config = config.validate()
         self.metrics = ServiceMetrics()
         self.admission = AdmissionQueue(config.queue_limit,
-                                        config.tenant_limit or None)
+                                        config.tenant_limit)
         self.pool = make_pool(config, self.metrics)
         self._memo: "collections.OrderedDict[str, Dict[str, object]]" \
             = collections.OrderedDict()
@@ -95,20 +95,14 @@ class SchedulerService:
             return HTTP_OK, memoized, "memo", key
 
         try:
-            self.admission.enter(tenant)
+            ticket = self.admission.admit(tenant, budget=0.0)
         except QueueFullError as error:
             self.metrics.incr("shed_total")
-            snap = self.pool.snapshot()
-            return (HTTP_TOO_MANY,
-                    {"error": str(error), "kind": "shed",
-                     "tenant": tenant,
-                     "queue_depth": snap["queue_depth"],
-                     "queue_limit": self.admission.limit},
-                    "shed", key)
+            return error.reply(key)
         try:
             reply = self._evaluate_admitted(request, key)
         finally:
-            self.admission.leave(tenant)
+            self.admission.release(ticket)
         if reply[0] == HTTP_OK:
             self.metrics.incr("responses_ok")
             self.metrics.observe_request(time.perf_counter() - started)

@@ -61,9 +61,9 @@ class ServiceConfig:
     #: Worker → coordinator heartbeat period, seconds.  A node silent
     #: for ~3 periods is marked unhealthy and sharded around.
     heartbeat_interval: float = 2.0
-    #: Per-tenant in-flight cap (0/None = the global ``queue_limit``,
-    #: i.e. no extra cap).  Set below ``queue_limit`` to guarantee one
-    #: flooding tenant cannot occupy every admission slot.
+    #: Per-tenant cap on running requests, and on waiting ones (0 = the
+    #: global ``queue_limit``, i.e. no extra cap).  Set below
+    #: ``queue_limit`` so one flooding tenant cannot take every slot.
     tenant_limit: int = 0
 
     def validate(self) -> "ServiceConfig":

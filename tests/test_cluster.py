@@ -1,5 +1,5 @@
 """Cluster subsystem tests: rendezvous sharding, membership + health,
-per-tenant fair queueing, the pluggable artifact store, and the
+the coordinator's queueing admission, the pluggable artifact store, and the
 end-to-end guarantees of ``repro serve --role coordinator``:
 
 * a cluster of 2 worker nodes answers **byte-identically** to a
@@ -29,12 +29,14 @@ import repro
 from repro.api import (EvaluateRequest, HttpStore, LocalStore,
                        STORE_URL_ENV, ServiceClient, configure_cache,
                        evaluate, get_cache, make_store)
-from repro.cluster import (CoordinatorDaemon, MonitoringChannel,
-                           NodeRegistry, TenantFairQueue, WorkerNode,
+from repro.cluster import (CoordinatorDaemon, CoordinatorService,
+                           MonitoringChannel, NodeRegistry, WorkerNode,
                            rank_nodes, shard_node)
-from repro.cluster.fairqueue import TenantQueueFullError
 from repro.cluster.monitor import EventPublisher
-from repro.service import RESULT_STAGE, ServiceConfig, ServiceDaemon
+from repro.service import (AdmissionQueue, QueueFullError, RESULT_STAGE,
+                           ServiceConfig, ServiceDaemon)
+import repro.cluster.coordinator as coordinator_module
+from repro.service.admission import Ticket
 
 #: 4 distinct cells — small enough to keep the e2e test quick, varied
 #: enough that rendezvous hashing splits them across both nodes.
@@ -171,20 +173,22 @@ class TestNodeRegistry:
         assert registry.update_gauges("ghost", {}) is False
 
 
-class TestTenantFairQueue:
+class TestQueueingAdmission:
+    """The tenant gate as the coordinator uses it: requests may wait."""
+
     def test_grants_immediately_under_capacity(self):
-        queue = TenantFairQueue(slots=2, tenant_depth=4)
-        first = queue.submit("alice")
-        second = queue.submit("bob")
+        queue = AdmissionQueue(2, tenant_limit=4)
+        first = queue.submit("alice", wait=True)
+        second = queue.submit("bob", wait=True)
         assert first.wait(0) and second.wait(0)
         assert queue.stats()["in_flight"] == 2
 
     def test_round_robin_prevents_starvation(self):
-        queue = TenantFairQueue(slots=1, tenant_depth=8)
-        running = queue.submit("noisy")
+        queue = AdmissionQueue(1, tenant_limit=8)
+        running = queue.submit("noisy", wait=True)
         assert running.wait(0)
-        backlog = [queue.submit("noisy") for _ in range(3)]
-        quiet = queue.submit("quiet")
+        backlog = [queue.submit("noisy", wait=True) for _ in range(3)]
+        quiet = queue.submit("quiet", wait=True)
         # The quiet tenant arrived *after* three noisy waiters, but
         # round-robin serves it second, not fourth.
         queue.release(running)
@@ -199,30 +203,81 @@ class TestTenantFairQueue:
         assert stats["tenants"]["noisy"]["admitted"] == 3
 
     def test_sheds_only_the_flooding_tenant(self):
-        queue = TenantFairQueue(slots=1, tenant_depth=2)
-        running = queue.submit("noisy")
+        queue = AdmissionQueue(1, tenant_limit=2)
+        running = queue.submit("noisy", wait=True)
         assert running.wait(0)
-        queue.submit("noisy")
-        queue.submit("noisy")  # depth now at the per-tenant bound
-        with pytest.raises(TenantQueueFullError) as shed:
-            queue.submit("noisy")
-        assert shed.value.tenant == "noisy"
-        other = queue.submit("quiet")  # unaffected by noisy's flood
+        queue.submit("noisy", wait=True)
+        queue.submit("noisy", wait=True)  # depth now at the tenant bound
+        with pytest.raises(QueueFullError) as shed:
+            queue.submit("noisy", wait=True)
+        assert shed.value.tenant == "noisy" and shed.value.limit == 2
+        other = queue.submit("quiet", wait=True)  # unaffected by the flood
         assert not other.wait(0)
         stats = queue.stats()
         assert stats["shed_total"] == 1
         assert stats["tenants"]["noisy"]["shed"] == 1
         assert stats["tenants"]["quiet"]["shed"] == 0
-        assert queue.depths() == {"noisy": 2, "quiet": 1}
+        assert {tenant: counts["depth"] for tenant, counts
+                in stats["tenants"].items()} == {"noisy": 2, "quiet": 1}
 
     def test_cancelled_tickets_are_never_granted(self):
-        queue = TenantFairQueue(slots=1, tenant_depth=4)
-        running = queue.submit("alice")
-        abandoned = queue.submit("alice")
-        follower = queue.submit("alice")
-        queue.cancel(abandoned)
+        queue = AdmissionQueue(1, tenant_limit=4)
+        running = queue.submit("alice", wait=True)
+        abandoned = queue.submit("alice", wait=True)
+        follower = queue.submit("alice", wait=True)
+        queue.release(abandoned)  # withdrawn before its grant
         queue.release(running)
         assert follower.wait(0) and not abandoned.wait(0)
+
+    def test_tenant_limit_caps_running_requests_too(self):
+        queue = AdmissionQueue(3, tenant_limit=1)
+        running = queue.submit("noisy", wait=True)
+        waiting = queue.submit("noisy", wait=True)
+        quiet = queue.submit("quiet", wait=True)
+        # A slot is free, but noisy is at its running cap.
+        assert running.wait(0) and not waiting.wait(0) and quiet.wait(0)
+        queue.release(running)
+        assert waiting.wait(0)
+
+
+def _coordinator_service(tmp_path, **overrides) -> CoordinatorService:
+    fields = dict(queue_limit=1, request_timeout=0.05,
+                  role="coordinator", quiet=True)
+    fields.update(overrides)
+    return CoordinatorService(ServiceConfig(**fields),
+                              str(tmp_path / "coord-store"))
+
+
+class TestCoordinatorAdmission:
+    def test_grant_racing_the_wait_timeout_returns_its_slot(
+            self, tmp_path, monkeypatch):
+        # The grant lands just after the wait gives up: the slot must
+        # come back, or every later request waits until its 503.
+        service = _coordinator_service(tmp_path)
+        monkeypatch.setattr(Ticket, "wait", lambda self, timeout=None: False)
+        status, document, outcome, _ = service.handle_evaluate(
+            CELLS[0], json.dumps(CELLS[0]).encode(), "alice")
+        assert (status, outcome) == (503, "overload")
+        stats = service.admission.stats()
+        assert stats["in_flight"] == 0 and stats["depth"] == 0
+
+    def test_expired_budget_counts_overload_not_shed(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(coordinator_module, "PROXY_SLACK", 0.0)
+        service = _coordinator_service(tmp_path)
+        held = service.admission.admit("other")  # the only slot
+        status, document, outcome, _ = service.handle_evaluate(
+            CELLS[0], json.dumps(CELLS[0]).encode(), "alice")
+        assert (status, outcome) == (503, "overload")
+        assert document["kind"] == "overload"
+        assert service.counters["overload_total"] == 1
+        assert service.counters["shed_total"] == 0
+        stats = service.admission.stats()
+        assert stats["in_flight"] == 1 and stats["depth"] == 0
+        assert stats["tenants"]["alice"] == {
+            "active": 0, "depth": 0, "admitted": 0, "shed": 0}
+        service.admission.release(held)
+        assert service.admission.stats()["in_flight"] == 0
 
 
 class TestMonitoringChannel:

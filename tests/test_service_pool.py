@@ -1,16 +1,22 @@
-"""Service behaviour: admission shedding, timeout degradation to stale
-cached artifacts, idempotent memoization, and crashed-worker recovery
-in the multiprocess pool."""
+"""Service behaviour: the tenant gate (shedding, plus a state machine
+over every admission path), timeout degradation to stale cached
+artifacts, idempotent memoization, and crashed-worker recovery in the
+multiprocess pool."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
 from repro.api import (EvaluateRequest, EvaluateResult, configure_cache,
                        get_cache)
@@ -46,36 +52,192 @@ def _fake_result(request: EvaluateRequest,
 class TestAdmissionQueue:
     def test_sheds_beyond_limit_and_frees_on_leave(self):
         queue = AdmissionQueue(2)
-        queue.enter()
-        queue.enter()
-        with pytest.raises(QueueFullError):
-            queue.enter()
+        first = queue.admit()
+        queue.admit()
+        with pytest.raises(QueueFullError) as shed:
+            queue.admit()
+        assert shed.value.limit == 2
         assert queue.shed_total == 1
-        queue.leave()
-        queue.enter()  # freed slot is reusable
+        queue.release(first)
+        queue.admit()  # freed slot is reusable
         assert queue.active == 2
         assert queue.admitted_total == 3
 
     def test_tenant_cap_keeps_shedding_fair(self):
         queue = AdmissionQueue(4, tenant_limit=2)
-        queue.enter("noisy")
-        queue.enter("noisy")
+        noisy = queue.admit("noisy")
+        queue.admit("noisy")
         with pytest.raises(QueueFullError) as shed:
-            queue.enter("noisy")
+            queue.admit("noisy")
         assert shed.value.tenant == "noisy" and shed.value.tenant_full
+        assert shed.value.limit == 2  # the bound that was hit
         # The flooding tenant is at its own cap, but the global queue
         # is not: another tenant is still admitted into the slack.
-        queue.enter("quiet")
-        queue.enter("quiet")
+        queue.admit("quiet")
+        queue.admit("quiet")
         tenants = queue.tenants()
-        assert tenants["noisy"] == {"active": 2, "admitted": 2,
-                                    "shed": 1}
-        assert tenants["quiet"] == {"active": 2, "admitted": 2,
-                                    "shed": 0}
-        queue.leave("noisy")
-        queue.enter("noisy")  # freed tenant allowance is reusable
+        assert tenants["noisy"] == {"active": 2, "depth": 0,
+                                    "admitted": 2, "shed": 1}
+        assert tenants["quiet"] == {"active": 2, "depth": 0,
+                                    "admitted": 2, "shed": 0}
+        queue.release(noisy)
+        queue.admit("noisy")  # freed tenant allowance is reusable
         assert queue.active == 4
         assert queue.admitted_total == 5 and queue.shed_total == 1
+
+    def test_threads_never_exceed_the_limits(self):
+        queue = AdmissionQueue(3, tenant_limit=2)
+        lock = threading.Lock()
+        running = dict.fromkeys(TENANTS, 0)
+        peaks = {"all": 0, "tenant": 0}
+        outcomes = {"ok": 0, "shed": 0, "overload": 0}
+
+        def tally(outcome):
+            with lock:
+                outcomes[outcome] += 1
+
+        def client(tenant):
+            for _ in range(40):
+                try:
+                    ticket = queue.admit(tenant, budget=0.01)
+                except QueueFullError:
+                    tally("shed")
+                    continue
+                if ticket is None:
+                    tally("overload")
+                    continue
+                with lock:
+                    running[tenant] += 1
+                    peaks["all"] = max(peaks["all"], sum(running.values()))
+                    peaks["tenant"] = max(peaks["tenant"], running[tenant])
+                time.sleep(0)
+                with lock:
+                    running[tenant] -= 1
+                    outcomes["ok"] += 1
+                queue.release(ticket)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client,
+                                        args=(TENANTS[n % 3],))
+                       for n in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert peaks["all"] <= 3 and peaks["tenant"] <= 2
+        stats = queue.stats()
+        assert stats["in_flight"] == 0 and stats["depth"] == 0
+        assert stats["admitted_total"] == outcomes["ok"]
+        assert stats["shed_total"] == outcomes["shed"]
+        assert sum(outcomes.values()) == 12 * 40
+
+
+TENANTS = ("a", "b", "c")
+
+
+class AdmissionMachine(RuleBasedStateMachine):
+    """Every path through the gate — immediate grant, shed, queue,
+    release, withdrawal before and after a grant — against a model of
+    what each tenant asked for and what became of it."""
+
+    @initialize(limit=st.integers(1, 3), tenant_limit=st.integers(0, 3))
+    def build(self, limit, tenant_limit):
+        self.gate = AdmissionQueue(limit, tenant_limit)
+        self.cap = tenant_limit or limit
+        self.calls = dict.fromkeys(TENANTS, 0)
+        self.cancelled = dict.fromkeys(TENANTS, 0)
+        self.live = []  # tickets not yet released, oldest first
+        self.queued = set()  # ids of tickets that had to wait
+
+    def _tickets(self, granted):
+        return [t for t in self.live if t.wait(0) == granted]
+
+    def _end(self, ticket):
+        self.gate.release(ticket)
+        self.live.remove(ticket)
+        self.queued.discard(id(ticket))
+
+    @rule(tenant=st.sampled_from(TENANTS), budget=st.sampled_from([0, 5]))
+    def admit(self, tenant, budget):
+        self.calls[tenant] += 1
+        try:
+            ticket = self.gate.submit(tenant, wait=budget > 0)
+        except QueueFullError as error:
+            assert error.tenant == tenant
+            return
+        if not ticket.wait(0):
+            self.queued.add(id(ticket))
+        self.live.append(ticket)
+
+    @precondition(lambda self: self._tickets(granted=True))
+    @rule(data=st.data())
+    def release(self, data):
+        self._end(data.draw(st.sampled_from(self._tickets(granted=True))))
+
+    @precondition(lambda self: self._tickets(granted=False))
+    @rule(data=st.data())
+    def cancel_before_grant(self, data):
+        ticket = data.draw(st.sampled_from(self._tickets(granted=False)))
+        self._end(ticket)
+        self.cancelled[ticket.tenant] += 1
+        assert not ticket.wait(0)
+
+    @precondition(lambda self: [t for t in self._tickets(granted=True)
+                                if id(t) in self.queued])
+    @rule(data=st.data())
+    def cancel_after_grant(self, data):
+        # A waiter whose budget ran out just as its grant landed.
+        self._end(data.draw(st.sampled_from(
+            [t for t in self._tickets(granted=True)
+             if id(t) in self.queued])))
+
+    @invariant()
+    def bounds_hold(self):
+        if not hasattr(self, "gate"):
+            return
+        stats = self.gate.stats()
+        assert stats["in_flight"] <= self.gate.limit
+        tenants = stats["tenants"]
+        for counts in tenants.values():
+            assert counts["active"] <= self.cap
+            assert counts["depth"] <= self.cap
+        if stats["in_flight"] < self.gate.limit:
+            # No free slot stays idle while an eligible tenant waits.
+            assert not [name for name, counts in tenants.items()
+                        if counts["depth"] and counts["active"] < self.cap]
+        for tenant in TENANTS:
+            counts = tenants.get(tenant, dict.fromkeys(
+                ("active", "depth", "admitted", "shed"), 0))
+            running = [t for t in self._tickets(granted=True)
+                       if t.tenant == tenant]
+            assert counts["active"] == len(running)
+            assert self.calls[tenant] == (counts["admitted"] + counts["shed"]
+                                          + self.cancelled[tenant]
+                                          + counts["depth"])
+        assert sum(self.calls.values()) == (
+            stats["admitted_total"] + stats["shed_total"]
+            + sum(self.cancelled.values()) + stats["depth"])
+
+    def teardown(self):
+        if not hasattr(self, "gate"):
+            return
+        for ticket in list(self.live):
+            self.gate.release(ticket)
+        stats = self.gate.stats()
+        assert stats["in_flight"] == 0 and stats["depth"] == 0
+        assert all(counts["active"] == counts["depth"] == 0
+                   for counts in stats["tenants"].values())
+
+
+AdmissionMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None,
+    derandomize=True)
+TestAdmissionStateMachine = AdmissionMachine.TestCase
 
 
 class TestShedding:

@@ -12,7 +12,9 @@ cluster, and assert
 * after replacing both workers with fresh ones (empty local caches),
   the second sweep is served through the coordinator's remote artifact
   store — remote hits and replications show up in the workers'
-  ``/metrics`` and store reads in the coordinator's.
+  ``/metrics`` and store reads in the coordinator's;
+* after each sweep the coordinator's tenant gate has drained: nothing
+  in flight or waiting, and every request it was sent admitted.
 
 Usage: PYTHONPATH=src python tools/check_cluster_smoke.py [--work-dir D]
 Exits nonzero (with a diagnostic) on any failed expectation.
@@ -113,6 +115,19 @@ def run_sweep(client: ServiceClient) -> list:
     return documents
 
 
+def check_gate_drained(client: ServiceClient, sent: int) -> None:
+    """The coordinator's admission gate holds no slot and no waiter,
+    and admitted every one of the ``sent`` requests (one tenant)."""
+    admission = client.metrics()["cluster"]["admission"]
+    tenants = admission["tenants"]
+    if admission["in_flight"] or admission["depth"]:
+        fail("admission gate did not drain: %r" % (admission,))
+    if set(tenants) != {"default"} \
+            or tenants["default"]["admitted"] != sent:
+        fail("admission gate admitted %r, expected %d default requests"
+             % (tenants, sent))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--work-dir", default=None,
@@ -162,6 +177,7 @@ def main() -> int:
             if echoed != key:
                 fail("request key changed through the cluster: %s != %s"
                      % (echoed, key))
+        check_gate_drained(client, len(CELLS))
         print("cluster-smoke: sweep 1 byte-identical to evaluate_many")
 
         # Routing matches the rendezvous prediction; memo on repeat.
@@ -202,6 +218,7 @@ def main() -> int:
         for cell, expected, got in zip(CELLS, baseline, second):
             if canonical(got) != canonical(expected):
                 fail("second-run answer diverged for %r" % (cell,))
+        check_gate_drained(client, 2 * len(CELLS) + 1)
         remote_hits = replications = 0
         for node_id, url in worker_urls.items():
             store = (ServiceClient(url).metrics()
