@@ -12,20 +12,18 @@ functions present.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Dict, List, Tuple
 
 from ...analysis import build_pdg
 from ...coco.driver import optimize as coco_optimize
-from ...executor import run_compiled
+from ...executor import run_function
 from ...interp import static_profile
-from ...interp.context import ThreadContext
-from ...interp.state import bind_params, make_memory
+from ...ir.instructions import Instruction, Opcode
 from ...ir.outline import OutlineError, outline_hottest_loop
-from ...machine import DEFAULT_CONFIG, run_mt_program
-from ...machine.fast_timing import (
-    simulate_program_fast as simulate_program,
-    simulate_single_fast as simulate_single)
+from ...machine import (DEFAULT_CONFIG, run_mt_program, simulate_program,
+                        simulate_single)
 from ...mtcg import generate
 from ...opt.scheduler import (CommPriority, schedule_function,
                               schedule_program)
@@ -57,7 +55,7 @@ def _train_derivation(workload) -> tuple:
     if cached is None:
         function = normalize(workload.build())
         train = workload.make_inputs("train")
-        profile = run_compiled(function, train.args,
+        profile = run_function(function, train.args,
                                train.memory).profile
         cached = (profile, build_pdg(function))
         _TRAIN_DERIVATIONS[workload.name] = cached
@@ -385,27 +383,25 @@ def _outlined_loop_speedup(workload, mode: BenchMode) -> float:
     profile, _ = _train_derivation(workload)
     extracted = outline_hottest_loop(function, profile)
     loop_fn = extracted.function
+    # Re-derive the loop's live-in values: run the enclosing function
+    # with the loop header turned into an exit, so the run ends where
+    # the loop is first entered (the kernels initialize loop-carried
+    # registers in straight-line setup code).
+    prefix = copy.deepcopy(function)
+    prefix.block(extracted.header).instructions = [Instruction(Opcode.EXIT)]
 
     def loop_inputs(scale: str) -> WorkloadInputs:
-        # Re-derive the loop's live-in values: interpret the enclosing
-        # function until the loop header is first reached (the kernels
-        # initialize loop-carried registers in straight-line setup code).
         inputs = workload.make_inputs(scale)
-        memory = make_memory(function, inputs.memory)
-        regs = bind_params(function, dict(inputs.args))
-        context = ThreadContext(function, regs, memory, None)
-        while context.block.label != extracted.header:
-            context.step()
+        run = run_function(prefix, inputs.args, inputs.memory)
         return WorkloadInputs(
-            {name: regs.get(name, 0) for name in loop_fn.params
+            {name: run.regs.get(name, 0) for name in loop_fn.params
              if name not in loop_fn.pointer_params},
-            {name: memory.read_array(obj.base, obj.size)
-             for name, obj in loop_fn.mem_objects.items()})
+            {name: run.mem_object(name) for name in loop_fn.mem_objects})
 
     measure, train = loop_inputs(mode.scale), loop_inputs("train")
     config = DEFAULT_CONFIG.for_dswp()
     pdg = build_pdg(loop_fn)
-    loop_profile = run_compiled(loop_fn, train.args, train.memory).profile
+    loop_profile = run_function(loop_fn, train.args, train.memory).profile
     partition = DSWPPartitioner(config).partition(loop_fn, pdg,
                                                   loop_profile, 2)
     return _speedup(loop_fn, generate(loop_fn, pdg, partition), measure,
@@ -535,7 +531,7 @@ def _comm_with_profile(workload, which: str, mode: BenchMode) -> int:
         if which == "train":
             profile = train_profile
         elif which == "oracle":
-            profile = run_compiled(function, measure.args,
+            profile = run_function(function, measure.args,
                                    measure.memory).profile
         else:
             profile = static_profile(function)
@@ -615,7 +611,7 @@ def _breakdown(name: str, technique: str, coco: bool,
     function = normalize(workload.build())
     train = workload.make_inputs("train")
     measure = workload.make_inputs(mode.scale)
-    profile = run_compiled(function, train.args, train.memory).profile
+    profile = run_function(function, train.args, train.memory).profile
     pdg = build_pdg(function)
     config = technique_config(technique)
     partition = make_partitioner(technique, config).partition(

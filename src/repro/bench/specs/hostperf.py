@@ -18,7 +18,7 @@ from typing import Callable, Dict
 
 from ...analysis import build_pdg
 from ...coco.driver import optimize as coco_optimize
-from ...executor import run_compiled
+from ...executor import run_function
 from ...machine import DEFAULT_CONFIG
 from ...mtcg import generate
 from ...partition.dswp import DSWPPartitioner
@@ -39,7 +39,7 @@ def compile_passes() -> Dict[str, Callable[[], object]]:
     workload = get_workload(COMPILE_BENCH)
     function = normalize(workload.build())
     train = workload.make_inputs("train")
-    profile = run_compiled(function, train.args, train.memory).profile
+    profile = run_function(function, train.args, train.memory).profile
     pdg = build_pdg(function)
     gremio = GremioPartitioner(DEFAULT_CONFIG)
     dswp = DSWPPartitioner(DEFAULT_CONFIG)

@@ -2,7 +2,8 @@
 
 The production simulator core (:mod:`repro.machine.fast_timing`)
 promises **bit-identical** results to its oracle, the line-for-line
-reference loop (:mod:`repro.machine.timing`) — not "close", identical:
+reference loop (:mod:`repro.machine.timing_oracle`) — not "close",
+identical:
 every cycle count, every per-core stall attribution, every queue
 timestamp, every live-out, down to the int/float type of each number
 (the reference mixes both deliberately, and a ``1635`` silently becoming
@@ -29,7 +30,8 @@ module is the executable form of that contract:
   both loops must raise the same exception type and message;
 * :func:`run_functional_case` / :func:`run_executor_case` hold the
   untimed executor's MT case to the reference loop's functional
-  observables, and its one-thread case to ``run_function``;
+  observables, and its one-thread case (``run_function``) to the step
+  oracle (:func:`~repro.interp.step_oracle.run_step_oracle`);
 * :func:`run_differential` sweeps the whole grid (all workloads x
   topology presets x partitioners, plus N fuzz seeds and the error
   cases), every case untraced, traced, and traced on a ring small
@@ -45,16 +47,15 @@ import time
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..executor.untimed import run_compiled
+from ..executor.untimed import run_function
 from ..frontend.compiler import compile_source
-from ..interp.interpreter import run_function
+from ..interp.step_oracle import run_step_oracle
 from ..ir.builder import FunctionBuilder
-from ..machine import timing
 from ..machine.config import DEFAULT_CONFIG
-from ..machine.fast_timing import (simulate_program_fast,
-                                   simulate_single_fast,
+from ..machine.fast_timing import (simulate_program, simulate_single,
                                    simulate_threads_fast)
 from ..machine.functional import run_mt_program
+from ..machine.timing_oracle import simulate_threads_oracle
 from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
 from ..pipeline.fingerprint import fingerprint_profile
@@ -276,6 +277,15 @@ def run_workload_case(workload_name: str,
                            scale, (trace_limit,))[0]
 
 
+def _both_loops(simulate, *args, **options):
+    """The two sides of a timed case: ``simulate`` (an entry point) run
+    on the reference loop, then on the fast core, with the case's
+    tracer."""
+    return (lambda tracer: simulate(*args, tracer=tracer, **options,
+                                    simulate_threads=simulate_threads_oracle),
+            lambda tracer: simulate(*args, tracer=tracer, **options))
+
+
 def _workload_cases(workload_name: str, technique: Optional[str],
                     topology: Optional[str], n_threads: int, scale: str,
                     trace_limits: Sequence[int]) -> List[CaseResult]:
@@ -287,23 +297,16 @@ def _workload_cases(workload_name: str, technique: Optional[str],
     label = "%s/%s/%s/%dT" % (workload_name, technique or "st",
                               topology or "flat", n_threads)
     if technique is None:
-        function = workload.build()
-        runs = (lambda tracer: timing.simulate_single(
-                    function, inputs.args, inputs.memory, tracer=tracer),
-                lambda tracer: simulate_single_fast(
-                    function, inputs.args, inputs.memory, tracer=tracer))
+        runs = _both_loops(simulate_single, workload.build(), inputs.args,
+                           inputs.memory)
     else:
         train = workload.make_inputs("train")
         built = parallelize(workload.build(), technique=technique,
                             n_threads=n_threads, profile_args=train.args,
                             profile_memory=train.memory, cache=False,
                             topology=topology)
-        runs = (lambda tracer: timing.simulate_program(
-                    built.program, inputs.args, inputs.memory,
-                    config=built.config, tracer=tracer),
-                lambda tracer: simulate_program_fast(
-                    built.program, inputs.args, inputs.memory,
-                    config=built.config, tracer=tracer))
+        runs = _both_loops(simulate_program, built.program, inputs.args,
+                           inputs.memory, config=built.config)
     cases = [_compare(label, *runs, trace_limit=limit)
              for limit in trace_limits]
     if technique is not None:
@@ -339,17 +342,11 @@ def run_fuzz_case(seed: int, depth: int = 2,
     function, args, program = _fuzz_program(seed, depth, max_threads)
     n_threads = program.n_threads
     st = _compare("fuzz-%d/st" % seed,
-                  lambda tracer: timing.simulate_single(
-                      function, args, tracer=tracer),
-                  lambda tracer: simulate_single_fast(
-                      function, args, tracer=tracer),
-                  trace_limit)
+                  *_both_loops(simulate_single, function, args),
+                  trace_limit=trace_limit)
     mt = _compare("fuzz-%d/random-%dT" % (seed, n_threads),
-                  lambda tracer: timing.simulate_program(
-                      program, args, tracer=tracer),
-                  lambda tracer: simulate_program_fast(
-                      program, args, tracer=tracer),
-                  trace_limit)
+                  *_both_loops(simulate_program, program, args),
+                  trace_limit=trace_limit)
 
     return CaseResult(
         _label("fuzz-%d" % seed, trace_limit),
@@ -406,7 +403,7 @@ def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
                 tracer=tracer)
         cases.append(_compare(
             "error/%s" % label,
-            lambda tracer: run(timing.simulate_threads, tracer),
+            lambda tracer: run(simulate_threads_oracle, tracer),
             lambda tracer: run(simulate_threads_fast, tracer),
             trace_limit))
     return cases
@@ -443,9 +440,9 @@ def run_functional_case(label: str, program, args=None, memory=None,
     message."""
     return _compare(
         "functional/" + label,
-        lambda tracer: timing.simulate_program(
+        lambda tracer: simulate_program(
             program, args, memory, config=config, max_steps=max_steps,
-            simulate_threads=timing.simulate_threads),
+            simulate_threads=simulate_threads_oracle),
         lambda tracer: run_mt_program(program, args, memory,
                                       config.sa_queue_size, max_steps),
         snapshot_of=snapshot_functional)
@@ -483,7 +480,7 @@ def run_functional_error_cases() -> List[CaseResult]:
 # The untimed executor (the ``profile`` stage's) against its oracle.
 
 def snapshot_run(run) -> Dict[str, object]:
-    """Every observable of a :class:`~repro.interp.interpreter
+    """Every observable of a :class:`~repro.executor.untimed
     .RunResult`, typed.  The profile's two dicts are item lists, so key
     order counts, and its fingerprint — what partition cache keys are
     made of — is compared outright."""
@@ -505,20 +502,21 @@ def snapshot_run(run) -> Dict[str, object]:
 def run_executor_case(label: str, function, args=None, memory=None,
                       expect: Optional[str] = None,
                       **options) -> CaseResult:
-    """Compare :func:`~repro.executor.untimed.run_compiled` (the "fast"
-    side of the :class:`CaseResult`) with :func:`~repro.interp
-    .interpreter.run_function` on one function and input set: equal
+    """Compare :func:`~repro.executor.untimed.run_function` (the "fast"
+    side of the :class:`CaseResult`) with the step oracle,
+    :func:`~repro.interp.step_oracle.run_step_oracle`, on one function
+    and input set: equal
     :func:`snapshot_run`, or the same exception type and message.
     ``expect`` names the exception type the run must end in — an error
     case in which both sides *succeed* is a divergence too."""
     case = _compare(
         "profile/" + label,
+        lambda tracer: run_step_oracle(function, args, memory, **options),
         lambda tracer: run_function(function, args, memory, **options),
-        lambda tracer: run_compiled(function, args, memory, **options),
         snapshot_of=snapshot_run)
     if expect is not None:
         try:
-            run_function(function, args, memory, **options)
+            run_step_oracle(function, args, memory, **options)
             raised = "no exception"
         except Exception as error:
             raised = type(error).__name__
@@ -702,7 +700,7 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     single-threaded run per workload, then one :func:`run_fuzz_case`
     per seed, then :func:`run_error_cases` — each once per entry of
     :data:`TRACE_LIMITS`; the untimed executor against
-    ``run_function`` on every workload, on the program of every fuzz
+    the step oracle on every workload, on the program of every fuzz
     seed (rendered to IR, and compiled from Python) and on its own
     error cases; and ``run_mt_program`` against the reference timed
     loop on every MT cell, every fuzz seed's random partition and the

@@ -14,7 +14,7 @@ checks this chain:
 3. a matrix of cells over the compiled function — GREMIO, DSWP and
    uniformly random partitions, each with COCO off and on — profiled
    on the first input set by :func:`~repro.executor.untimed
-   .run_compiled`, as the ``profile`` stage does.  Every cell's MTCG
+   .run_function`, as the ``profile`` stage does.  Every cell's MTCG
    output goes through the static validators (``validator``) and the
    differential execution oracle (its verdicts: write order,
    deadlock/livelock, queue residue);
@@ -48,11 +48,11 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from ..analysis.pdg import build_pdg
 from ..coco.driver import optimize as coco_optimize
-from ..executor.untimed import run_compiled
+from ..executor.untimed import run_function
 from ..frontend.compiler import compile_source, python_callable
 from ..interp.profile import static_profile
 from ..ir.printer import format_function
-from ..machine.fast_timing import simulate_program_fast
+from ..machine.fast_timing import simulate_program
 from ..mtcg.codegen import generate
 from ..pipeline.stages import make_partitioner, normalize, technique_config
 from .generate import (PYTHON_ENTRY, ProgramSketch, fuzz_args,
@@ -246,7 +246,7 @@ def _frontend(sketch: ProgramSketch, arg_sets: List[dict],
     for args, want in zip(arg_sets, expected):
         scalars, memory = _inputs(args)
         got = _outcome(lambda: _ir_run(
-            function, run_compiled(function, scalars, memory)))
+            function, run_function(function, scalars, memory)))
         mismatch = _judge(report, "frontend", want, got, "IR")
         if mismatch is not None:
             return ("frontend-divergence", mismatch), function, expected
@@ -258,7 +258,7 @@ def _check_cell(function, expected: list, arg_sets: List[dict],
     """Steps 3-4 for one cell, on the first input set."""
     args, memory = _inputs(arg_sets[0])
     try:
-        profile = run_compiled(function, args, memory).profile
+        profile = run_function(function, args, memory).profile
     except Exception:
         # The input traps (so does CPython: _frontend checked that), and
         # the partitioners still need a profile.
@@ -295,7 +295,7 @@ def _check_cell(function, expected: list, arg_sets: List[dict],
         if not oracle.ok:
             return oracle.verdict, oracle.describe()
 
-    observed = _outcome(lambda: _ir_run(function, simulate_program_fast(
+    observed = _outcome(lambda: _ir_run(function, simulate_program(
         program, args, memory, config=config)))
     mismatch = _judge(report, "simulator", expected[0], observed,
                       "simulator")

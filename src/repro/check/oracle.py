@@ -27,8 +27,8 @@ from typing import Mapping, Optional
 
 from ..debug import Divergence, diff_write_traces
 from ..executor.untimed import (DeadlockError, DeadlockReport, Execution,
+                                ExecutionLimitExceeded,
                                 MTExecutionLimitExceeded)
-from ..interp.interpreter import ExecutionLimitExceeded
 from ..ir.cfg import Function
 from ..mtcg.program import MTProgram
 

@@ -82,7 +82,7 @@ def find_divergence(function: Function, program: MTProgram,
     queues/channels, queue occupancy, each blocked thread's last
     instructions) and the writes seen before progress stopped
     (``.writes``); a trap or a run past ``max_steps`` raises as in
-    :func:`repro.executor.run_compiled` and ``run_mt_program``.
+    :func:`repro.executor.run_function` and ``run_mt_program``.
     """
     st_writes: List[WriteRecord] = []
     mt_writes: List[WriteRecord] = []

@@ -8,15 +8,83 @@ and latency.  Both executors — the untimed loop of :mod:`.untimed` and
 the timed loop of :mod:`repro.machine.fast_timing` — dispatch on these
 records, so the
 instruction set's value and trap semantics (``UNDEF`` registers,
-division, address checks) are compiled once, here, from the tables of
-:mod:`repro.interp.context`, the step-at-a-time oracle.
+division, address checks) are compiled once, here, from the tables
+below — which constant folding (:mod:`repro.opt.passes`) and the
+step-at-a-time oracle (:mod:`repro.interp.step_oracle`) share.
 """
 
 from __future__ import annotations
 
-from ..interp.context import _BINARY, _UNARY, TrapError
+import math
+
 from ..ir.cfg import Function
 from ..ir.instructions import OpKind, Opcode
+
+
+class TrapError(Exception):
+    """Run-time fault: division by zero, bad address type, etc."""
+
+
+def _trunc_div(a, b):
+    if b == 0:
+        raise TrapError("integer division by zero")
+    quotient = abs(a) // abs(b)
+    return quotient if (a >= 0) == (b >= 0) else -quotient
+
+
+def _trunc_mod(a, b):
+    return a - _trunc_div(a, b) * b
+
+
+def _bool(x) -> int:
+    return 1 if x else 0
+
+
+def _fdiv(a, b):
+    if float(b) == 0.0:
+        raise TrapError("float division by zero")
+    return float(a) / float(b)
+
+
+#: Value semantics of the binary and unary opcodes.
+_BINARY = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.IDIV: _trunc_div,
+    Opcode.IMOD: _trunc_mod,
+    Opcode.MIN: lambda a, b: a if a <= b else b,
+    Opcode.MAX: lambda a, b: a if a >= b else b,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.SHL: lambda a, b: a << b,
+    Opcode.SHR: lambda a, b: a >> b,
+    Opcode.CMPEQ: lambda a, b: _bool(a == b),
+    Opcode.CMPNE: lambda a, b: _bool(a != b),
+    Opcode.CMPLT: lambda a, b: _bool(a < b),
+    Opcode.CMPLE: lambda a, b: _bool(a <= b),
+    Opcode.CMPGT: lambda a, b: _bool(a > b),
+    Opcode.CMPGE: lambda a, b: _bool(a >= b),
+    Opcode.FADD: lambda a, b: float(a) + float(b),
+    Opcode.FSUB: lambda a, b: float(a) - float(b),
+    Opcode.FMUL: lambda a, b: float(a) * float(b),
+    Opcode.FDIV: _fdiv,
+    Opcode.FMIN: lambda a, b: float(a) if a <= b else float(b),
+    Opcode.FMAX: lambda a, b: float(a) if a >= b else float(b),
+}
+
+_UNARY = {
+    Opcode.MOV: lambda a: a,
+    Opcode.NEG: lambda a: -a,
+    Opcode.ABS: lambda a: abs(a),
+    Opcode.NOT: lambda a: ~a,
+    Opcode.ITOF: float,
+    Opcode.FTOI: lambda a: math.trunc(a),
+    Opcode.FSQRT: lambda a: math.sqrt(a),
+    Opcode.FNEG: lambda a: -float(a),
+    Opcode.FABS: lambda a: abs(float(a)),
+}
 
 # Op-class codes of the compiled dispatch records.  Ordered roughly by
 # dynamic frequency so the dispatch chain tests the hot classes first.
@@ -37,13 +105,6 @@ CONSUME_SYNC = 13
 
 #: Issue-port classes, by index: alu, memory, fp, branch.
 PORT_ALU, PORT_MEM, PORT_FP, PORT_BR = 0, 1, 2, 3
-
-
-def fdiv(a, b):
-    """FDIV value semantics (the oracle checks before dividing)."""
-    if float(b) == 0.0:
-        raise TrapError("float division by zero")
-    return float(a) / float(b)
 
 
 #: Sentinel filling the slots of never-written registers.  The register
@@ -90,7 +151,7 @@ def compile_function(function: Function, config=None, trace: bool = False):
     trace hooks need that the dispatch record does not carry.  The
     compile is linear in static code size and performs no dynamic work.
     """
-    _ = function.entry  # same ValueError as ThreadContext on empty CFGs
+    _ = function.entry  # an empty CFG raises ValueError here
     label_index = {block.label: i for i, block in enumerate(function.blocks)}
     if config is None:
         alu_limit = mem_limit = fp_limit = br_limit = 0
@@ -154,12 +215,9 @@ def compile_function(function: Function, config=None, trace: bool = False):
             elif op is Opcode.CONSUME_SYNC:
                 rec = (CONSUME_SYNC, ridx, instr, instr.queue, mem_limit)
             else:
-                if op is Opcode.FDIV:
-                    fn = fdiv
-                else:
-                    fn = _BINARY.get(op) or _UNARY.get(op)
-                    if fn is None:  # pragma: no cover - all opcodes covered
-                        raise TrapError("unimplemented opcode %s" % op.value)
+                fn = _BINARY.get(op) or _UNARY.get(op)
+                if fn is None:  # pragma: no cover - all opcodes covered
+                    raise TrapError("unimplemented opcode %s" % op.value)
                 if instr.kind is OpKind.FP:
                     pidx, limit = PORT_FP, fp_limit
                 else:

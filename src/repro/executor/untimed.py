@@ -7,13 +7,15 @@ exits, then the next live one runs; a round in which no thread advances
 is a deadlock, and one global step budget bounds the run.  The loop does
 per *block* what a step interpreter does per instruction — one visit
 counter and one budget test on entry, one counter per taken branch arm.
-:func:`run_compiled` (the ``profile`` stage) is its one-thread case,
+:func:`run_function` (the ``profile`` stage, ``repro.interp``'s
+interpreter) is its one-thread case,
 :func:`repro.machine.functional.run_mt_program` its MT case, and
 :mod:`repro.check.oracle` and :mod:`repro.debug` run both with a write
 log.  ``tests/test_executor_equivalence.py`` and the
-``backend-equivalence`` CI job hold the two cases to ``run_function``
-and to the reference timed loop.  The per-block accounting assumes what
-``ir.verify`` guarantees: a block's only terminator is its last
+``backend-equivalence`` CI job hold the two cases to the step oracle
+(:mod:`repro.interp.step_oracle`) and to the reference timed loop
+(:mod:`repro.machine.timing_oracle`).  The per-block accounting assumes
+what ``ir.verify`` guarantees: a block's only terminator is its last
 instruction.
 """
 
@@ -23,14 +25,10 @@ import sys
 from collections import Counter, deque, namedtuple
 from typing import Dict, List, Mapping, Optional
 
-from ..interp.context import TrapError
-from ..interp.interpreter import ExecutionLimitExceeded, RunResult
-from ..interp.profile import EdgeProfile
-from ..interp.state import bind_params, make_memory
 from ..ir.cfg import Function
 from .records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME, EXIT, JMP, LOAD,
                       MOVI, NOP, PRODUCE, PRODUCE_SYNC, STORE, UNDEF,
-                      compile_function, trap_undef)
+                      TrapError, compile_function, trap_undef)
 
 #: Instructions a deadlock report keeps of each blocked thread's past.
 DEADLOCK_TAIL = 16
@@ -47,8 +45,39 @@ class DeadlockError(Exception):
         self.writes = list(writes or ())
 
 
+class ExecutionLimitExceeded(Exception):
+    """The step budget ran out (probably a non-terminating program)."""
+
+
 class MTExecutionLimitExceeded(Exception):
     """A multi-threaded run's step budget ran out."""
+
+
+class RunResult:
+    """Outcome of one single-threaded execution."""
+
+    def __init__(self, function: Function, regs: Dict[str, object],
+                 memory, profile, dynamic_instructions: int,
+                 opcode_counts: Counter):
+        self.function = function
+        self.regs = regs
+        self.memory = memory
+        self.profile = profile
+        self.dynamic_instructions = dynamic_instructions
+        self.opcode_counts = opcode_counts
+
+    @property
+    def live_outs(self) -> Dict[str, object]:
+        return {register: self.regs.get(register)
+                for register in self.function.live_outs}
+
+    def mem_object(self, name: str) -> List:
+        obj = self.function.mem_objects[name]
+        return self.memory.read_array(obj.base, obj.size)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "<RunResult %s: %d dynamic instructions>" % (
+            self.function.name, self.dynamic_instructions)
 
 
 WriteRecord = namedtuple("WriteRecord", "address value iid thread")
@@ -132,6 +161,8 @@ class Execution:
                  initial_memory=None, n_queues: Optional[int] = None,
                  capacity: int = 32, channels=(), writes=None,
                  trail: bool = False):
+        # Imported here: repro.interp re-exports this module's names.
+        from ..interp.state import bind_params, make_memory
         if n_queues is not None and capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         self.spec = (threads, memory_owner, args, initial_memory, n_queues,
@@ -362,12 +393,15 @@ class Execution:
                 if value is not UNDEF}
 
 
-def run_compiled(function: Function,
+def run_function(function: Function,
                  args: Optional[Mapping[str, object]] = None,
                  initial_memory: Optional[Mapping[str, object]] = None,
                  max_steps: int = 50_000_000) -> RunResult:
-    """Execute ``function`` to completion on its compiled records;
-    arguments, result and exceptions as ``run_function``."""
+    """Execute ``function`` to completion on its compiled records: its
+    registers, memory, instruction and opcode counts, and edge profile.
+    Raises the first trap, or :class:`ExecutionLimitExceeded` past
+    ``max_steps``."""
+    from ..interp.profile import EdgeProfile
     run = Execution([function], function, args,
                     initial_memory).run(max_steps)
     visits = run.visits[0]

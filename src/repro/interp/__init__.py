@@ -1,12 +1,13 @@
-"""Functional execution: interpreter, thread contexts, profiles."""
+"""Functional execution: machine state, profiles, and ``run_function``
+(:mod:`repro.executor`'s).  :mod:`.step_oracle` is its oracle."""
 
-from .context import StepResult, StepStatus, ThreadContext, TrapError
-from .interpreter import ExecutionLimitExceeded, RunResult, run_function
 from .profile import EdgeProfile, static_profile
 from .state import Memory, MemoryError_, bind_params, make_memory
+from ..executor.records import TrapError
+from ..executor.untimed import ExecutionLimitExceeded, RunResult, run_function
 
 __all__ = [
-    "StepResult", "StepStatus", "ThreadContext", "TrapError",
-    "ExecutionLimitExceeded", "RunResult", "run_function", "EdgeProfile",
-    "static_profile", "Memory", "MemoryError_", "bind_params", "make_memory",
+    "TrapError", "ExecutionLimitExceeded", "RunResult", "run_function",
+    "EdgeProfile", "static_profile", "Memory", "MemoryError_", "bind_params",
+    "make_memory",
 ]

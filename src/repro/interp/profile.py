@@ -2,7 +2,7 @@
 
 COCO's min-cut arc costs and GREMIO's latency estimates are driven by these
 weights.  Profiles come from instrumented interpretation
-(:func:`repro.interp.interpreter.run_function` fills one in), or from the
+(:func:`repro.executor.run_function` fills one in), or from the
 static estimator below when no profiling run is available — mirroring the
 papers, which profile on `train` inputs or fall back to static estimates
 (Wu & Larus).

@@ -1,20 +1,19 @@
 """The CMP machine model: topology, placement, functional MT simulation,
 and the timing model.
 
-The timing model exported here (:mod:`.timing`) is the line-for-line
-reference, the oracle.  Production simulations — traced ones included —
-run :mod:`.fast_timing`, held bit-identical to it; the pipeline chooses
-between them (:mod:`repro.pipeline.stages`), callers do not."""
+``simulate_program`` / ``simulate_single`` run the production core
+(:mod:`.fast_timing`), traced or not; :mod:`.timing_oracle` is its
+oracle."""
 
 from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from .cache import CacheLevel, MemoryHierarchy
 from .config import DEFAULT_CONFIG, CacheConfig, MachineConfig, config_table
+from .fast_timing import simulate_program, simulate_single
 from .functional import FifoQueues, MTRunResult, run_mt_program
 from .placement import (PLACERS, Placement, PlacementError,
                         affinity_placement, identity_placement,
                         make_placement, thread_affinity)
-from .timing import (TimedResult, queue_crossing_penalties, simulate_program,
-                     simulate_single, simulate_threads)
+from .timing import TimedResult, queue_crossing_penalties
 from .topology import (TOPOLOGIES, Topology, TopologyError, get_topology,
                        topology_names)
 
@@ -22,7 +21,7 @@ __all__ = [
     "CacheLevel", "MemoryHierarchy", "DEFAULT_CONFIG", "CacheConfig",
     "MachineConfig", "config_table", "DeadlockError", "FifoQueues",
     "MTExecutionLimitExceeded", "MTRunResult", "run_mt_program",
-    "TimedResult", "simulate_program", "simulate_single", "simulate_threads",
+    "TimedResult", "simulate_program", "simulate_single",
     "queue_crossing_penalties",
     "TOPOLOGIES", "Topology", "TopologyError", "get_topology",
     "topology_names",

@@ -1,42 +1,33 @@
 """The production timing simulator: a batched-dispatch core.
 
-This module re-implements :func:`repro.machine.timing.simulate_threads`
-as a *fused* functional+timing interpreter over precompiled dispatch
-records.  The reference simulator pays, per dynamic instruction, for a
-``ThreadContext.step()`` (operand list allocation, ``StepResult``
-allocation, an opcode ``is``-chain) plus a second dispatch in
-``_time_plain_instruction`` (a ``SIGNATURES`` lookup per ``kind`` read,
-``Counter`` port accounting, several method calls).  The fast core
-compiles each thread's CFG once into flat per-block record tuples
-(:func:`repro.executor.records.compile_function` — integer op-class
-codes, pre-resolved branch targets, pre-computed port
-indices/limits/latencies, pre-bound value-semantics callables; the
-untimed profiling executor dispatches on the same records) and runs
-one loop that executes and times each instruction directly against
-array-backed core state.
+This module runs the timing model of :mod:`.timing` as one *fused*
+functional+timing loop over the dispatch records of
+:func:`repro.executor.records.compile_function` (integer op-class
+codes, pre-resolved branch targets, port indices/limits/latencies,
+pre-bound value semantics), executing and timing each instruction
+against array-backed core state; its :func:`simulate_program` /
+:func:`simulate_single` are the simulator's entry points
+(``repro.machine`` exports them).
 
-Equivalence contract: the results are **bit-identical** to the reference
-loop — cycles, per-core finish times, stall attribution, cache and
-queue statistics, memory, live-outs, even the ``int`` vs ``float``
-types the reference's mixed arithmetic produces (cached artifacts are
-shared between the two, so object equality must survive pickling).
-Every timing expression below mirrors the corresponding line of
-``timing.py``; when editing one, edit both.  The differential harness
-(:mod:`repro.check.differential_backend`,
-``tests/test_backend_equivalence.py``) locks this down.
-
-Shared state (the per-cluster :class:`SAPortSchedule` bookings, the
-:class:`TimedQueues` timestamps, the :class:`MemoryHierarchy` LRU sets)
-reuses the reference classes outright: their behaviour is
-interleaving-sensitive, so sharing the implementation removes a whole
-class of divergence.
+Equivalence contract: the results are **bit-identical** to the
+reference loop, :mod:`.timing_oracle` — cycles, per-core finish times,
+stall attribution, cache and queue statistics, memory, live-outs, even
+the ``int`` vs ``float`` types its mixed arithmetic produces (cached
+artifacts are shared between the two, so object equality must survive
+pickling).  Every timing expression below mirrors the corresponding
+line of ``timing_oracle.py``; when editing one, edit both.  The
+differential harness (:mod:`repro.check.differential_backend`,
+``tests/test_backend_equivalence.py``) locks this down.  The
+interleaving-sensitive state (:class:`SAPortSchedule` bookings,
+:class:`TimedQueues` timestamps, :class:`MemoryHierarchy` LRU sets) is
+one implementation for both loops.
 
 Tracing is a record-level hook of the same loop, not a second
 interpreter: with a ``tracer`` each op-class arm ends in one
 ``if tracing:`` that hands the values the arm already computed (issue
 cycle, completion, the fence, the queue slot) to one of the
 ``_trace_*`` functions below, which derive the stall components and
-dependence edges exactly as ``timing._trace_operand_binding`` /
+dependence edges exactly as the oracle's ``_trace_operand_binding`` /
 ``_trace_emit`` do and call the collector.  The hooks are calls, not
 inline code, on purpose: an untraced run pays one local test per
 instruction and the loop's bytecode stays compact (inline hook bodies
@@ -47,29 +38,29 @@ The event stream is bit-identical to the reference loop's (same gate).
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from typing import List, Mapping, Optional, Sequence
 
 from ..executor.records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME,
                                 CONSUME_SYNC, EXIT, JMP, LOAD, MOVI,
                                 PORT_MEM, PRODUCE, PRODUCE_SYNC, STORE,
-                                UNDEF, compile_function, trap_undef)
+                                UNDEF, TrapError, compile_function,
+                                trap_undef)
 from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
-from ..interp.context import TrapError
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
 from ..ir.instructions import COMM_OPCODES
+from ..mtcg.program import MTProgram
 from ..trace.events import PRODUCER_CATEGORY
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
 from .timing import (SAPortSchedule, TimedQueues, TimedResult,
-                     simulate_program, simulate_single)
+                     queue_crossing_penalties)
 
 
 class _FastCore:
     """Array-backed in-order issue state of one core.
 
-    Field-for-field mirror of :class:`repro.machine.timing.CoreTiming`;
+    Field-for-field mirror of :class:`.timing_oracle.CoreTiming`;
     ``port_use`` is a fixed 4-slot list indexed by port class instead of
     a ``Counter`` keyed by port name, and the trace-only provenance
     (written only by the trace hooks) is flat: ``reg_source`` /
@@ -169,7 +160,7 @@ _LOAD_EXTRA = {level: {"cache_level": level} for level in _LOAD_CATEGORY}
 
 def _trace_emit(on_event, core, thread, consts, t, complete, raw, deps,
                 t0, queue=None, penalty=0, extra=None):
-    """The common tail of every trace hook (``timing._trace_emit``):
+    """The common tail of every trace hook (the oracle's ``_trace_emit``):
     attach the in-order and pending-redirect edges, split the issue
     displacement ``t - t0`` (``t0`` = the first cycle operands and
     program order allowed) into SA-port and issue-port cycles, emit the
@@ -203,7 +194,7 @@ def _trace_plain(on_event, core, thread, consts, rr, fence, t, complete,
                  dest=None, category="operand_wait", penalty=0, extra=None):
     """Trace hook of a non-communication instruction: find the binding
     operand among the record's source registers and the memory fence
-    (``timing._trace_operand_binding``; ``fence`` is 0.0 for anything
+    (the oracle's ``_trace_operand_binding``; ``fence`` is 0.0 for anything
     but a load/store), emit, and note the event as the producer of
     ``dest`` — whose consumers will charge ``category``.  Reads ``rr``:
     call it before the instruction's own destination update."""
@@ -323,9 +314,11 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                           placement: Optional[Sequence[int]] = None,
                           queue_crossing: Optional[Sequence[int]] = None
                           ) -> TimedResult:
-    """Bit-identical replacement for
-    :func:`repro.machine.timing.simulate_threads`, ``tracer`` hooks
-    (``on_event`` / ``on_queue_depth`` / ``on_finish``) included."""
+    """Co-simulate ``functions`` (one per thread) functionally and in
+    time, bit-identical to
+    :func:`.timing_oracle.simulate_threads_oracle` — arguments, result,
+    exceptions and ``tracer`` hooks (``on_event`` / ``on_queue_depth``
+    / ``on_finish``, see :class:`repro.trace.TraceCollector`)."""
     memory = make_memory(memory_owner, initial_memory)
     queues = TimedQueues(n_queues, config.sa_queue_size) if n_queues else None
     hierarchy = MemoryHierarchy(config)
@@ -364,7 +357,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     for index, function in enumerate(functions):
         params = bind_params(function, dict(args) if args else {})
         # Compile (touching function.entry) before validating the core id:
-        # the reference builds the ThreadContext first, so an empty CFG
+        # the oracle builds the ThreadContext first, so an empty CFG
         # must win over a bad placement.
         blocks, meta, reg_index, reg_names, trace_meta = compile_function(
             function, config, tracing)
@@ -1005,10 +998,42 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                        memory, hierarchy.stats(), queues, comm_stats)
 
 
-#: The program- and function-level entry points over the fast core: the
-#: reference wrappers (machine sizing, placement, crossing penalties),
-#: handed this module's thread loop.
-simulate_program_fast = partial(simulate_program,
-                                simulate_threads=simulate_threads_fast)
-simulate_single_fast = partial(simulate_single,
-                               simulate_threads=simulate_threads_fast)
+def simulate_program(program: MTProgram,
+                     args: Optional[Mapping[str, object]] = None,
+                     initial_memory: Optional[Mapping[str, object]] = None,
+                     config: MachineConfig = DEFAULT_CONFIG,
+                     max_steps: int = 200_000_000,
+                     tracer=None,
+                     placement=None,
+                     simulate_threads=simulate_threads_fast) -> TimedResult:
+    """Timed simulation of MTCG output.  ``placement`` (a
+    :class:`~repro.machine.placement.Placement` or a raw thread->core
+    sequence) selects the cores; identity on a machine sized to the
+    thread count otherwise.  ``simulate_threads`` is the thread loop to
+    run: this module's core, or the oracle
+    (:func:`repro.machine.timing_oracle.simulate_threads_oracle`)."""
+    cores = getattr(placement, "cores", placement)
+    if config.topology is None:
+        config = config.with_cores(max(program.n_threads, 1))
+    return simulate_threads(program.threads, program.exit_thread,
+                            program.original, args, initial_memory, config,
+                            n_queues=program.n_queues, max_steps=max_steps,
+                            tracer=tracer, placement=cores,
+                            queue_crossing=queue_crossing_penalties(
+                                program, config, cores))
+
+
+def simulate_single(function: Function,
+                    args: Optional[Mapping[str, object]] = None,
+                    initial_memory: Optional[Mapping[str, object]] = None,
+                    config: MachineConfig = DEFAULT_CONFIG,
+                    max_steps: int = 200_000_000,
+                    tracer=None,
+                    simulate_threads=simulate_threads_fast) -> TimedResult:
+    """Timed simulation of the original single-threaded code on one core
+    (``simulate_threads`` as in :func:`simulate_program`)."""
+    if config.topology is None:
+        config = config.with_cores(1)
+    return simulate_threads([function], 0, function, args, initial_memory,
+                            config, n_queues=0, max_steps=max_steps,
+                            tracer=tracer)

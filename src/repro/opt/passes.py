@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..analysis.liveness import liveness
-from ..interp.context import _BINARY, _UNARY  # evaluation semantics
+from ..executor.records import _BINARY, _UNARY  # evaluation semantics
 from ..ir.cfg import Function
 from ..ir.instructions import Instruction, OpKind, Opcode
 

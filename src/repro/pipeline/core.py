@@ -273,10 +273,10 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
 
     ``backend="reference"`` is the oracle seam: it runs the
     line-for-line reference loop where the production fast core would
-    run (see :func:`repro.pipeline.stages._simulator`; traced MT
-    simulations run the reference either way).  The two are
-    bit-identical by contract, so the value never enters cache
-    fingerprints or request keys.
+    run (see :func:`repro.pipeline.stages._simulator`; traced
+    simulations run the fast core too).  The two are bit-identical by
+    contract, so the value never enters cache fingerprints or request
+    keys.
 
     ``partitioner_args`` forwards tunable cost-model parameters (e.g.
     ``split_threshold``) to the technique's partitioner; they enter the

@@ -28,14 +28,14 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 from ..analysis.alias import AliasAnalysis
 from ..analysis.pdg import build_pdg
 from ..coco.driver import optimize as coco_optimize
-from ..executor.untimed import run_compiled
+from ..executor.untimed import run_function
 from ..interp.profile import static_profile
 from ..ir.cfg import Function
 from ..ir.interning import intern_program
 from ..ir.transforms import renumber_iids, split_critical_edges
-from ..machine import timing
 from ..machine.config import DEFAULT_CONFIG, MachineConfig
-from ..machine.fast_timing import simulate_threads_fast
+from ..machine.fast_timing import (simulate_program, simulate_single,
+                                   simulate_threads_fast)
 from ..machine.placement import make_placement
 from ..mtcg.codegen import generate
 from ..partition.base import Partitioner
@@ -246,7 +246,7 @@ def _run_profile(ctx: PipelineContext) -> dict:
     profile_args = ctx.options.get("profile_args")
     profile_memory = ctx.options.get("profile_memory")
     if profile_args or profile_memory:
-        profile = run_compiled(ctx.function, profile_args,
+        profile = run_function(ctx.function, profile_args,
                                profile_memory).profile
     else:
         profile = static_profile(ctx.function)
@@ -418,14 +418,16 @@ def _simulator(ctx: PipelineContext):
     the oracle (``backend == "reference"``).  The two are bit-identical,
     event stream included (tests/test_backend_equivalence.py), so the
     choice is absent from the stage fingerprints and both share cache
-    entries."""
+    entries.  The oracle is imported on use: no other production path
+    loads it."""
     if ctx.options.get("backend") == "reference":
-        return timing.simulate_threads
+        from ..machine.timing_oracle import simulate_threads_oracle
+        return simulate_threads_oracle
     return simulate_threads_fast
 
 
 def _run_simulate_st(ctx: PipelineContext) -> dict:
-    result = timing.simulate_single(
+    result = simulate_single(
         ctx.function, ctx.options.get("measure_args"),
         ctx.options.get("measure_memory"), config=ctx.sim_config,
         simulate_threads=_simulator(ctx))
@@ -463,7 +465,7 @@ def _run_simulate_mt(ctx: PipelineContext) -> dict:
     if pause_gc:
         gc.disable()
     try:
-        result = timing.simulate_program(
+        result = simulate_program(
             ctx.values["program"], ctx.options.get("measure_args"),
             ctx.options.get("measure_memory"), config=ctx.sim_config,
             tracer=collector, placement=ctx.values.get("placement"),

@@ -2,7 +2,7 @@
 attribution, and dynamic critical-path analysis.
 
 The timing simulator (:mod:`repro.machine.fast_timing`, and its oracle
-:mod:`repro.machine.timing`) accepts an optional ``tracer`` (a
+:mod:`repro.machine.timing_oracle`) accepts an optional ``tracer`` (a
 :class:`TraceCollector`); when provided it emits one
 :class:`~repro.trace.events.InstructionEvent` per dynamic instruction
 with a structured stall breakdown and the dependence edges that

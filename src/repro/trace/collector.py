@@ -81,7 +81,8 @@ class ClassAccount:
 
 
 class TraceCollector:
-    """The tracer object ``simulate_threads(tracer=...)`` drives."""
+    """The tracer object ``simulate_program(tracer=...)`` and
+    ``simulate_single(tracer=...)`` drive."""
 
     def __init__(self, limit: int = DEFAULT_EVENT_LIMIT,
                  queue_sample_limit: Optional[int] = None):

@@ -176,10 +176,10 @@ class _IrProgram:
                     for obj, size in sorted(self.mem_sizes.items())})
 
     def reference(self, inputs: WorkloadInputs) -> Dict[str, object]:
-        from ..interp.interpreter import run_function
-        run = run_function(self.build(), dict(inputs.args),
-                           initial_memory={k: list(v) for k, v
-                                           in inputs.memory.items()})
+        from ..interp.step_oracle import run_step_oracle
+        run = run_step_oracle(self.build(), dict(inputs.args),
+                              initial_memory={k: list(v) for k, v
+                                              in inputs.memory.items()})
         out: Dict[str, object] = dict(run.live_outs)
         for obj in self.mem_sizes:
             out[obj] = run.mem_object(obj)

@@ -2,8 +2,8 @@
 
 ``assert_equivalent`` is the central oracle of this repository: for a given
 function, inputs, and partition, MTCG's output simulated on the functional
-machine must produce exactly the single-threaded interpreter's live-out
-values and memory state, without deadlock.
+machine must produce exactly the live-out values and memory state of the
+single-threaded step interpreter (the oracle), without deadlock.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.analysis import build_pdg
-from repro.interp import run_function
+from repro.interp.step_oracle import run_step_oracle
 from repro.ir import Function
 from repro.machine import run_mt_program
 from repro.mtcg import generate
@@ -32,7 +32,7 @@ def assert_equivalent(function: Function, partition: Partition,
     """Run single-threaded and multi-threaded; compare results."""
     if mt_program is None:
         mt_program = make_mt(function, partition)
-    st = run_function(function, args, initial_memory)
+    st = run_step_oracle(function, args, initial_memory)
     mt = run_mt_program(mt_program, args, initial_memory,
                         queue_capacity=queue_capacity)
     assert mt.live_outs == st.live_outs, (

@@ -1,11 +1,14 @@
 """The ``repro.api`` facade: typed requests, schema versioning,
 idempotency keys, deprecation shims, and the layering covenant
-(cli/bench/service import the pipeline only through the facade)."""
+(cli/bench/service import the pipeline only through the facade, and no
+production path imports the two oracles)."""
 
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,6 +207,53 @@ class TestLayeringCovenant:
         # the service's shared intake.
         daemon = (package / "service" / "daemon.py").read_text()
         assert "from_dict" not in daemon
+
+    #: The library modules allowed to import an oracle — the step
+    #: interpreter (``interp/step_oracle.py``) or the reference timed
+    #: loop (``machine/timing_oracle.py``): the differential checker,
+    #: the pipeline's ``backend="reference"`` arm (on use only), the
+    #: inline-IR reference, and the oracles themselves.
+    ORACLE_IMPORTERS = {"check/differential_backend.py",
+                        "interp/step_oracle.py",
+                        "machine/timing_oracle.py", "pipeline/stages.py",
+                        "workloads/inline.py"}
+
+    def test_oracles_are_fenced(self):
+        package = Path(repro.__file__).parent
+        importers = {}
+        for source in package.rglob("*.py"):
+            tree = ast.parse(source.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [(node.module or "") + "." + alias.name
+                             for alias in node.names] + [node.module or ""]
+                else:
+                    continue
+                if any(part in ("step_oracle", "timing_oracle")
+                       for name in names for part in name.split(".")):
+                    importers.setdefault(
+                        str(source.relative_to(package)), []).append(
+                            node in tree.body)
+        assert set(importers) <= self.ORACLE_IMPORTERS, sorted(importers)
+        assert importers["pipeline/stages.py"] == [False]  # lazy
+
+    def test_product_imports_load_no_oracle(self):
+        """A fresh interpreter that imports the product packages and
+        runs one default evaluation has loaded neither oracle."""
+        probe = ("import sys, repro.api, repro.machine, repro.executor, "
+                 "repro.interp\n"
+                 "from repro.api import evaluate_workload, get_workload\n"
+                 "evaluate_workload(get_workload('ks'), scale='train', "
+                 "cache=False, trace=True)\n"
+                 "print(sorted(m for m in sys.modules "
+                 "if m.endswith('_oracle')))")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={"PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+            check=True)
+        assert completed.stdout.strip() == "[]"
 
     def test_facade_exports_the_classic_surface(self):
         for name in ("parallelize", "evaluate_workload", "evaluate_many",

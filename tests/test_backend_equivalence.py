@@ -3,7 +3,7 @@
 The contract under test (see ``docs/performance.md``): for every
 program the production core (:mod:`repro.machine.fast_timing`) produces
 results **bit-identical** to the reference loop
-(:mod:`repro.machine.timing`) — cycles, per-core finish times, stall
+(:mod:`repro.machine.timing_oracle`) — cycles, per-core finish times, stall
 attributions, queue internals, live-outs, memory images, and the
 int-vs-float type of every number — and, with a tracer attached,
 everything the tracer sees.  The grid is every registry workload
@@ -16,6 +16,7 @@ between the two loops.
 
 import pytest
 
+from repro import machine
 from repro.api import (EvaluateRequest, RequestValidationError,
                        configure_cache, evaluate, evaluate_workload,
                        get_cache, get_workload, workload_names)
@@ -25,9 +26,9 @@ from repro.check.differential_backend import (diff_snapshots,
                                               run_workload_case,
                                               snapshot_result,
                                               snapshot_trace)
-from repro.machine import timing
-from repro.machine.fast_timing import (simulate_program_fast,
-                                       simulate_single_fast)
+from repro.machine import fast_timing, timing_oracle
+from repro.machine.fast_timing import simulate_program, simulate_single
+from repro.machine.timing_oracle import simulate_threads_oracle
 from repro.pipeline import stages
 from repro.pipeline.core import parallelize
 
@@ -62,9 +63,10 @@ def _assert_identical(reference_snap, fast_snap, label):
 def test_single_threaded_bit_identical(name):
     workload = get_workload(name)
     inputs = workload.make_inputs("train")
-    reference = timing.simulate_single(
-        workload.build(), inputs.args, inputs.memory)
-    fast = simulate_single_fast(
+    reference = simulate_single(
+        workload.build(), inputs.args, inputs.memory,
+        simulate_threads=simulate_threads_oracle)
+    fast = simulate_single(
         workload.build(), inputs.args, inputs.memory)
     _assert_identical(snapshot_result(reference), snapshot_result(fast),
                       "%s/st" % name)
@@ -77,9 +79,10 @@ def test_multi_threaded_bit_identical(name, technique, topology,
                                       n_threads):
     built = _built(name, technique, topology, n_threads)
     inputs = get_workload(name).make_inputs("train")
-    reference = timing.simulate_program(
-        built.program, inputs.args, inputs.memory, config=built.config)
-    fast = simulate_program_fast(
+    reference = simulate_program(
+        built.program, inputs.args, inputs.memory, config=built.config,
+        simulate_threads=simulate_threads_oracle)
+    fast = simulate_program(
         built.program, inputs.args, inputs.memory, config=built.config)
     ref_snap = snapshot_result(reference)
     fast_snap = snapshot_result(fast)
@@ -107,13 +110,13 @@ def test_traced_runs_bit_identical(name, technique, topology, n_threads):
     inputs = get_workload(name).make_inputs("train")
     label = "%s/%s/%s/traced" % (name, technique, topology)
     reference_trace, fast_trace = TraceCollector(), TraceCollector()
-    reference = timing.simulate_program(
+    reference = simulate_program(
         built.program, inputs.args, inputs.memory, config=built.config,
-        tracer=reference_trace)
-    traced = simulate_program_fast(
+        tracer=reference_trace, simulate_threads=simulate_threads_oracle)
+    traced = simulate_program(
         built.program, inputs.args, inputs.memory, config=built.config,
         tracer=fast_trace)
-    untraced = simulate_program_fast(
+    untraced = simulate_program(
         built.program, inputs.args, inputs.memory, config=built.config)
     _assert_identical(snapshot_trace(reference_trace),
                       snapshot_trace(fast_trace), label)
@@ -233,8 +236,9 @@ class TestOneSimulator:
                 calls[label].append(len(functions))
                 return simulate_threads(functions, *args, **kwargs)
             return wrapper
-        monkeypatch.setattr(timing, "simulate_threads", recording(
-            "reference", timing.simulate_threads))
+        monkeypatch.setattr(
+            timing_oracle, "simulate_threads_oracle", recording(
+                "reference", timing_oracle.simulate_threads_oracle))
         monkeypatch.setattr(stages, "simulate_threads_fast", recording(
             "fast", stages.simulate_threads_fast))
         return calls
@@ -281,9 +285,31 @@ class TestOneSimulator:
         workload = get_workload("ks")
         inputs = workload.make_inputs("train")
         collector = TraceCollector()
-        result = simulate_single_fast(workload.build(), inputs.args,
-                                      inputs.memory, tracer=collector)
+        result = simulate_single(workload.build(), inputs.args,
+                                 inputs.memory, tracer=collector)
         collector.verify()
         assert collector.finished
         assert collector.total_events == result.dynamic_instructions
         assert collector.total_cycles == result.cycles
+
+    def test_machine_entry_points_run_the_fast_core(self, monkeypatch):
+        """``repro.machine.simulate_program`` / ``simulate_single`` are
+        the production core's entry points: by default they run
+        ``simulate_threads_fast``, and the oracle only when handed it."""
+        import inspect
+        for entry in (machine.simulate_program, machine.simulate_single):
+            assert entry is getattr(fast_timing, entry.__name__)
+            seam = inspect.signature(entry).parameters["simulate_threads"]
+            assert seam.default is fast_timing.simulate_threads_fast
+        assert not hasattr(machine, "simulate_threads")
+        monkeypatch.setattr(timing_oracle, "ThreadContext", None)
+        built = _built("ks", "dswp", "paper-dual", 2)
+        inputs = get_workload("ks").make_inputs("train")
+        assert machine.simulate_program(
+            built.program, inputs.args, inputs.memory,
+            config=built.config).cycles > 0
+        with pytest.raises(TypeError):     # the oracle cannot run now
+            machine.simulate_program(
+                built.program, inputs.args, inputs.memory,
+                config=built.config,
+                simulate_threads=simulate_threads_oracle)

@@ -3,7 +3,8 @@
 import dataclasses
 
 from repro.machine import DEFAULT_CONFIG, simulate_single
-from repro.machine.timing import CoreTiming, SAPortSchedule
+from repro.machine.timing import SAPortSchedule
+from repro.machine.timing_oracle import CoreTiming
 from repro.ir import FunctionBuilder, Instruction, Opcode
 
 from .helpers import build_counted_loop

@@ -20,7 +20,7 @@ from repro.api import (EvaluateRequest, ProgramSpec, configure_cache,
                        evaluate, evaluate_many, evaluate_workload,
                        get_cache, get_workload, global_telemetry,
                        reset_global_telemetry, workload_names)
-from repro.interp.context import TrapError
+from repro.interp import TrapError
 from repro.pipeline import core, fingerprint, stages
 from repro.pipeline.fingerprint import SCHEMA_VERSION
 

@@ -19,7 +19,7 @@ from repro.ir.printer import format_function
 def _patch_simulator(monkeypatch, should_flip):
     """Make the production core report ``__ret0`` off by one on every
     program ``should_flip`` accepts."""
-    real = fuzz_mod.simulate_program_fast
+    real = fuzz_mod.simulate_program
 
     def flipped(program, args, memory, config):
         result = real(program, args, memory, config=config)
@@ -27,7 +27,7 @@ def _patch_simulator(monkeypatch, should_flip):
             result.live_outs["__ret0"] += 1
         return result
 
-    monkeypatch.setattr(fuzz_mod, "simulate_program_fast", flipped)
+    monkeypatch.setattr(fuzz_mod, "simulate_program", flipped)
 
 
 class TestRunFuzz:

@@ -1,12 +1,12 @@
 """Differential equivalence of the untimed compiled executor and its
-references.
+oracles.
 
 The contract under test (``src/repro/executor/untimed.py``): on every
-program :func:`repro.executor.run_compiled` — the one-thread case, what
+program :func:`repro.executor.run_function` — the one-thread case, what
 the ``profile`` stage runs — produces the
-:class:`~repro.interp.interpreter.RunResult` of
-:func:`repro.interp.run_function`: the ``EdgeProfile`` (counts, key
-order, float value types, ``fingerprint_profile``), registers and
+:class:`~repro.executor.untimed.RunResult` of the step oracle,
+:func:`repro.interp.step_oracle.run_step_oracle`: the ``EdgeProfile``
+(counts, key order, float value types, ``fingerprint_profile``), registers and
 live-outs, the final memory image, ``dynamic_instructions`` and
 ``opcode_counts``; and a run that fails raises the same exception type
 with the same message.  The grid is every registry workload (the five
@@ -16,7 +16,7 @@ per error path.
 
 The many-thread case, :func:`repro.machine.run_mt_program`, produces the
 functional observables of the reference timed loop
-(``timing.simulate_threads``): live-outs, memory, per-thread instruction
+(``timing_oracle.simulate_threads_oracle``): live-outs, memory, per-thread instruction
 and communication counts, opcode counts and pushes per queue — on every
 workload's GREMIO and DSWP build, on the random partitions of the 25
 fuzz seeds at queue capacities 1 and 32, and with the same exception
@@ -33,9 +33,9 @@ from repro.check.differential_backend import (
     run_executor_fuzz_case, run_executor_workload_case,
     run_functional_error_cases, run_functional_fuzz_cases,
     run_functional_workload_case)
-from repro.executor import run_compiled
-from repro.interp import (ExecutionLimitExceeded, MemoryError_, TrapError,
-                          run_function)
+from repro.executor import run_function
+from repro.interp import ExecutionLimitExceeded, MemoryError_, TrapError
+from repro.interp.step_oracle import run_step_oracle
 from repro.ir.builder import FunctionBuilder
 from repro.service import ServiceConfig, ServiceDaemon
 from repro.workloads import workload_names
@@ -122,18 +122,18 @@ class TestExceptionsAreTheOracles:
         builder.idiv("r_s", "r_n", 0)
         builder.exit()
         function = builder.build()
-        for run in (run_function, run_compiled):
+        for run in (run_step_oracle, run_function):
             with pytest.raises(TrapError, match="integer division by zero"):
                 run(function, {"r_n": 1})
 
     def test_step_limit(self):
-        for run in (run_function, run_compiled):
+        for run in (run_step_oracle, run_function):
             with pytest.raises(ExecutionLimitExceeded,
                                match="looping exceeded 10 steps"):
                 run(_looping(), {"r_n": 100}, max_steps=10)
 
     def test_unknown_argument(self):
-        for run in (run_function, run_compiled):
+        for run in (run_step_oracle, run_function):
             with pytest.raises(MemoryError_, match="unknown arguments"):
                 run(_looping(), {"r_n": 1, "r_other": 2})
 
@@ -146,8 +146,8 @@ class TestExceptionsAreTheOracles:
         builder.exit()
         function = builder.build()
         for n in (0, 1):
-            compiled = run_compiled(function, {"r_n": n}).profile
-            oracle = run_function(function, {"r_n": n}).profile
+            compiled = run_function(function, {"r_n": n}).profile
+            oracle = run_step_oracle(function, {"r_n": n}).profile
             assert compiled.edge_counts == oracle.edge_counts \
                 == {("entry", "next"): 1.0}
 
@@ -163,7 +163,7 @@ def trapping(n: int, a: "int[8]"):
 
 def test_trapping_inline_program_error_document(tmp_path):
     """A program that traps in the ``profile`` stage is answered with
-    the error document ``run_function`` produced at the parent commit."""
+    the error document of the step interpreter's trap."""
     previous = configure_cache(str(tmp_path / "artifacts"))
     daemon = ServiceDaemon(ServiceConfig(
         host="127.0.0.1", port=0, workers=1, queue_limit=4,

@@ -20,7 +20,7 @@ from repro.check.fuzz import replay, run_fuzz
 from repro.check.generate import random_sketch, sketch_to_python
 from repro.frontend import (FrontendError, compile_source,
                             python_callable, random_inputs)
-from repro.interp.interpreter import run_function
+from repro.interp import run_function
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.ir.verify import verify_function

@@ -198,7 +198,7 @@ class TestSyntheticFamily:
             assert workload.build().blocks
 
     def test_reference_matches_interpreter(self):
-        from repro.interp.interpreter import run_function
+        from repro.interp import run_function
         for name in SYNTHETIC_NAMES:
             workload = get_workload(name)
             inputs = workload.make_inputs("train")

@@ -6,7 +6,7 @@ single-element queues."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.interp import run_function
+from repro.interp.step_oracle import run_step_oracle
 from repro.ir import verify_function
 from repro.machine import run_mt_program
 
@@ -42,7 +42,7 @@ def program_inputs(draw):
 @_SETTINGS
 def test_mtcg_equivalence_random(case, args, capacity):
     function, partition = case
-    st_result = run_function(function, args)
+    st_result = run_step_oracle(function, args)
     mt = make_mt(function, partition)
     for thread_function in mt.threads:
         verify_function(thread_function, allow_comm=True)
@@ -75,7 +75,7 @@ def test_coco_equivalence_and_never_worse(case, args):
         assignment.setdefault(instruction.iid, 0)
     partition = Partition(function, partition.n_threads, assignment)
 
-    st_result = run_function(function, args)
+    st_result = run_step_oracle(function, args)
     pdg = build_pdg(function)
     coco = optimize(function, pdg, partition, st_result.profile)
     mt = generate(function, pdg, partition,
@@ -102,14 +102,13 @@ def test_partitioners_equivalent_on_random_programs(sketch, args,
     correctly through MTCG; DSWP's partitions additionally satisfy the
     pipeline property."""
     from repro.analysis import build_pdg
-    from repro.interp import run_function as run_f
     from repro.ir.transforms import renumber_iids, split_critical_edges
     from repro.api import make_partitioner, technique_config
 
     function = render_program(sketch)
     split_critical_edges(function)
     renumber_iids(function)
-    st_result = run_f(function, args)
+    st_result = run_step_oracle(function, args)
     pdg = build_pdg(function)
     config = technique_config(technique).with_cores(n_threads)
     partition = make_partitioner(technique, config).partition(
@@ -140,7 +139,7 @@ def test_timed_simulation_matches_functional(sketch, args):
     from repro.ir import Opcode
 
     function = render_program(sketch)
-    st_result = run_function(function, args)
+    st_result = run_step_oracle(function, args)
     assignment = {}
     for index, instruction in enumerate(function.instructions()):
         assignment[instruction.iid] = (
@@ -166,7 +165,7 @@ def test_mt_computation_preserved(case):
     from repro.ir import Opcode
     function, partition = case
     args = {"r_in0": 5, "r_in1": -9}
-    st_result = run_function(function, args)
+    st_result = run_step_oracle(function, args)
     mt = make_mt(function, partition)
     mt_result = run_mt_program(mt, args)
     glue = {Opcode.JMP, Opcode.BR, Opcode.EXIT, Opcode.PRODUCE,

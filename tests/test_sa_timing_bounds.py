@@ -12,6 +12,7 @@ from repro.analysis import build_pdg
 from repro.interp import run_function
 from repro.machine import DEFAULT_CONFIG, simulate_program
 from repro.machine.timing import SAPortSchedule
+from repro.machine.timing_oracle import simulate_threads_oracle
 from repro.mtcg import generate
 from repro.partition.dswp import DSWPPartitioner
 from repro.trace import TraceCollector
@@ -40,11 +41,14 @@ class TestSAPortSchedulePrune:
         schedule.prune(1000)
         assert schedule.booked == {}
 
-    def test_booked_stays_bounded_on_long_simulation(self):
-        """Regression: before pruning, ``booked`` grew by one entry per
-        SA access forever.  A run with tens of thousands of SA accesses
-        must stay at or below the prune threshold plus one round of
-        growth."""
+    @staticmethod
+    def _booked_peak(monkeypatch, **loop):
+        """Simulate a long two-stage pipeline and return ``(result,
+        peak, prunes)``: the largest ``booked`` dict any SA port
+        schedule of the run held, and how often it was pruned.  The
+        production core books ports inline, so the peak is sampled where
+        both loops touch the schedules: just before each ``prune`` (a
+        dict only grows between sweeps) and at the end of the run."""
         f = build_pipeline_loop()
         args = {"r_n": 4000}
         profile = run_function(f, args).profile
@@ -52,24 +56,46 @@ class TestSAPortSchedulePrune:
         p = DSWPPartitioner().partition(f, pdg, profile, 2)
         mt = generate(f, pdg, p, None)
 
-        captured = {}
-        original = SAPortSchedule.book
+        schedules, sizes = [], []
+        init, prune = SAPortSchedule.__init__, SAPortSchedule.prune
 
-        def counting_book(self, cycle):
-            captured["accesses"] = captured.get("accesses", 0) + 1
-            captured["peak"] = max(captured.get("peak", 0),
-                                   len(self.booked))
-            original(self, cycle)
+        def recording_init(self, ports):
+            init(self, ports)
+            schedules.append(self)
 
-        SAPortSchedule.book = counting_book
-        try:
-            simulate_program(mt, args, config=DEFAULT_CONFIG.for_dswp())
-        finally:
-            SAPortSchedule.book = original
-        assert captured["accesses"] > SAPortSchedule.PRUNE_THRESHOLD
+        def recording_prune(self, watermark):
+            sizes.append(len(self.booked))
+            prune(self, watermark)
+
+        monkeypatch.setattr(SAPortSchedule, "__init__", recording_init)
+        monkeypatch.setattr(SAPortSchedule, "prune", recording_prune)
+        result = simulate_program(mt, args, config=DEFAULT_CONFIG.for_dswp(),
+                                  **loop)
+        prunes = len(sizes)
+        sizes.extend(len(schedule.booked) for schedule in schedules)
+        return result, max(sizes), prunes
+
+    def test_booked_stays_bounded_on_long_simulation(self, monkeypatch):
+        """Regression: before pruning, ``booked`` grew by one entry per
+        SA access forever.  A run of the production core with tens of
+        thousands of SA accesses must stay at or below the prune
+        threshold plus one round of growth."""
+        result, peak, prunes = self._booked_peak(monkeypatch)
+        assert result.communication_instructions \
+            > SAPortSchedule.PRUNE_THRESHOLD
+        assert prunes > 0
         # Bounded: never far past the threshold (one booking per access
         # may land between prune sweeps).
-        assert captured["peak"] <= 2 * SAPortSchedule.PRUNE_THRESHOLD
+        assert peak <= 2 * SAPortSchedule.PRUNE_THRESHOLD
+
+    def test_booked_stays_bounded_on_the_reference_loop(self, monkeypatch):
+        """The same bound on the reference timed loop (the oracle)."""
+        result, peak, prunes = self._booked_peak(
+            monkeypatch, simulate_threads=simulate_threads_oracle)
+        assert result.communication_instructions \
+            > SAPortSchedule.PRUNE_THRESHOLD
+        assert prunes > 0
+        assert peak <= 2 * SAPortSchedule.PRUNE_THRESHOLD
 
 
 def _slow_consumer_program():

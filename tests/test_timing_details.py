@@ -5,7 +5,8 @@ import dataclasses
 
 from repro.ir import Opcode
 from repro.machine import DEFAULT_CONFIG, simulate_single
-from repro.machine.timing import CoreTiming, SAPortSchedule
+from repro.machine.timing import SAPortSchedule
+from repro.machine.timing_oracle import CoreTiming
 from repro.ir import FunctionBuilder
 
 
@@ -88,7 +89,7 @@ class TestStallOnUse:
         core = _core()
         core.mem_fence = 50.0
         # A load's earliest issue respects the fence (exercised via the
-        # plain-instruction path in simulate_threads; here check the
+        # plain-instruction path of the timed loops; here check the
         # scoreboard interaction directly).
         slot = core.find_issue_slot(max(0.0, core.mem_fence), "memory",
                                     False)

@@ -169,7 +169,7 @@ class TestPlacedThreads:
         first thread finishes with a completion tail, placed off the
         identity on ``quad-2x2``."""
         from repro.api import get_workload
-        from repro.machine.fast_timing import simulate_program_fast
+        from repro.machine import simulate_program
         from repro.pipeline.core import parallelize
         workload = get_workload("435.gromacs")
         inputs = workload.make_inputs("train")
@@ -179,9 +179,9 @@ class TestPlacedThreads:
             cache=False, topology="quad-2x2")
         placement = (2, 0, 3)
         collector = TraceCollector()
-        simulate_program_fast(built.program, inputs.args, inputs.memory,
-                              config=built.config, placement=placement,
-                              tracer=collector)
+        simulate_program(built.program, inputs.args, inputs.memory,
+                         config=built.config, placement=placement,
+                         tracer=collector)
         analysis = analyze(collector)
         assert analysis.stall_totals["drain"] > 0, \
             "the case must have a completion tail to attribute"

@@ -9,8 +9,9 @@ divergences.  Three families of cases, counted separately in the log:
   (trap, deadlock, step limit), each untraced, with a trace collector
   attached, and with a collector whose ring evicts, on the fast core
   and the reference loop;
-* profile executor — the untimed executor's one-thread case (the
-  ``profile`` stage) against ``run_function`` on every workload, every
+* profile executor — the untimed executor's one-thread case
+  (``run_function``, the ``profile`` stage) against the step oracle
+  (``run_step_oracle``) on every workload, every
   fuzz program (rendered to IR, and compiled from Python) and its own
   error paths;
 * functional MT — ``run_mt_program`` against the reference loop's

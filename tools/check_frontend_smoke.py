@@ -62,7 +62,7 @@ def check_oracle_agreement(trials: int = 20) -> None:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from repro.frontend import (compile_source, python_callable,
                                 random_inputs)
-    from repro.interp.interpreter import run_function
+    from repro.interp import run_function
 
     with open(os.path.join(ROOT, EXAMPLE), "r", encoding="utf-8") as f:
         source = f.read()
