@@ -42,6 +42,7 @@ module is the executable form of that contract:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from types import SimpleNamespace
@@ -312,6 +313,71 @@ def _workload_cases(workload_name: str, technique: Optional[str],
     if technique is not None:
         cases.append(run_functional_case(label, built.program, inputs.args,
                                          inputs.memory, built.config))
+    return cases
+
+
+#: The synchronization-array stress build: a DSWP pipeline whose
+#: produce/consume traffic, on one SA port per cluster with a 2-cycle
+#: access, both collides on the port and fills 1- and 32-entry queues.
+SA_STRESS_WORKLOAD = ("458.sjeng", "dswp")
+SA_STRESS_QUEUE_SIZES = (1, 32)
+#: Topologies of the stress cases: the flat machine and a clustered one
+#: (per-cluster SA slices, crossing penalties), with their thread counts.
+SA_STRESS_TOPOLOGIES = ((None, 2), ("quad-2x2", 4))
+
+
+def sa_stress_config(config, queue_size: int):
+    """``config`` with ``queue_size``-entry queues, one SA port and a
+    2-cycle SA access — on the topology's own SA slices too when the
+    machine has an explicit topology."""
+    stress = {"sa_ports": 1, "sa_access_latency": 2}
+    topology = config.topology
+    if topology is not None:
+        topology = dataclasses.replace(topology, **stress)
+    return dataclasses.replace(config, sa_queue_size=queue_size,
+                               topology=topology, **stress)
+
+
+def run_sa_stress_cases(topology: Optional[str] = None,
+                        n_threads: int = 2, scale: str = "train",
+                        trace_limits: Sequence[int] = (0,)
+                        ) -> List[CaseResult]:
+    """Both loops on the :data:`SA_STRESS_WORKLOAD` build under
+    :func:`sa_stress_config`, one case per queue size and trace limit.
+    A case also fails unless the fast run reports SA port delays and
+    back-pressure cycles: both displacement branches of the core's
+    inlined SA path must have run for the case to count."""
+    workload_name, technique = SA_STRESS_WORKLOAD
+    workload = get_workload(workload_name)
+    inputs = workload.make_inputs(scale)
+    train = workload.make_inputs("train")
+    built = parallelize(workload.build(), technique=technique,
+                        n_threads=n_threads, profile_args=train.args,
+                        profile_memory=train.memory, cache=False,
+                        topology=topology)
+    cases = []
+    for queue_size in SA_STRESS_QUEUE_SIZES:
+        config = sa_stress_config(built.config, queue_size)
+        reference, fast = _both_loops(simulate_program, built.program,
+                                      inputs.args, inputs.memory,
+                                      config=config)
+        label = "sa-stress/%s/%s/%s/q%d/%dT" % (
+            workload_name, technique, topology or "flat", queue_size,
+            n_threads)
+        for limit in trace_limits:
+            seen = []
+
+            def observed(tracer, fast=fast, seen=seen):
+                result = fast(tracer)
+                seen.append(result.comm_stats)
+                return result
+            case = _compare(label, reference, observed, trace_limit=limit)
+            for counter in ("sa_port_delays", "backpressure_cycles"):
+                if not (seen and seen[0][counter] > 0):
+                    case.divergences.append(
+                        "comm_stats.%s: not > 0, the case does not "
+                        "stress the SA" % counter)
+            cases.append(case)
     return cases
 
 
@@ -697,7 +763,8 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     """Sweep the full equivalence grid and aggregate the report.
 
     Every (workload x topology x technique) cell plus the
-    single-threaded run per workload, then one :func:`run_fuzz_case`
+    single-threaded run per workload, the :func:`run_sa_stress_cases`
+    on each of :data:`SA_STRESS_TOPOLOGIES`, then one :func:`run_fuzz_case`
     per seed, then :func:`run_error_cases` — each once per entry of
     :data:`TRACE_LIMITS`; the untimed executor against
     the step oracle on every workload, on the program of every fuzz
@@ -727,6 +794,8 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
             for technique in techniques:
                 add(_workload_cases(name, technique, topology, n_threads,
                                     scale, TRACE_LIMITS))
+    for topology, n_threads in SA_STRESS_TOPOLOGIES:
+        add(run_sa_stress_cases(topology, n_threads, scale, TRACE_LIMITS))
     for seed in fuzz_seeds:
         add([run_executor_fuzz_case(seed),
              run_executor_frontend_case(seed)])

@@ -80,6 +80,21 @@ class MachineConfig:
         (:mod:`repro.machine.placement`) — this only sizes the machine."""
         return replace(self, n_cores=n_cores)
 
+    def single_core(self) -> "MachineConfig":
+        """The machine a single-threaded baseline runs on: one core, and
+        every inter-core parameter at its default.  A one-thread run has
+        no queues and books no SA port, and ``comm_latency`` feeds only
+        the partitioners' cost model, so those fields cannot change its
+        result — dropping them lets every queue configuration of a
+        function (GREMIO's 1-entry queues, DSWP's 32) share one baseline.
+        ``topology`` is kept: it places the core in its L3 domain."""
+        default = DEFAULT_CONFIG
+        return replace(self, n_cores=1, sa_queues=default.sa_queues,
+                       sa_queue_size=default.sa_queue_size,
+                       sa_access_latency=default.sa_access_latency,
+                       sa_ports=default.sa_ports,
+                       comm_latency=default.comm_latency)
+
     def resolve_topology(self) -> Topology:
         """The effective topology: the explicit one when set, else a
         flat single-cluster machine of ``n_cores`` cores carrying this

@@ -20,7 +20,11 @@ differential harness (:mod:`repro.check.differential_backend`,
 ``tests/test_backend_equivalence.py``) locks this down.  The
 interleaving-sensitive state (:class:`SAPortSchedule` bookings,
 :class:`TimedQueues` timestamps, :class:`MemoryHierarchy` LRU sets) is
-one implementation for both loops.
+the same objects in both loops; the oracle reaches it through their
+methods, while this loop inlines the hot accesses on those objects'
+own fields — the L1 read hit, and the whole synchronization-array path
+of produce/consume (SA port booking, slot-free lookup, push, pop and
+pop-completion bookkeeping).
 
 Tracing is a record-level hook of the same loop, not a second
 interpreter: with a ``tracer`` each op-class arm ends in one
@@ -41,10 +45,9 @@ from collections import Counter
 from typing import List, Mapping, Optional, Sequence
 
 from ..executor.records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME,
-                                CONSUME_SYNC, EXIT, JMP, LOAD, MOVI,
-                                PORT_MEM, PRODUCE, PRODUCE_SYNC, STORE,
-                                UNDEF, TrapError, compile_function,
-                                trap_undef)
+                                CONSUME_SYNC, EXIT, JMP, LOAD, MOVI, PRODUCE,
+                                PRODUCE_SYNC, STORE, UNDEF, TrapError,
+                                compile_function, trap_undef)
 from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
@@ -109,45 +112,6 @@ class _FastCore:
         self.last_event_issue = 0
         self.issue_floor = 0
         self.control_seq = None   # branch whose redirect set the floor
-
-
-def _issue_sa(core, earliest, limit, issue_width):
-    """``find_issue_slot(..., "memory", uses_sa=True)``: memory port plus
-    a synchronization-array port of the core's cluster."""
-    mi = core.min_issue
-    if earliest > mi:
-        t = int(earliest)
-        if earliest > t:
-            t += 1
-    else:
-        t = mi
-    pu = core.port_use
-    sa = core.sa
-    booked = sa.booked
-    ports = sa.ports
-    while True:
-        if t > core.cycle:
-            core.cycle = t
-            core.issued_in_cycle = 0
-            pu[0] = pu[1] = pu[2] = pu[3] = 0
-        if core.issued_in_cycle < issue_width and pu[PORT_MEM] < limit:
-            free = t
-            while booked.get(free, 0) >= ports:
-                free += 1
-            if free != t:
-                core.sa_port_delays += 1
-                core.sa_delay_cycles += free - t
-                t = free
-                continue
-            booked[t] = booked.get(t, 0) + 1
-            core.issued_in_cycle += 1
-            pu[PORT_MEM] += 1
-            core.min_issue = t
-            tf = t + 1.0
-            if tf > core.finish:
-                core.finish = tf
-            return t
-        t += 1
 
 
 #: Per hierarchy level that served a load: the stall category the
@@ -385,7 +349,22 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     mem_words = memory.words
     mem_size = memory.size
     access = hierarchy.access
-    qcap = queues.capacity if queues is not None else 0
+
+    # Inline synchronization-array path: the produce/consume arms below
+    # work on the TimedQueues' own per-queue lists (the slot-free
+    # lookup, push and pop bookkeeping of TimedQueues/FifoQueues) and on
+    # the core's SAPortSchedule bookings, as the out-of-line methods do.
+    # Each arm reads ``queues.queues`` first, so a communication op run
+    # without queues fails as it does in the oracle.
+    if queues is not None:
+        qcap = queues.capacity
+        q_timestamps = queues.timestamps
+        q_producer_seqs = queues.producer_seqs
+        q_push_counts = queues.push_counts
+        q_pop_counts = queues.pop_counts
+        q_pop_times = queues.pop_times
+        q_pop_seqs = queues.pop_seqs
+        q_pushes_per_queue = queues.pushes_per_queue
 
     # Inline L1 read-hit path (the common case): the loop below checks
     # the per-core L1 tag store directly — same hit counting and LRU
@@ -428,11 +407,10 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             pos = cur_idx[index]
             steps_before = total_steps
             # Local mirrors of the core's issue state: the inlined
-            # find-issue-slot logic below (``CoreTiming.find_issue_slot``
-            # without the SA port, repeated per op class) runs entirely
-            # on locals, written back once per burst.  ``_issue_sa``
-            # still runs out of line — its call sites sync the mirrors
-            # around the call.
+            # find-issue-slot logic below (``CoreTiming.find_issue_slot``,
+            # repeated per op class; produce/consume also book a port
+            # of the cluster's SA) runs entirely on locals, written back
+            # once per burst.
             c_cycle = core.cycle
             c_issued = core.issued_in_cycle
             c_min_issue = core.min_issue
@@ -440,6 +418,8 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             c_mem_fence = core.mem_fence
             c_last_mem = core.last_mem_complete
             pu = core.port_use
+            sa_booked = core.sa.booked
+            sa_ports = core.sa.ports
             # Budget: a burst of instructions per thread per visit, as in
             # the reference loop (keeps queue timestamps causal).
             for _ in range(64):
@@ -791,9 +771,18 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     else:
                         _c, ridx, _i, q, limit = rec
                         s0 = None
-                    if len(queues.queues[q]) >= qcap:
+                    fifo = queues.queues[q]
+                    if len(fifo) >= qcap:
                         break  # functionally full: retry after consumers
-                    slot_free = queues.slot_free_time(q)
+                    # TimedQueues.slot_free_time: the pop that freed the
+                    # next push's slot.
+                    pushes = q_push_counts[q]
+                    if pushes < qcap:
+                        slot_free = 0.0
+                    else:
+                        freed = q_pop_times[q]
+                        slot_free = freed[(pushes - qcap)
+                                          - (q_pop_counts[q] - len(freed))]
                     if s0 is not None:
                         own_ready = rr[s0]
                         value = regs[s0]
@@ -810,24 +799,54 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                         earliest = slot_free
                     else:
                         earliest = own_ready
-                    core.cycle = c_cycle
-                    core.issued_in_cycle = c_issued
-                    core.min_issue = c_min_issue
-                    core.finish = c_finish
-                    t = _issue_sa(core, earliest, limit, issue_width)
-                    c_cycle = core.cycle
-                    c_issued = core.issued_in_cycle
-                    c_min_issue = core.min_issue
-                    c_finish = core.finish
-                    queues.staged_push_time = float(t + 1)
+                    if earliest > c_min_issue:
+                        t = int(earliest)
+                        if earliest > t:
+                            t += 1
+                    else:
+                        t = c_min_issue
+                    while True:
+                        if t > c_cycle:
+                            c_cycle = t
+                            c_issued = 0
+                            pu[0] = pu[1] = pu[2] = pu[3] = 0
+                        if c_issued < issue_width and pu[1] < limit:
+                            free = t
+                            while sa_booked.get(free, 0) >= sa_ports:
+                                free += 1
+                            if free != t:
+                                core.sa_port_delays += 1
+                                core.sa_delay_cycles += free - t
+                                t = free
+                                continue
+                            sa_booked[t] = sa_booked.get(t, 0) + 1
+                            c_issued += 1
+                            pu[1] += 1
+                            c_min_issue = t
+                            tf = t + 1.0
+                            if tf > c_finish:
+                                c_finish = tf
+                            break
+                        t += 1
+                    pushed = float(t + 1)
+                    queues.staged_push_time = pushed
                     if tracing:
-                        queues.staged_push_seq = _trace_produce(
+                        seq = queues.staged_push_seq = _trace_produce(
                             on_event, core, index,
                             thread_tmeta[index][ridx], rr, s0, c_last_mem,
                             slot_free, own_ready, earliest, t, queues, q)
-                        on_queue_depth(q, float(t + 1),
-                                       len(queues.queues[q]) + 1)
-                    queues.try_push(q, value)
+                        on_queue_depth(q, pushed, len(fifo) + 1)
+                    else:
+                        seq = None
+                    # TimedQueues.try_push.
+                    fifo.append(value)
+                    q_timestamps[q].append(pushed)
+                    q_producer_seqs[q].append(seq)
+                    q_push_counts[q] += 1
+                    q_pushes_per_queue[q] += 1
+                    queues.total_pushes += 1
+                    if len(fifo) > queues.max_occupancy:
+                        queues.max_occupancy = len(fifo)
                     ti = t + 1
                     if ti > c_finish:
                         c_finish = ti
@@ -838,21 +857,43 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     else:
                         _c, ridx, _i, q, limit = rec
                         dest = None
-                    ok, value = queues.try_pop(q)
-                    if not ok:
+                    fifo = queues.queues[q]
+                    if not fifo:
                         break  # queue empty: blocked
+                    # TimedQueues.try_pop.
+                    value = fifo.popleft()
+                    popped = queues.last_popped_time = \
+                        q_timestamps[q].popleft()
+                    produced_by = queues.last_popped_seq = \
+                        q_producer_seqs[q].popleft()
+                    q_pop_counts[q] += 1
                     if dest is not None:
                         regs[dest] = value
-                    core.cycle = c_cycle
-                    core.issued_in_cycle = c_issued
-                    core.min_issue = c_min_issue
-                    core.finish = c_finish
-                    t = _issue_sa(core, 0.0, limit, issue_width)
-                    c_cycle = core.cycle
-                    c_issued = core.issued_in_cycle
-                    c_min_issue = core.min_issue
-                    c_finish = core.finish
-                    data_ready = queues.last_popped_time + sa_latency
+                    t = c_min_issue
+                    while True:
+                        if t > c_cycle:
+                            c_cycle = t
+                            c_issued = 0
+                            pu[0] = pu[1] = pu[2] = pu[3] = 0
+                        if c_issued < issue_width and pu[1] < limit:
+                            free = t
+                            while sa_booked.get(free, 0) >= sa_ports:
+                                free += 1
+                            if free != t:
+                                core.sa_port_delays += 1
+                                core.sa_delay_cycles += free - t
+                                t = free
+                                continue
+                            sa_booked[t] = sa_booked.get(t, 0) + 1
+                            c_issued += 1
+                            pu[1] += 1
+                            c_min_issue = t
+                            tf = t + 1.0
+                            if tf > c_finish:
+                                c_finish = tf
+                            break
+                        t += 1
+                    data_ready = popped + sa_latency
                     if queue_crossing is not None:
                         data_ready += queue_crossing[q]
                     ti = t + 1
@@ -869,11 +910,13 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                         seq = _trace_consume(
                             on_event, core, index,
                             thread_tmeta[index][ridx], dest, data_ready,
-                            available, t, queues.last_popped_seq, q)
-                        on_queue_depth(q, float(ti), len(queues.queues[q]))
-                        queues.record_pop_completion(q, available, seq)
+                            available, t, produced_by, q)
+                        on_queue_depth(q, float(ti), len(fifo))
                     else:
-                        queues.record_pop_completion(q, available, None)
+                        seq = None
+                    # TimedQueues.record_pop_completion.
+                    q_pop_times[q].append(available)
+                    q_pop_seqs[q].append(seq)
                     if available > c_finish:
                         c_finish = available
                     pos += 1

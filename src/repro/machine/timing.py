@@ -34,7 +34,9 @@ from .functional import FifoQueues
 
 
 class SAPortSchedule:
-    """Global per-cycle budget of synchronization-array ports."""
+    """Global per-cycle budget of synchronization-array ports.  The
+    production core books ``booked`` inline, as :meth:`next_free` and
+    :meth:`book` do."""
 
     #: Prune the booking dict once it holds this many cycle entries.
     PRUNE_THRESHOLD = 4096
@@ -70,7 +72,11 @@ class TimedQueues(FifoQueues):
 
     The simulator stages the producer-side availability time before letting
     the context execute a produce, and reads the timestamp of the popped
-    value after a consume.
+    value after a consume.  The production core
+    (:func:`.fast_timing.simulate_threads_fast`) does what
+    :meth:`slot_free_time`, :meth:`try_push`, :meth:`try_pop` and
+    :meth:`record_pop_completion` do inline, on these same fields: a
+    change to one is a change to both.
     """
 
     def __init__(self, n_queues: int, capacity: int):

@@ -159,7 +159,7 @@ _ROOTS: Dict[str, Callable[[PipelineContext], str]] = {
     "config": lambda ctx: fingerprint_config(ctx.config),
     "sim_config": lambda ctx: fingerprint_config(ctx.sim_config),
     "st_config": lambda ctx: fingerprint_config(
-        ctx.sim_config.with_cores(1)),
+        ctx.sim_config.single_core()),
 }
 
 
@@ -429,7 +429,8 @@ def _simulator(ctx: PipelineContext):
 def _run_simulate_st(ctx: PipelineContext) -> dict:
     result = simulate_single(
         ctx.function, ctx.options.get("measure_args"),
-        ctx.options.get("measure_memory"), config=ctx.sim_config,
+        ctx.options.get("measure_memory"),
+        config=ctx.sim_config.single_core(),
         simulate_threads=_simulator(ctx))
     return {"st_result": result}
 

@@ -8,7 +8,8 @@ attributions, queue internals, live-outs, memory images, and the
 int-vs-float type of every number — and, with a tracer attached,
 everything the tracer sees.  The grid is every registry workload
 x {paper-dual, quad-2x2} x {GREMIO, DSWP} x {untraced, traced}, plus
-the single-threaded simulator per workload, whole-pipeline
+the single-threaded simulator per workload, a synchronization-array
+stress build (one SA port, 1- and 32-entry queues), whole-pipeline
 ``Evaluation.metrics()`` parity, seeded random programs from
 :mod:`repro.check.generate`, the error paths, and the pipeline's choice
 between the two loops.
@@ -20,10 +21,14 @@ from repro import machine
 from repro.api import (EvaluateRequest, RequestValidationError,
                        configure_cache, evaluate, evaluate_workload,
                        get_cache, get_workload, workload_names)
-from repro.check.differential_backend import (diff_snapshots,
+from repro.check.differential_backend import (SA_STRESS_QUEUE_SIZES,
+                                              SA_STRESS_TOPOLOGIES,
+                                              SA_STRESS_WORKLOAD,
+                                              diff_snapshots,
                                               run_error_cases,
                                               run_fuzz_case,
                                               run_workload_case,
+                                              sa_stress_config,
                                               snapshot_result,
                                               snapshot_trace)
 from repro.machine import fast_timing, timing_oracle
@@ -128,6 +133,36 @@ def test_traced_runs_bit_identical(name, technique, topology, n_threads):
     assert fast_trace.total_cycles == untraced.cycles
     for core, row in fast_trace.core_table().items():
         assert row["total"] == row["finish"] == untraced.core_finish[core]
+
+
+@pytest.mark.parametrize("traced", (False, True))
+@pytest.mark.parametrize("queue_size", SA_STRESS_QUEUE_SIZES)
+@pytest.mark.parametrize("topology,n_threads", SA_STRESS_TOPOLOGIES)
+def test_sa_stress_bit_identical(topology, n_threads, queue_size, traced):
+    """One SA port, a 2-cycle SA access, 1- and 32-entry queues: the
+    produce/consume traffic collides on the port and fills the queues,
+    so both displacement branches of the fast core's inlined SA path
+    run — and the result (and trace) still equals the oracle's."""
+    from repro.trace import TraceCollector
+    name, technique = SA_STRESS_WORKLOAD
+    built = _built(name, technique, topology, n_threads)
+    inputs = get_workload(name).make_inputs("train")
+    config = sa_stress_config(built.config, queue_size)
+    tracers = ((TraceCollector(), TraceCollector()) if traced
+               else (None, None))
+    reference = simulate_program(
+        built.program, inputs.args, inputs.memory, config=config,
+        tracer=tracers[0], simulate_threads=simulate_threads_oracle)
+    fast = simulate_program(built.program, inputs.args, inputs.memory,
+                            config=config, tracer=tracers[1])
+    label = "%s/%s/q%d" % (name, topology or "flat", queue_size)
+    _assert_identical(snapshot_result(reference), snapshot_result(fast),
+                      label)
+    if traced:
+        _assert_identical(snapshot_trace(tracers[0]),
+                          snapshot_trace(tracers[1]), label + "/traced")
+    assert fast.comm_stats["sa_port_delays"] > 0
+    assert fast.comm_stats["backpressure_cycles"] > 0
 
 
 def test_snapshot_trace_tells_events_apart():

@@ -2,13 +2,18 @@
 """CI gate for the simulators and executors against their references
 (the ``backend-equivalence`` job): run the differential sweep of
 :mod:`repro.check.differential_backend` and require **zero**
-divergences.  Three families of cases, counted separately in the log:
+divergences.  Four families of cases, counted separately in the log:
 
 * timed core — every workload x topology preset x partitioner (plus
   single-threaded runs), N seeded fuzz programs and the error paths
   (trap, deadlock, step limit), each untraced, with a trace collector
   attached, and with a collector whose ring evicts, on the fast core
   and the reference loop;
+* SA stress — the same comparison on a DSWP pipeline run with one
+  synchronization-array port, a 2-cycle SA access and 1- or 32-entry
+  queues, flat and clustered; each case must also show SA port delays
+  and queue back-pressure, so the core's inlined SA path is exercised
+  on both of its displacement branches;
 * profile executor — the untimed executor's one-thread case
   (``run_function``, the ``profile`` stage) against the step oracle
   (``run_step_oracle``) on every workload, every
@@ -37,7 +42,8 @@ import sys
 from repro.check import run_differential
 
 #: Case families by the first component of a case label.
-FAMILIES = {"profile": "profile executor", "functional": "functional MT"}
+FAMILIES = {"profile": "profile executor", "functional": "functional MT",
+            "sa-stress": "SA stress"}
 
 
 def family_counts(report) -> dict:
