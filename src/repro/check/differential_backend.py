@@ -26,8 +26,9 @@ module is the executable form of that contract:
   divergences plus per-loop host seconds; with ``trace_limit`` both
   loops drive a :class:`~repro.trace.TraceCollector` of that ring size
   and the trace snapshots are compared too;
-* :func:`run_error_cases` — a trap, a deadlock and a step-limit run:
-  both loops must raise the same exception type and message;
+* :func:`run_error_cases` — a trap, a deadlock, a step-limit run and
+  a consume without queues: both loops must raise the same exception
+  type and message;
 * :func:`run_functional_case` / :func:`run_executor_case` hold the
   untimed executor's MT case to the reference loop's functional
   observables, and its one-thread case (``run_function``) to the step
@@ -421,10 +422,12 @@ def run_fuzz_case(seed: int, depth: int = 2,
         st.fast_seconds + mt.fast_seconds)
 
 
-def _error_programs():
+def _error_programs(timed: bool = False):
     """``(label, program, max_steps)`` of the runs that end in an
     exception: a trap (read of an undefined register), a deadlock (two
-    threads consuming from queues nobody feeds) and the step limit."""
+    threads consuming from queues nobody feeds) and the step limit —
+    and with ``timed``, a consume in a run without queues (a trap in
+    the timed loops; the untimed executor does not model that run)."""
     def thread(name, body):
         builder = FunctionBuilder(name, params=["r_n"], live_outs=["r_s"])
         builder.label("entry")
@@ -446,7 +449,7 @@ def _error_programs():
                                n_threads=len(threads), exit_thread=0,
                                n_queues=n_queues, channels=[])
 
-    return (
+    programs = (
         ("trap", program(thread("trap", lambda b: b.add("r_s", "r_undefined",
                                                          1))), 100_000),
         ("deadlock", program(thread("wait0", lambda b: b.consume("r_s", 0)),
@@ -454,13 +457,17 @@ def _error_programs():
                              n_queues=2), 100_000),
         ("max-steps", program(thread("spin", spin)), 500),
     )
+    if timed:
+        programs += (("consume-without-queues", program(
+            thread("lone", lambda b: b.consume("r_s", 0))), 100_000),)
+    return programs
 
 
 def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
     """The :func:`_error_programs` on both thread loops: each must raise
     the same exception type with the same message, tracer or not."""
     cases = []
-    for label, program, max_steps in _error_programs():
+    for label, program, max_steps in _error_programs(timed=True):
         def run(simulate_threads, tracer):
             return simulate_threads(
                 program.threads, 0, program.original, {"r_n": 3},

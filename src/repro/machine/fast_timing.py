@@ -60,6 +60,15 @@ from .timing import (SAPortSchedule, TimedQueues, TimedResult,
                      queue_crossing_penalties)
 
 
+class _NoQueues:
+    """The queue table of a run without queues: a ``consume`` traps on
+    it as in the oracle, whose step interpreter has no queues to pop
+    (a ``produce`` fails on ``queues`` being ``None`` in both loops)."""
+
+    def __getitem__(self, queue):
+        raise TrapError("communication outside MT simulation")
+
+
 class _FastCore:
     """Array-backed in-order issue state of one core.
 
@@ -354,9 +363,12 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     # work on the TimedQueues' own per-queue lists (the slot-free
     # lookup, push and pop bookkeeping of TimedQueues/FifoQueues) and on
     # the core's SAPortSchedule bookings, as the out-of-line methods do.
-    # Each arm reads ``queues.queues`` first, so a communication op run
-    # without queues fails as it does in the oracle.
-    if queues is not None:
+    # Each arm reads its queue first, so a communication op run without
+    # queues fails as it does in the oracle.
+    if queues is None:
+        q_fifos = _NoQueues()
+    else:
+        q_fifos = queues.queues
         qcap = queues.capacity
         q_timestamps = queues.timestamps
         q_producer_seqs = queues.producer_seqs
@@ -857,7 +869,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     else:
                         _c, ridx, _i, q, limit = rec
                         dest = None
-                    fifo = queues.queues[q]
+                    fifo = q_fifos[q]
                     if not fifo:
                         break  # queue empty: blocked
                     # TimedQueues.try_pop.

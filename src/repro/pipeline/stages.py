@@ -461,8 +461,12 @@ def _run_simulate_mt(ctx: PipelineContext) -> dict:
     # A traced run allocates a handful of long-lived, acyclic objects per
     # event; the cyclic collector would re-traverse the growing ring for
     # nothing (~1.3 us/event, docs/performance.md), so it is paused until
-    # the analysis is done.
+    # the analysis is done.  Resuming it then would traverse them once
+    # more: freeze + unfreeze first moves every tracked object to the
+    # oldest generation without a pass (unless the caller froze a heap
+    # of its own, which must stay frozen).
     pause_gc = collector is not None and gc.isenabled()
+    promote = pause_gc and gc.get_freeze_count() == 0
     if pause_gc:
         gc.disable()
     try:
@@ -475,6 +479,9 @@ def _run_simulate_mt(ctx: PipelineContext) -> dict:
             return {"mt_result": result, "mt_trace": analyze(collector)}
         return {"mt_result": result}
     finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
         if pause_gc:
             gc.enable()
 

@@ -4,10 +4,11 @@ attribution, and dynamic critical-path analysis.
 The timing simulator (:mod:`repro.machine.fast_timing`, and its oracle
 :mod:`repro.machine.timing_oracle`) accepts an optional ``tracer`` (a
 :class:`TraceCollector`); when provided it emits one
-:class:`~repro.trace.events.InstructionEvent` per dynamic instruction
-with a structured stall breakdown and the dependence edges that
-constrained it, plus :class:`~repro.trace.events.QueueSample` counter
-points for SA queue occupancy.  On top of the stream:
+event per dynamic instruction with a structured stall breakdown and
+the dependence edges that constrained it, plus counter points for SA
+queue occupancy — stored as plain rows, read as
+:class:`~repro.trace.events.InstructionEvent` /
+:class:`~repro.trace.events.QueueSample` views.  On top of the stream:
 
 * :func:`analyze` — reconciliation-checked stall-attribution tables
   and the dynamic critical path (:class:`TraceAnalysis`);
@@ -20,7 +21,7 @@ Tracing is strictly opt-in: with ``tracer=None`` the simulator's
 results are bit-identical to an uninstrumented run.
 """
 
-from .events import (EDGE_KINDS, EXECUTE, PRODUCER_CATEGORY,
+from .events import (EDGE_KINDS, EVENT_FIELDS, EXECUTE, PRODUCER_CATEGORY,
                      STALL_CATEGORIES, TRACE_SCHEMA_VERSION,
                      InstructionEvent, QueueSample, RingBuffer)
 from .collector import (DEFAULT_EVENT_LIMIT, ClassAccount, CoreAccount,
@@ -32,7 +33,7 @@ from .report import (TraceAnalysis, analyze, stall_report_json,
 
 __all__ = [
     "TRACE_SCHEMA_VERSION", "STALL_CATEGORIES", "EXECUTE",
-    "EDGE_KINDS", "PRODUCER_CATEGORY",
+    "EDGE_KINDS", "EVENT_FIELDS", "PRODUCER_CATEGORY",
     "InstructionEvent", "QueueSample", "RingBuffer",
     "TraceCollector", "CoreAccount", "ClassAccount",
     "DEFAULT_EVENT_LIMIT",

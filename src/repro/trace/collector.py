@@ -3,10 +3,11 @@ feeds, one call per issued instruction.
 
 The collector does two jobs with very different memory profiles:
 
-* **event capture** — every :class:`~repro.trace.events
-  .InstructionEvent` and :class:`~repro.trace.events.QueueSample` goes
-  into a bounded :class:`~repro.trace.events.RingBuffer`, so tracing a
-  long run keeps the newest window and counts what it evicted;
+* **event capture** — every instruction and queue sample goes into a
+  bounded :class:`~repro.trace.events.RingBuffer` as one plain row, so
+  tracing a long run keeps the newest window and counts what it
+  evicted; reading the ring yields :class:`~repro.trace.events
+  .InstructionEvent` / :class:`~repro.trace.events.QueueSample` views;
 * **stall attribution** — per-core/per-thread/per-opcode-class cycle
   accounting is accumulated *outside* the ring and therefore exact over
   the whole run, however long.
@@ -86,15 +87,17 @@ class TraceCollector:
 
     def __init__(self, limit: int = DEFAULT_EVENT_LIMIT,
                  queue_sample_limit: Optional[int] = None):
-        self.events: RingBuffer = RingBuffer(limit)
+        self.events: RingBuffer = RingBuffer(limit, InstructionEvent)
         self.queue_samples: RingBuffer = RingBuffer(
             queue_sample_limit if queue_sample_limit is not None
-            else limit)
+            else limit, QueueSample)
+        # The rings' own appends: the hooks count in ``appended``.
+        self._push_event = self.events.push
+        self._push_sample = self.queue_samples.push
         self.cores: Dict[int, CoreAccount] = {}
         self.threads: Dict[int, Dict[str, float]] = {}
         self.op_classes: Dict[str, ClassAccount] = {}
         self.queue_peak: Dict[int, int] = {}
-        self.total_events = 0
         self.core_finish: List[float] = []
         self.cache_stats: Dict[str, int] = {}
         self.comm_stats: Dict[str, float] = {}
@@ -125,8 +128,9 @@ class TraceCollector:
         instruction.  ``stall`` is *taken over*, not copied: it becomes
         the event's ``stall`` (with the pending ``control`` redirect
         added), so the caller hands in a fresh dict per event."""
-        seq = self.total_events
-        self.total_events = seq + 1
+        ring = self.events
+        seq = ring.appended
+        ring.appended = seq + 1
         try:
             account = self.cores[core]
         except KeyError:
@@ -182,14 +186,14 @@ class TraceCollector:
 
         account.events += 1
         klass.count += 1
-        self.events.append(InstructionEvent(
-            seq, core, thread, iid, op, op_class, issue, complete,
-            queue, stall, deps, extra))
+        self._push_event((seq, core, thread, iid, op, op_class, issue,
+                          complete, queue, stall, deps, extra))
         return seq
 
     def on_queue_depth(self, queue: int, cycle: float,
                        depth: int) -> None:
-        self.queue_samples.append(QueueSample(queue, cycle, depth))
+        self.queue_samples.appended += 1
+        self._push_sample((queue, cycle, depth))
         if depth > self.queue_peak.get(queue, -1):
             self.queue_peak[queue] = depth
 
@@ -219,6 +223,10 @@ class TraceCollector:
         self.finished = True
 
     # -- views -------------------------------------------------------------
+
+    @property
+    def total_events(self) -> int:
+        return self.events.appended
 
     @property
     def total_cycles(self) -> float:

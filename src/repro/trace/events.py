@@ -12,7 +12,10 @@ the counter tracks of the Chrome export.
 Events live in a :class:`RingBuffer`: tracing a long run keeps the most
 recent ``capacity`` events and *counts* what it dropped, while the
 aggregate stall attribution (see :mod:`repro.trace.collector`) is
-accumulated outside the ring and therefore never loses cycles.
+accumulated outside the ring and therefore never loses cycles.  The
+collector's rings store plain tuples in the field order of the event
+type (:data:`EVENT_FIELDS`); the objects are views, built only when a
+reader iterates the ring.
 
 ``TRACE_SCHEMA_VERSION`` is bumped on any incompatible change to the
 event layout or the exported documents.
@@ -21,6 +24,7 @@ event layout or the exported documents.
 from __future__ import annotations
 
 from collections import deque
+from itertools import starmap
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 TRACE_SCHEMA_VERSION = "repro.trace/v1"
@@ -63,11 +67,17 @@ PRODUCER_CATEGORY = {
 Dep = Tuple[int, str, Optional[float]]
 
 
-class InstructionEvent:
-    """One dynamic instruction as the timing simulator issued it."""
+#: The fields of an :class:`InstructionEvent`, in constructor order:
+#: the layout of an event row in the collector's ring.
+EVENT_FIELDS = ("seq", "core", "thread", "iid", "op", "op_class",
+                "issue", "complete", "queue", "stall", "deps", "extra")
 
-    __slots__ = ("seq", "core", "thread", "iid", "op", "op_class",
-                 "issue", "complete", "queue", "stall", "deps", "extra")
+
+class InstructionEvent:
+    """One dynamic instruction as the timing simulator issued it: built
+    from an event row (``InstructionEvent(*row)``) when read."""
+
+    __slots__ = EVENT_FIELDS
 
     def __init__(self, seq: int, core: int, thread: int, iid: int,
                  op: str, op_class: str, issue: int, complete: float,
@@ -87,6 +97,12 @@ class InstructionEvent:
         self.stall = stall or {}
         self.deps = tuple(deps)
         self.extra = extra
+
+    def row(self) -> tuple:
+        """This event as a ring row."""
+        return (self.seq, self.core, self.thread, self.iid, self.op,
+                self.op_class, self.issue, self.complete, self.queue,
+                self.stall, self.deps, self.extra)
 
     @property
     def duration(self) -> float:
@@ -115,7 +131,8 @@ class InstructionEvent:
 
 
 class QueueSample:
-    """SA queue occupancy right after one produce/consume."""
+    """SA queue occupancy right after one produce/consume: built from a
+    ``(queue, cycle, depth)`` row when read."""
 
     __slots__ = ("queue", "cycle", "depth")
 
@@ -132,14 +149,21 @@ class QueueSample:
 class RingBuffer:
     """A bounded event store: keeps the newest ``capacity`` items and
     counts evictions, so long traced runs stay memory-safe while the
-    caller can still report exactly how much history was lost."""
+    caller can still report exactly how much history was lost.
 
-    def __init__(self, capacity: int):
+    With a ``view`` type the items are plain rows and iteration (or
+    :meth:`snapshot`) yields ``view(*row)`` per row; :meth:`rows` reads
+    them as stored.  A hot producer may append through :attr:`push`,
+    the store's own ``append``, and count in :attr:`appended` itself."""
+
+    def __init__(self, capacity: int, view=None):
         if capacity < 1:
             raise ValueError("ring capacity must be >= 1, got %d"
                              % capacity)
         self.capacity = capacity
         self._items: deque = deque(maxlen=capacity)
+        self.view = view
+        self.push = self._items.append
         self.appended = 0
 
     def append(self, item) -> None:
@@ -154,7 +178,13 @@ class RingBuffer:
         return len(self._items)
 
     def __iter__(self) -> Iterator:
-        return iter(self._items)
+        if self.view is None:
+            return iter(self._items)
+        return starmap(self.view, self._items)
 
     def snapshot(self) -> List:
+        return list(self)
+
+    def rows(self) -> List:
+        """The stored items, oldest first, without building views."""
         return list(self._items)

@@ -196,11 +196,13 @@ def test_ring_eviction_bit_identical():
 
 @pytest.mark.parametrize("traced", (False, True))
 def test_error_paths_identical(traced):
-    """A trap, a deadlock and the step limit raise the same exception
-    type and message on both loops, tracer attached or not."""
+    """A trap, a deadlock, the step limit and a consume in a run
+    without queues raise the same exception type and message on both
+    loops, tracer attached or not."""
     from repro.trace import DEFAULT_EVENT_LIMIT
     cases = run_error_cases(DEFAULT_EVENT_LIMIT if traced else 0)
-    assert len(cases) == 3
+    assert [case.label.split("/")[1] for case in cases] == [
+        "trap", "deadlock", "max-steps", "consume-without-queues"]
     for case in cases:
         assert case.ok, "%s diverged:\n%s" % (
             case.label, "\n".join(case.divergences))

@@ -3,7 +3,9 @@
 ``trace=True`` opt-in on the API facade, and the bit-identical
 guarantee — enabling tracing must not move a single simulated cycle."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -102,6 +104,66 @@ class TestTracingIsBitIdentical:
         assert metrics["critical_path_instructions"] >= 1
         # Satellite: cache hit/miss counters surface in metrics().
         assert any(key.startswith("cache_") for key in metrics)
+
+
+class TestTracedRunLeavesGcAsFound:
+    """The traced simulate-mt stage pauses the cyclic collector and, on
+    the way out, promotes what it allocated with freeze + unfreeze —
+    only when it paused the collector itself and nothing was frozen."""
+
+    @staticmethod
+    def _traced():
+        return evaluate_workload(get_workload("ks"), technique="dswp",
+                                 scale="train", trace=True)
+
+    @staticmethod
+    def _tracked(obj, generation=None):
+        return any(other is obj for other in gc.get_objects(generation))
+
+    def test_enabled_gc_is_enabled_again(self, isolated_cache):
+        assert gc.isenabled()
+        self._traced()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_disabled_gc_stays_disabled_and_unpromoted(self,
+                                                       isolated_cache):
+        gc.disable()
+        try:
+            marker = []
+            assert self._tracked(marker, 0)
+            self._traced()
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() == 0
+            assert self._tracked(marker, 0), "the stage promoted it"
+        finally:
+            gc.enable()
+
+    def test_callers_frozen_heap_stays_frozen(self, isolated_cache):
+        marker = []
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert not self._tracked(marker)
+            self._traced()
+            assert gc.isenabled()
+            assert gc.get_freeze_count() == frozen
+            assert not self._tracked(marker), "the stage unfroze it"
+        finally:
+            gc.unfreeze()
+
+    def test_result_is_freed_by_refcount(self, isolated_cache):
+        """No reference cycle holds a trace: with the cyclic collector
+        off, dropping the evaluation frees its collector."""
+        gc.disable()
+        try:
+            evaluation = self._traced()
+            collector = weakref.ref(evaluation.trace.collector)
+            assert collector() is not None
+            del evaluation
+            assert collector() is None
+        finally:
+            gc.enable()
 
 
 class TestApiFacadeTrace:

@@ -9,8 +9,8 @@ from repro.interp import run_function
 from repro.machine import DEFAULT_CONFIG, simulate_program, simulate_single
 from repro.mtcg import generate
 from repro.partition.dswp import DSWPPartitioner
-from repro.trace import (EXECUTE, STALL_CATEGORIES, RingBuffer,
-                         TraceCollector, analyze)
+from repro.trace import (EXECUTE, STALL_CATEGORIES, QueueSample,
+                         RingBuffer, TraceCollector, analyze)
 
 from ._pipeline_fixture import build_pipeline_loop
 
@@ -38,6 +38,18 @@ class TestRingBuffer:
         ring.append("b")
         assert len(ring) == 2
         assert list(ring) == ["a", "b"]
+
+    def test_rows_read_as_views(self):
+        """A ring with a view type stores rows and builds the views on
+        read; ``push`` leaves the count to the producer."""
+        ring = RingBuffer(2, QueueSample)
+        for depth in range(3):
+            ring.appended += 1
+            ring.push((7, float(depth), depth))
+        assert ring.rows() == [(7, 1.0, 1), (7, 2.0, 2)]
+        assert [sample.depth for sample in ring] == [1, 2]
+        assert [sample.cycle for sample in ring.snapshot()] == [1.0, 2.0]
+        assert (len(ring), ring.appended, ring.dropped) == (2, 3, 1)
 
 
 def _traced_dswp_run(n=120):

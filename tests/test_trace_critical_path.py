@@ -1,7 +1,8 @@
 """Tests for dynamic critical-path extraction: handcrafted dependence
 chains with known answers, the telescoping identity
-``sum(edge_totals) + root_cycles + truncated_cycles == length``, and
-communication edges showing up on real MT traces."""
+``sum(edge_totals) + root_cycles + truncated_cycles == length``,
+communication edges showing up on real MT traces, and the index walk
+against a dict-based reference walk on every registry workload."""
 
 import pytest
 
@@ -10,7 +11,10 @@ from repro.interp import run_function
 from repro.machine import DEFAULT_CONFIG, simulate_program
 from repro.mtcg import generate
 from repro.partition.dswp import DSWPPartitioner
-from repro.trace import InstructionEvent, TraceCollector, critical_path
+from repro import evaluate_workload, get_workload
+from repro.trace import (DEFAULT_EVENT_LIMIT, InstructionEvent,
+                         TraceCollector, critical_path)
+from repro.workloads import workload_names
 
 from ._pipeline_fixture import build_pipeline_loop
 
@@ -175,3 +179,114 @@ class TestRealTraces:
         text = critical_path(collector.events).describe()
         assert "critical path:" in text
         assert "issue" in text
+
+
+# ---------------------------------------------------------------------------
+# The reference walk: events looked up by seq in a dict, the binding
+# edge picked by a tuple key per dependence.
+
+_KIND_RANK = {"communication": 5, "register": 4, "memory": 3,
+              "control": 2, "order": 1}
+
+
+def _binding_dep(event, by_seq):
+    best = None
+    best_key = None
+    evicted = False
+    for dep in event.deps:
+        pred_seq, kind = dep[0], dep[1]
+        if pred_seq >= event.seq:
+            continue
+        constraint = dep[2] if len(dep) > 2 else None
+        pred = by_seq.get(pred_seq)
+        if pred is None:
+            evicted = True
+            continue
+        if constraint is None:
+            constraint = pred.complete
+        key = (float(constraint), _KIND_RANK.get(kind, 0), pred.seq)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (pred, kind)
+    if best is None:
+        return None, None, evicted
+    return best[0], best[1], evicted
+
+
+def _reference_critical_path(events):
+    """Every observable of the critical path, by the reference walk."""
+    window = list(events)
+    by_seq = {event.seq: event for event in window}
+    current = window[0]
+    length = current.complete
+    for event in window:
+        if event.complete > length or (event.complete == length
+                                       and event.seq > current.seq):
+            current = event
+            length = event.complete
+    path, kinds, edge_totals = [], [], {}
+    truncated, truncated_cycles, root_cycles = False, 0.0, 0.0
+    while current is not None:
+        path.append(current)
+        pred, kind, evicted = _binding_dep(current, by_seq)
+        if pred is None:
+            if evicted and current.deps:
+                truncated = True
+                truncated_cycles = current.complete
+            else:
+                root_cycles = current.complete
+            kinds.append(None)
+            break
+        edge_totals[kind] = (edge_totals.get(kind, 0.0)
+                             + max(0.0, current.complete - pred.complete))
+        kinds.append(kind)
+        current = pred
+    path.reverse()
+    kinds.reverse()
+    return {"length": length, "instructions": len(path),
+            "edge_kinds": kinds, "edge_totals": edge_totals,
+            "root_cycles": root_cycles, "truncated": truncated,
+            "truncated_cycles": truncated_cycles,
+            "seqs": [event.seq for event in path]}
+
+
+def _observables(path):
+    return {"length": path.length, "instructions": path.instructions,
+            "edge_kinds": path.edge_kinds, "edge_totals": path.edge_totals,
+            "root_cycles": path.root_cycles, "truncated": path.truncated,
+            "truncated_cycles": path.truncated_cycles,
+            "seqs": [event.seq for event in path.events]}
+
+
+class TestAgainstReferenceWalk:
+    """The index walk over the ring's rows equals the dict-based walk
+    over the materialised events, value and type, on real traces —
+    whole, and cut by a 4 096- and a 64-event ring."""
+
+    @pytest.mark.parametrize("technique", ["gremio", "dswp"])
+    @pytest.mark.parametrize("limit", [64, 4096, DEFAULT_EVENT_LIMIT])
+    def test_registry_traces(self, technique, limit):
+        truncated = 0
+        for name in workload_names():
+            evaluation = evaluate_workload(
+                get_workload(name), technique, scale="train", trace=True,
+                trace_limit=limit)
+            events = evaluation.trace.collector.events
+            got = _observables(critical_path(events))
+            want = _reference_critical_path(list(events))
+            assert repr(got) == repr(want), name
+            truncated += got["truncated"]
+        if limit == 64:
+            assert truncated, "no 64-event window cut the path"
+
+    def test_hand_built_lists_match(self):
+        """Unsorted input with a seq gap: the hole reads as evicted."""
+        events = [
+            _event(7, 9, 12.0, deps=[(6, "register", 9.0),
+                                     (3, "order", 2.0)]),
+            _event(3, 0, 2.0),
+            _event(6, 2, 9.0, deps=[(4, "memory", 2.0),
+                                    (3, "register", 2.0)]),
+        ]
+        assert repr(_observables(critical_path(events))) == repr(
+            _reference_critical_path(events))

@@ -9,10 +9,14 @@ traced (``--workload``), it then re-runs that cell in process on the
 *reference* loop with a fresh collector and requires the ``analyze()``
 JSON to equal the ``--report-json`` file byte for byte: the CLI traces
 on the production core, so this is the bit-identity gate at CLI level.
+A CLI run with ``--limit N`` needs the same ``--limit N`` here: the
+reference re-run then keeps the same N-event ring, and the two reports
+agree on the evicted window too.
 
 Usage: PYTHONPATH=src python tools/check_trace_smoke.py trace.json \
            [--expect-counters] [--report-json report.json \
-            [--workload adpcm --partitioner gremio --scale train]]
+            [--workload adpcm --partitioner gremio --scale train
+             [--limit N]]]
 Exits nonzero (with a diagnostic) on any failed expectation.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 #: Keys every event of a given phase must carry (Trace Event Format).
 REQUIRED_KEYS = {
@@ -112,21 +117,23 @@ def check_report(path: str) -> None:
 
 
 def check_against_reference(path: str, workload: str, partitioner: str,
-                            scale: str) -> None:
+                            scale: str, limit: Optional[int]) -> None:
     """The report the CLI wrote (fast core) against the same cell
-    traced on the reference loop."""
+    traced on the reference loop, on a ring of ``limit`` events."""
     from repro.api import evaluate_workload, get_workload
     from repro.trace import stall_report_json
     evaluation = evaluate_workload(
         get_workload(workload), technique=partitioner, scale=scale,
-        trace=True, backend="reference")
+        trace=True, trace_limit=limit, backend="reference")
     with open(path) as handle:
         written = handle.read()
     if written != stall_report_json(evaluation.trace) + "\n":
         fail("report %s differs from the reference loop's analysis of "
              "%s/%s/%s" % (path, workload, partitioner, scale))
     print("trace-smoke: %s equals the reference loop's report "
-          "(%d events)" % (path, evaluation.trace.events_recorded))
+          "(%d events, %d dropped)"
+          % (path, evaluation.trace.events_recorded,
+             evaluation.trace.events_dropped))
 
 
 def main() -> int:
@@ -141,13 +148,17 @@ def main() -> int:
                              "--report-json with the reference loop's")
     parser.add_argument("--partitioner", default="gremio")
     parser.add_argument("--scale", default="ref")
+    parser.add_argument("--limit", type=int, default=None,
+                        help="the event-ring size the CLI traced with "
+                             "(its --limit; default: the default ring)")
     args = parser.parse_args()
     check_trace(args.trace, args.expect_counters)
     if args.report_json:
         check_report(args.report_json)
         if args.workload:
             check_against_reference(args.report_json, args.workload,
-                                    args.partitioner, args.scale)
+                                    args.partitioner, args.scale,
+                                    args.limit)
     print("trace-smoke: PASS")
     return 0
 
