@@ -3,20 +3,19 @@
 The papers' Figure 2 point: the PDG + MTCG pair is a *framework* — any
 strategy that assigns instructions to threads yields correct multi-threaded
 code.  This example writes a deliberately simple partitioner (offload every
-floating-point instruction to thread 1), runs it through MTCG, and checks
-the result against the single-threaded interpreter on the gromacs kernel.
+floating-point instruction to thread 1), hands its assignment to the staged
+pipeline (``parallelize(..., partition=...)``: cached, validated, then
+MTCG), and checks the result against the single-threaded run on the
+gromacs kernel.
 
 Run:  python examples/custom_partitioner.py
 """
 
-from repro.analysis import build_pdg
 from repro.graphs import condense
-from repro.interp import run_function
 from repro.ir import OpKind, Opcode, format_function
 from repro.machine import simulate_program, simulate_single
-from repro.mtcg import generate
 from repro.partition import Partition, Partitioner
-from repro.api import normalize
+from repro.api import parallelize
 from repro.workloads import get_workload
 
 
@@ -50,19 +49,21 @@ class FloatOffloadPartitioner(Partitioner):
 
 def main() -> None:
     workload = get_workload("435.gromacs")
-    function = normalize(workload.build())
     train = workload.make_inputs("train")
     ref = workload.make_inputs("ref")
 
-    profile = run_function(function, train.args, train.memory).profile
-    pdg = build_pdg(function)
-    partition = FloatOffloadPartitioner().partition(function, pdg,
-                                                    profile, 2)
+    # The pipeline's front half (normalize, train profile, PDG) is what
+    # the partitioner reads; any technique's run provides it.
+    front = parallelize(workload.build(), "dswp", profile_args=train.args,
+                        profile_memory=train.memory)
+    partition = FloatOffloadPartitioner().partition_of(front)
     counts = partition.counts()
     print("Partition: thread 0 gets %d instructions, thread 1 gets %d"
           % (counts[0], counts[1]))
 
-    program = generate(function, pdg, partition)
+    built = parallelize(workload.build(), profile_args=train.args,
+                        profile_memory=train.memory, partition=partition)
+    function, program = built.function, built.program
     print("MTCG inserted %d communication channels (%d queues)"
           % (len(program.channels), program.n_queues))
 

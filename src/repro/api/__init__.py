@@ -14,7 +14,10 @@ from here.  The surface is:
   search driver (``TUNE_SCHEMA_VERSION``-stamped leaderboards);
 * **the classic callables**: :func:`parallelize`,
   :func:`evaluate_workload` (one cell, materialised: program, PDG,
-  memory images), and the workload registry;
+  memory images), :func:`evaluate_summary` (its numbers, through the
+  cell-level result entry — for evaluations no request can name: a
+  swept machine configuration, an explicit partition), and the
+  workload registry;
 * **infrastructure handles**: the artifact cache
   (:func:`get_cache`/:func:`configure_cache`/:func:`ensure_cache`),
   telemetry (:class:`Telemetry`, :func:`global_telemetry`) and the one
@@ -34,7 +37,7 @@ from .facade import (ArtifactCache, ArtifactStore, CacheStats,
                      Telemetry, all_workloads,
                      configure_cache, default_cache_dir, digest,
                      ensure_cache, evaluate, evaluate_many,
-                     evaluate_workload,
+                     evaluate_summary, evaluate_workload,
                      fingerprint_config, fingerprint_function,
                      fingerprint_inputs, fingerprint_profile, get_cache,
                      get_topology, get_workload, global_telemetry,
@@ -64,8 +67,8 @@ __all__ = [
     "tune", "validate_overrides", "overrides_config",
     "TUNABLE_MACHINE_FIELDS", "PARTITIONER_PARAMS",
     # classic callables
-    "Evaluation", "Parallelization", "evaluate_workload", "parallelize",
-    "MatrixCell",
+    "Evaluation", "Parallelization", "evaluate_summary",
+    "evaluate_workload", "parallelize", "MatrixCell",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
     # machine topology / placement registries
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",

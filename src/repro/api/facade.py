@@ -26,7 +26,8 @@ from ..pipeline.cache import (ArtifactCache, CacheStats, configure_cache,
 from ..pipeline.store import (ArtifactStore, HttpStore, LocalStore,
                               STORE_URL_ENV, http_request, make_store)
 from ..pipeline.core import (Evaluation, Parallelization,
-                             evaluate_workload, parallelize)
+                             evaluate_summary, evaluate_workload,
+                             parallelize)
 from ..pipeline.fingerprint import (digest, fingerprint_config,
                                     fingerprint_function,
                                     fingerprint_inputs,
@@ -53,8 +54,8 @@ __all__ = [
     "default_cache_dir", "ensure_cache", "get_cache", "http_request",
     "digest", "fingerprint_config", "fingerprint_function",
     "fingerprint_inputs", "fingerprint_profile",
-    "Evaluation", "Parallelization", "evaluate_workload", "parallelize",
-    "MatrixCell",
+    "Evaluation", "Parallelization", "evaluate_summary",
+    "evaluate_workload", "parallelize", "MatrixCell",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",
     "LatencyHistogram", "Telemetry", "global_telemetry",

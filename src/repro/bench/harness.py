@@ -30,11 +30,13 @@ def clear_memo() -> None:
 def evaluation(name: str, technique: str, coco: bool = False,
                n_threads: int = 2, scale: str = "ref",
                alias_mode: str = "annotated", topology=None,
-               placer: str = "identity") -> Mapping[str, float]:
+               placer: str = "identity",
+               local_schedule=None) -> Mapping[str, float]:
     """The memoized ``metrics`` of one checked matrix cell (the keys of
     :meth:`repro.api.Evaluation.metrics`)."""
     cell = MatrixCell(name, technique, coco, n_threads, scale,
-                      alias_mode, topology=topology, placer=placer)
+                      alias_mode, local_schedule, topology=topology,
+                      placer=placer)
     if cell not in _MEMO:
         _MEMO[cell] = evaluate(EvaluateRequest.from_cell(cell)).metrics
     return _MEMO[cell]

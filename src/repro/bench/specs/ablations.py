@@ -1,7 +1,12 @@
 """Specs for the ablation and sensitivity experiments (GREMIO-E3/E4,
-EXT-E1..E7): custom pipeline assemblies that bypass the evaluation
-matrix (variant partitioners, machine-parameter sweeps, outlined
-regions, profile-source swaps).
+EXT-E1..E7), all through the staged pipeline: matrix cells via
+:func:`~repro.bench.harness.evaluation`; swept machine configurations
+and GREMIO's region-grouped partition via
+:func:`~repro.api.evaluate_summary` (its cell-level result entry
+answers a repeat); and where a spec reads the
+generated program (overhead classes, communication counts under other
+profiles, the outlined loop), :func:`~repro.api.parallelize` plus the
+one run it needs.
 
 Under the smoke mode these measure on ``train`` inputs and truncated
 benchmark lists; the full mode reproduces the papers' methodology
@@ -16,21 +21,13 @@ import copy
 import dataclasses
 from typing import Dict, List, Tuple
 
-from ...analysis import build_pdg
-from ...coco.driver import optimize as coco_optimize
 from ...executor import run_function
-from ...interp import static_profile
 from ...ir.instructions import Instruction, Opcode
 from ...ir.outline import OutlineError, outline_hottest_loop
 from ...machine import (DEFAULT_CONFIG, run_mt_program, simulate_program,
                         simulate_single)
-from ...mtcg import generate
-from ...opt.scheduler import (CommPriority, schedule_function,
-                              schedule_program)
-from ...partition.dswp import DSWPPartitioner
 from ...partition.gremio import GremioPartitioner
-from ...api import (MatrixCell, make_partitioner, normalize,
-                    technique_config)
+from ...api import MatrixCell, evaluate_summary, parallelize
 from ...stats import (arithmetic_mean, geomean,
                       overhead_breakdown as classify_overheads)
 from ...workloads import get_workload
@@ -38,28 +35,6 @@ from ...workloads.common import WorkloadInputs
 from ..harness import evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
-
-# Per-process memo of the derivation chain every ablation repeats for a
-# workload: the train-input profile and the PDG of its normalized
-# function.  Workload builds are deterministic — the persistent pipeline
-# cache already applies cached profiles/PDGs to freshly built functions —
-# so the shared objects are valid against any fresh build; call sites
-# still rebuild the Function itself because downstream passes may mutate
-# it (local scheduling, outlining).
-_TRAIN_DERIVATIONS: dict = {}
-
-
-def _train_derivation(workload) -> tuple:
-    """(train profile, PDG) for the workload's normalized function."""
-    cached = _TRAIN_DERIVATIONS.get(workload.name)
-    if cached is None:
-        function = normalize(workload.build())
-        train = workload.make_inputs("train")
-        profile = run_function(function, train.args,
-                               train.memory).profile
-        cached = (profile, build_pdg(function))
-        _TRAIN_DERIVATIONS[workload.name] = cached
-    return cached
 
 SCALING_BENCHES = ["ks", "181.mcf", "435.gromacs", "188.ammp"]
 HIERARCHY_BENCHES = ["ks", "181.mcf", "435.gromacs", "300.twolf",
@@ -77,26 +52,13 @@ LATENCIES = (1, 2, 4, 8, 16, 32)
 QUEUE_DEPTHS = (1, 2, 4, 8, 32, 128)
 
 
-def _prepare(name: str, mode: BenchMode,
-             partitioner) -> Tuple[object, object, object]:
-    """(function, generated MT program, measure inputs) for one
-    partitioner's 2-thread split of a workload, profiled on train."""
-    workload = get_workload(name)
-    function = normalize(workload.build())
-    measure = workload.make_inputs(mode.scale)
-    profile, pdg = _train_derivation(workload)
-    partition = partitioner.partition(function, pdg, profile, 2)
-    return function, generate(function, pdg, partition), measure
-
-
-def _speedup(function, program, measure, config=DEFAULT_CONFIG) -> float:
-    """Single- over multi-threaded cycles on the measure inputs."""
-    st = simulate_single(function, measure.args, measure.memory,
-                         config=config)
-    mt = simulate_program(program, measure.args, measure.memory,
-                          config=config)
-    assert mt.live_outs == st.live_outs
-    return st.cycles / mt.cycles
+def _parallelized(workload, technique: str, **options):
+    """``workload``'s 2-thread ``technique`` parallelization, profiled
+    on train — an evaluation's cached front half."""
+    train = workload.make_inputs("train")
+    return parallelize(workload.build(), technique,
+                       profile_args=train.args,
+                       profile_memory=train.memory, **options)
 
 
 # -- EXT-E1: thread-count scaling ------------------------------------------
@@ -186,24 +148,29 @@ def _coco_more_pronounced(m):
 
 @bench_spec(
     id="ablation_hierarchy",
-    title="GREMIO-E3: scheduling-policy ablation (full/flat/region)")
+    title="GREMIO-E3: scheduling-policy ablation (full/flat/region)",
+    cells=lambda mode: [MatrixCell(name, technique, False, 2, mode.scale)
+                        for name in mode.pick(HIERARCHY_BENCHES)
+                        for technique in ("gremio", "gremio-flat")])
 def ablation_hierarchy(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     per_variant: Dict[str, List[float]] = {"full": [], "flat": [],
                                            "grouped": []}
     for name in mode.pick(HIERARCHY_BENCHES):
+        grouped = GremioPartitioner(
+            DEFAULT_CONFIG, region_grouping=True).partition_of(
+                _parallelized(get_workload(name), "gremio"))
         variants = {
-            "full": GremioPartitioner(DEFAULT_CONFIG),
-            "flat": GremioPartitioner(DEFAULT_CONFIG,
-                                      hierarchical=False),
-            "grouped": GremioPartitioner(DEFAULT_CONFIG,
-                                         region_grouping=True),
+            "full": evaluation(name, "gremio", scale=mode.scale),
+            "flat": evaluation(name, "gremio-flat", scale=mode.scale),
+            "grouped": evaluate_summary(
+                get_workload(name), technique="gremio", scale=mode.scale,
+                partition=grouped).metrics,
         }
-        for variant, partitioner in variants.items():
-            speedup = _speedup(*_prepare(name, mode, partitioner))
+        for variant, ev in variants.items():
             metrics["speedup/%s/%s" % (variant, name)] = \
-                Metric(speedup, unit="x")
-            per_variant[variant].append(speedup)
+                Metric(ev["speedup"], unit="x")
+            per_variant[variant].append(ev["speedup"])
     for variant, values in per_variant.items():
         metrics["geomean/%s" % variant] = Metric(geomean(values),
                                                  unit="x")
@@ -236,26 +203,22 @@ def _every_variant_runs(m):
     title="EXT-E2: operand-network latency and queue-depth sweeps")
 def ablation_machine(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
-    function, program, measure = _prepare(
-        MACHINE_SWEEP_BENCH, mode, DSWPPartitioner(DEFAULT_CONFIG))
-    st = simulate_single(function, measure.args, measure.memory)
-    metrics["st_cycles"] = Metric(st.cycles, unit="cycles")
+
+    def mt_cycles(**fields) -> Metric:
+        ev = evaluate_summary(
+            get_workload(MACHINE_SWEEP_BENCH), technique="dswp",
+            scale=mode.scale,
+            config=dataclasses.replace(DEFAULT_CONFIG, **fields)).metrics
+        # One single-threaded baseline: no swept field moves it.
+        metrics["st_cycles"] = Metric(ev["st_cycles"], unit="cycles")
+        return Metric(ev["mt_cycles"], unit="cycles")
+
     for latency in LATENCIES:
-        config = dataclasses.replace(DEFAULT_CONFIG,
-                                     sa_access_latency=latency,
-                                     sa_queue_size=32)
-        mt = simulate_program(program, measure.args, measure.memory,
-                              config=config)
-        assert mt.live_outs == st.live_outs
-        metrics["mt_cycles/latency/%d" % latency] = Metric(mt.cycles,
-                                                           unit="cycles")
+        metrics["mt_cycles/latency/%d" % latency] = mt_cycles(
+            sa_access_latency=latency, sa_queue_size=32)
     for depth in QUEUE_DEPTHS:
-        config = dataclasses.replace(DEFAULT_CONFIG, sa_queue_size=depth)
-        mt = simulate_program(program, measure.args, measure.memory,
-                              config=config)
-        assert mt.live_outs == st.live_outs
-        metrics["mt_cycles/queue/%d" % depth] = Metric(mt.cycles,
-                                                       unit="cycles")
+        metrics["mt_cycles/queue/%d" % depth] = mt_cycles(
+            sa_queue_size=depth)
     return metrics
 
 
@@ -289,20 +252,16 @@ def _queue_depth_second_order(m):
 def branch_prediction(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     for name in mode.pick(BRANCH_BENCHES):
-        function, program, measure = _prepare(
-            name, mode, DSWPPartitioner(DEFAULT_CONFIG.for_dswp()))
         for predictor in ("static", "bimodal", "perfect"):
-            config = dataclasses.replace(DEFAULT_CONFIG.for_dswp(),
-                                         branch_predictor=predictor)
-            st = simulate_single(function, measure.args, measure.memory,
-                                 config=config)
-            mt = simulate_program(program, measure.args, measure.memory,
-                                  config=config)
-            assert mt.live_outs == st.live_outs
+            ev = evaluate_summary(
+                get_workload(name), technique="dswp", scale=mode.scale,
+                config=dataclasses.replace(DEFAULT_CONFIG.for_dswp(),
+                                           branch_predictor=predictor)
+            ).metrics
             metrics["st_cycles/%s/%s" % (predictor, name)] = \
-                Metric(st.cycles, unit="cycles")
+                Metric(ev["st_cycles"], unit="cycles")
             metrics["speedup/%s/%s" % (predictor, name)] = \
-                Metric(st.cycles / mt.cycles, unit="x")
+                Metric(ev["speedup"], unit="x")
     return metrics
 
 
@@ -379,9 +338,9 @@ def _outlined_loop_speedup(workload, mode: BenchMode) -> float:
     """Outline the hottest loop of the (normalized) function, then run
     the pipeline on the outlined region alone, its live-ins replayed from
     the enclosing function."""
-    function = normalize(workload.build())
-    profile, _ = _train_derivation(workload)
-    extracted = outline_hottest_loop(function, profile)
+    whole = _parallelized(workload, "dswp")
+    function = whole.function
+    extracted = outline_hottest_loop(function, whole.profile)
     loop_fn = extracted.function
     # Re-derive the loop's live-in values: run the enclosing function
     # with the loop header turned into an exit, so the run ends where
@@ -399,24 +358,25 @@ def _outlined_loop_speedup(workload, mode: BenchMode) -> float:
             {name: run.mem_object(name) for name in loop_fn.mem_objects})
 
     measure, train = loop_inputs(mode.scale), loop_inputs("train")
-    config = DEFAULT_CONFIG.for_dswp()
-    pdg = build_pdg(loop_fn)
-    loop_profile = run_function(loop_fn, train.args, train.memory).profile
-    partition = DSWPPartitioner(config).partition(loop_fn, pdg,
-                                                  loop_profile, 2)
-    return _speedup(loop_fn, generate(loop_fn, pdg, partition), measure,
-                    config)
+    loop = parallelize(loop_fn, "dswp", profile_args=train.args,
+                       profile_memory=train.memory, normalized=True)
+    st = simulate_single(loop_fn, measure.args, measure.memory,
+                         config=loop.config)
+    mt = simulate_program(loop.program, measure.args, measure.memory,
+                          config=loop.config)
+    assert mt.live_outs == st.live_outs
+    return st.cycles / mt.cycles
 
 
 @bench_spec(
     id="region_selection",
-    title="EXT-E6: whole procedure vs outlined hottest loop")
+    title="EXT-E6: whole procedure vs outlined hottest loop",
+    cells=lambda mode: [MatrixCell(name, "dswp", False, 2, mode.scale)
+                        for name in mode.pick(REGION_BENCHES)])
 def region_selection(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
-    config = DEFAULT_CONFIG.for_dswp()
     for name in mode.pick(REGION_BENCHES):
-        whole = _speedup(*_prepare(name, mode, DSWPPartitioner(config)),
-                         config=config)
+        whole = evaluation(name, "dswp", scale=mode.scale)["speedup"]
         metrics["speedup/whole/%s" % name] = Metric(whole, unit="x")
         try:
             loop = _outlined_loop_speedup(get_workload(name), mode)
@@ -440,39 +400,28 @@ def _loop_region_suffices(m):
 # -- EXT-E4: local-scheduler interaction -----------------------------------
 
 
-def _scheduled_speedup(name: str, comm_priority,
-                       mode: BenchMode) -> float:
-    workload = get_workload(name)
-    function = normalize(workload.build())
-    measure = workload.make_inputs(mode.scale)
-    profile, pdg = _train_derivation(workload)
-    config = technique_config("dswp")
-    partition = make_partitioner("dswp", config).partition(
-        function, pdg, profile, 2)
-    coco = coco_optimize(function, pdg, partition, profile)
-    program = generate(function, pdg, partition,
-                       data_channels=coco.data_channels,
-                       condition_covered=coco.condition_covered)
-    if comm_priority is not None:
-        schedule_program(program, config, comm_priority)
-        # Schedule the single-threaded baseline too: the comparison is
-        # between equally-optimized codes, as in the papers' toolchain.
-        schedule_function(function, config, comm_priority)
-    return _speedup(function, program, measure, config)
+#: EXT-E4's local-scheduler priorities, by metric label.
+PRIORITIES = (("none", None), ("early", "early"), ("late", "late"))
 
 
 @bench_spec(
     id="scheduler_interaction",
-    title="EXT-E4: COCO x downstream local scheduler priorities")
+    title="EXT-E4: COCO x downstream local scheduler priorities",
+    cells=lambda mode: [MatrixCell(name, "dswp", True, 2, mode.scale,
+                                   local_schedule=priority)
+                        for name in mode.pick(SCHEDULER_BENCHES)
+                        for _, priority in PRIORITIES])
 def scheduler_interaction(mode: BenchMode) -> MetricMap:
+    # The local scheduler runs over the single-threaded baseline too:
+    # the comparison is between equally-optimized codes, as in the
+    # papers' toolchain.
     metrics: MetricMap = {}
-    priorities = (("none", None), ("early", CommPriority.EARLY),
-                  ("late", CommPriority.LATE))
     for name in mode.pick(SCHEDULER_BENCHES):
-        for label, priority in priorities:
+        for label, priority in PRIORITIES:
+            ev = evaluation(name, "dswp", coco=True, scale=mode.scale,
+                            local_schedule=priority)
             metrics["speedup/%s/%s" % (label, name)] = \
-                Metric(_scheduled_speedup(name, priority, mode),
-                       unit="x")
+                Metric(ev["speedup"], unit="x")
     return metrics
 
 
@@ -517,31 +466,25 @@ def _no_first_order_loss(m):
 
 
 def _comm_with_profile(workload, which: str, mode: BenchMode) -> int:
-    function = normalize(workload.build())
+    """Dynamic communication of DSWP's train partition: plain MTCG
+    (``baseline``), or COCO weighing its channels by the ``train``,
+    ``oracle`` (measure-input) or ``static`` (no-input) profile."""
+    built = _parallelized(workload, "dswp", coco=which != "baseline")
+    if which in ("oracle", "static"):
+        # The partition itself always uses the train profile (so only
+        # COCO's cost source varies); no profiling input means the
+        # static estimate.
+        profiled = {}
+        if which == "oracle":
+            oracle = workload.make_inputs(mode.scale)
+            profiled = {"profile_args": oracle.args,
+                        "profile_memory": oracle.memory}
+        built = parallelize(workload.build(), "dswp", coco=True,
+                            partition=built.partition, **profiled)
     measure = workload.make_inputs(mode.scale)
-    config = technique_config("dswp")
-    # The partition itself always uses the train profile (so only COCO's
-    # cost source varies).
-    train_profile, pdg = _train_derivation(workload)
-    partition = DSWPPartitioner(config).partition(function, pdg,
-                                                  train_profile, 2)
-    if which == "baseline":
-        program = generate(function, pdg, partition)
-    else:
-        if which == "train":
-            profile = train_profile
-        elif which == "oracle":
-            profile = run_function(function, measure.args,
-                                   measure.memory).profile
-        else:
-            profile = static_profile(function)
-        coco = coco_optimize(function, pdg, partition, profile)
-        program = generate(function, pdg, partition,
-                           data_channels=coco.data_channels,
-                           condition_covered=coco.condition_covered)
-    result = run_mt_program(program, measure.args, measure.memory,
-                            queue_capacity=config.sa_queue_size)
-    return result.communication_instructions
+    return run_mt_program(built.program, measure.args, measure.memory,
+                          queue_capacity=built.config.sa_queue_size
+                          ).communication_instructions
 
 
 @bench_spec(
@@ -608,24 +551,11 @@ def _static_accurate(m):
 def _breakdown(name: str, technique: str, coco: bool,
                mode: BenchMode) -> Dict[str, float]:
     workload = get_workload(name)
-    function = normalize(workload.build())
-    train = workload.make_inputs("train")
+    built = _parallelized(workload, technique, coco=coco)
     measure = workload.make_inputs(mode.scale)
-    profile = run_function(function, train.args, train.memory).profile
-    pdg = build_pdg(function)
-    config = technique_config(technique)
-    partition = make_partitioner(technique, config).partition(
-        function, pdg, profile, 2)
-    if coco:
-        result = coco_optimize(function, pdg, partition, profile)
-        program = generate(function, pdg, partition,
-                           data_channels=result.data_channels,
-                           condition_covered=result.condition_covered)
-    else:
-        program = generate(function, pdg, partition)
-    run = run_mt_program(program, measure.args, measure.memory,
-                         queue_capacity=config.sa_queue_size)
-    return classify_overheads(program, run)
+    run = run_mt_program(built.program, measure.args, measure.memory,
+                         queue_capacity=built.config.sa_queue_size)
+    return classify_overheads(built.program, run)
 
 
 @bench_spec(

@@ -18,12 +18,11 @@ from typing import Callable, Dict
 
 from ...analysis import build_pdg
 from ...coco.driver import optimize as coco_optimize
-from ...executor import run_function
 from ...machine import DEFAULT_CONFIG
 from ...mtcg import generate
 from ...partition.dswp import DSWPPartitioner
 from ...partition.gremio import GremioPartitioner
-from ...api import normalize
+from ...api import parallelize
 from ...workloads import get_workload
 from ..spec import TIME_BAND, BenchMode, Metric, MetricMap, bench_spec
 
@@ -35,15 +34,16 @@ COMPILE_PASSES = ("pdg_build", "gremio_partition", "dswp_partition",
 
 def compile_passes() -> Dict[str, Callable[[], object]]:
     """:data:`COMPILE_PASSES` over :data:`COMPILE_BENCH`, each a thunk
-    over the same prepared function, profile, PDG and partition."""
+    over the same function, profile, PDG and GREMIO partition, prepared
+    by the staged pipeline."""
     workload = get_workload(COMPILE_BENCH)
-    function = normalize(workload.build())
     train = workload.make_inputs("train")
-    profile = run_function(function, train.args, train.memory).profile
-    pdg = build_pdg(function)
+    built = parallelize(workload.build(), "gremio",
+                        profile_args=train.args, profile_memory=train.memory)
+    function, profile = built.function, built.profile
+    pdg, partition = built.pdg, built.partition
     gremio = GremioPartitioner(DEFAULT_CONFIG)
     dswp = DSWPPartitioner(DEFAULT_CONFIG)
-    partition = gremio.partition(function, pdg, profile, 2)
     return dict(zip(COMPILE_PASSES, (
         lambda: build_pdg(function),
         lambda: gremio.partition(function, pdg, profile, 2),

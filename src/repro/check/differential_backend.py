@@ -27,8 +27,8 @@ module is the executable form of that contract:
   loops drive a :class:`~repro.trace.TraceCollector` of that ring size
   and the trace snapshots are compared too;
 * :func:`run_error_cases` — a trap, a deadlock, a step-limit run and
-  a consume without queues: both loops must raise the same exception
-  type and message;
+  a consume and a produce without queues: both loops must raise the
+  same exception type and message;
 * :func:`run_functional_case` / :func:`run_executor_case` hold the
   untimed executor's MT case to the reference loop's functional
   observables, and its one-thread case (``run_function``) to the step
@@ -58,7 +58,6 @@ from ..machine.fast_timing import (simulate_program, simulate_single,
                                    simulate_threads_fast)
 from ..machine.functional import run_mt_program
 from ..machine.timing_oracle import simulate_threads_oracle
-from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
 from ..pipeline.fingerprint import fingerprint_profile
 from ..pipeline.stages import normalize
@@ -385,17 +384,18 @@ def run_sa_stress_cases(topology: Optional[str] = None,
 def _fuzz_program(seed: int, depth: int, max_threads: int):
     """The seeded random program of :func:`run_fuzz_case`: the function
     (normalized), its arguments, and its MTCG program on a random
-    partition."""
-    from ..analysis.pdg import build_pdg
+    partition (built uncached: a random program's artifacts never
+    recur)."""
     rng = random.Random(seed)
     sketch = random_sketch(rng, depth=depth)
     args = random_args(rng)
     n_threads = rng.randint(2, max_threads)
-    function = render_program(sketch)
-    normalize(function)
+    function = normalize(render_program(sketch))
     partition = random_partition(random.Random(seed * 7919 + 13),
                                  function, n_threads=n_threads)
-    return function, args, generate(function, build_pdg(function), partition)
+    return function, args, parallelize(
+        function, n_threads=n_threads, normalized=True, cache=False,
+        partition=partition).program
 
 
 def run_fuzz_case(seed: int, depth: int = 2,
@@ -422,12 +422,11 @@ def run_fuzz_case(seed: int, depth: int = 2,
         st.fast_seconds + mt.fast_seconds)
 
 
-def _error_programs(timed: bool = False):
+def _error_programs():
     """``(label, program, max_steps)`` of the runs that end in an
     exception: a trap (read of an undefined register), a deadlock (two
-    threads consuming from queues nobody feeds) and the step limit —
-    and with ``timed``, a consume in a run without queues (a trap in
-    the timed loops; the untimed executor does not model that run)."""
+    threads consuming from queues nobody feeds), the step limit, and a
+    consume and a produce in a run without queues (each a trap)."""
     def thread(name, body):
         builder = FunctionBuilder(name, params=["r_n"], live_outs=["r_s"])
         builder.label("entry")
@@ -449,25 +448,25 @@ def _error_programs(timed: bool = False):
                                n_threads=len(threads), exit_thread=0,
                                n_queues=n_queues, channels=[])
 
-    programs = (
+    return (
         ("trap", program(thread("trap", lambda b: b.add("r_s", "r_undefined",
                                                          1))), 100_000),
         ("deadlock", program(thread("wait0", lambda b: b.consume("r_s", 0)),
                              thread("wait1", lambda b: b.consume_sync(1)),
                              n_queues=2), 100_000),
         ("max-steps", program(thread("spin", spin)), 500),
+        ("consume-without-queues", program(
+            thread("lone", lambda b: b.consume("r_s", 0))), 100_000),
+        ("produce-without-queues", program(
+            thread("lone", lambda b: b.produce(0, "r_s"))), 100_000),
     )
-    if timed:
-        programs += (("consume-without-queues", program(
-            thread("lone", lambda b: b.consume("r_s", 0))), 100_000),)
-    return programs
 
 
 def run_error_cases(trace_limit: int = 0) -> List[CaseResult]:
     """The :func:`_error_programs` on both thread loops: each must raise
     the same exception type with the same message, tracer or not."""
     cases = []
-    for label, program, max_steps in _error_programs(timed=True):
+    for label, program, max_steps in _error_programs():
         def run(simulate_threads, tracer):
             return simulate_threads(
                 program.threads, 0, program.original, {"r_n": 3},

@@ -14,7 +14,9 @@ checks this chain:
 3. a matrix of cells over the compiled function — GREMIO, DSWP and
    uniformly random partitions, each with COCO off and on — profiled
    on the first input set by :func:`~repro.executor.untimed
-   .run_function`, as the ``profile`` stage does.  Every cell's MTCG
+   .run_function`, as the ``profile`` stage does, and built by
+   :func:`~repro.pipeline.core.parallelize` (uncached; a random
+   partition as its explicit ``partition``).  Every cell's MTCG
    output goes through the static validators (``validator``) and the
    differential execution oracle (its verdicts: write order,
    deadlock/livelock, queue residue);
@@ -46,15 +48,13 @@ import time
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from ..analysis.pdg import build_pdg
-from ..coco.driver import optimize as coco_optimize
 from ..executor.untimed import run_function
 from ..frontend.compiler import compile_source, python_callable
 from ..interp.profile import static_profile
 from ..ir.printer import format_function
 from ..machine.fast_timing import simulate_program
-from ..mtcg.codegen import generate
-from ..pipeline.stages import make_partitioner, normalize, technique_config
+from ..pipeline.core import parallelize
+from ..pipeline.stages import normalize
 from .generate import (PYTHON_ENTRY, ProgramSketch, fuzz_args,
                        random_partition, random_sketch, shrink_candidates,
                        sketch_from_json, sketch_size, sketch_to_json,
@@ -263,20 +263,15 @@ def _check_cell(function, expected: list, arg_sets: List[dict],
         # The input traps (so does CPython: _frontend checked that), and
         # the partitioners still need a profile.
         profile = static_profile(function)
-    pdg = build_pdg(function)
-    config = technique_config(cell.technique).with_cores(cell.n_threads)
-    if cell.technique is not None:
-        partition = make_partitioner(cell.technique, config).partition(
-            function, pdg, profile, cell.n_threads)
-    else:
+    partition = None
+    if cell.technique is None:
         partition = random_partition(random.Random(cell.partition_seed),
                                      function, n_threads=cell.n_threads)
-    options = {}
-    if cell.coco:
-        coco = coco_optimize(function, pdg, partition, profile)
-        options = {"data_channels": coco.data_channels,
-                   "condition_covered": coco.condition_covered}
-    program = generate(function, pdg, partition, **options)
+    # Uncached: a random program's artifacts never recur.
+    built = parallelize(function, cell.technique or "gremio",
+                        cell.n_threads, profile=profile, coco=cell.coco,
+                        normalized=True, cache=False, partition=partition)
+    program, config = built.program, built.config
 
     validation = validate_program(program)
     for name, amount in validation.counters.items():

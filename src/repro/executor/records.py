@@ -25,6 +25,15 @@ class TrapError(Exception):
     """Run-time fault: division by zero, bad address type, etc."""
 
 
+class NoQueues:
+    """The queue table of a multi-threaded run without queues: every
+    loop looks a queue up before it touches one, so a ``produce`` or
+    ``consume`` traps here with no test of its own on the hot path."""
+
+    def __getitem__(self, queue):
+        raise TrapError("communication outside MT simulation")
+
+
 def _trunc_div(a, b):
     if b == 0:
         raise TrapError("integer division by zero")

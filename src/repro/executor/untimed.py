@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional
 from ..ir.cfg import Function
 from .records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME, EXIT, JMP, LOAD,
                       MOVI, NOP, PRODUCE, PRODUCE_SYNC, STORE, UNDEF,
-                      TrapError, compile_function, trap_undef)
+                      NoQueues, TrapError, compile_function, trap_undef)
 
 #: Instructions a deadlock report keeps of each blocked thread's past.
 DEADLOCK_TAIL = 16
@@ -207,7 +207,7 @@ class Execution:
         (``TrapError``, ``MemoryError_``), the budget error once more
         than ``max_steps`` instructions would run, or
         :class:`DeadlockError` with its report."""
-        fifo = self.fifo
+        fifo = self.fifo or NoQueues()  # no queues: communication traps
         capacity = self.capacity
         writes = self.writes
         memory = self.memory
@@ -305,14 +305,11 @@ class Execution:
                             block = -1
                             break
                         elif code != NOP:   # communication
-                            if fifo is None:
-                                raise TrapError(
-                                    "communication outside MT simulation")
+                            queue = fifo[rec[2].queue]
                             if code == PRODUCE:
                                 value = regs[rec[3]]
                                 if value is UNDEF:
                                     trap_undef(names[rec[3]], fname)
-                            queue = fifo[rec[2].queue]
                             produces = code == PRODUCE or code == PRODUCE_SYNC
                             if len(queue) >= capacity if produces \
                                     else not queue:     # block, no effect
@@ -331,7 +328,8 @@ class Execution:
                                 queue.popleft()
                     else:
                         if steps > max_steps:
-                            raise (ExecutionLimitExceeded if fifo is None
+                            raise (ExecutionLimitExceeded
+                                   if self.fifo is None
                                    else MTExecutionLimitExceeded)(
                                 "%s exceeded %d steps"
                                 % (self.spec[1].name, max_steps))

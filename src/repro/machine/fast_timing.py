@@ -46,8 +46,8 @@ from typing import List, Mapping, Optional, Sequence
 
 from ..executor.records import (ALU_RI, ALU_RR, ALU_UN, BR, CONSUME,
                                 CONSUME_SYNC, EXIT, JMP, LOAD, MOVI, PRODUCE,
-                                PRODUCE_SYNC, STORE, UNDEF, TrapError,
-                                compile_function, trap_undef)
+                                PRODUCE_SYNC, STORE, UNDEF, NoQueues,
+                                TrapError, compile_function, trap_undef)
 from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
@@ -58,15 +58,6 @@ from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
 from .timing import (SAPortSchedule, TimedQueues, TimedResult,
                      queue_crossing_penalties)
-
-
-class _NoQueues:
-    """The queue table of a run without queues: a ``consume`` traps on
-    it as in the oracle, whose step interpreter has no queues to pop
-    (a ``produce`` fails on ``queues`` being ``None`` in both loops)."""
-
-    def __getitem__(self, queue):
-        raise TrapError("communication outside MT simulation")
 
 
 class _FastCore:
@@ -364,9 +355,9 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     # lookup, push and pop bookkeeping of TimedQueues/FifoQueues) and on
     # the core's SAPortSchedule bookings, as the out-of-line methods do.
     # Each arm reads its queue first, so a communication op run without
-    # queues fails as it does in the oracle.
+    # queues traps as it does in the oracle.
     if queues is None:
-        q_fifos = _NoQueues()
+        q_fifos = NoQueues()
     else:
         q_fifos = queues.queues
         qcap = queues.capacity
@@ -783,7 +774,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                     else:
                         _c, ridx, _i, q, limit = rec
                         s0 = None
-                    fifo = queues.queues[q]
+                    fifo = q_fifos[q]
                     if len(fifo) >= qcap:
                         break  # functionally full: retry after consumers
                     # TimedQueues.slot_free_time: the pop that freed the

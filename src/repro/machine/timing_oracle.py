@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..executor.records import NoQueues
 from ..executor.untimed import DeadlockError, MTExecutionLimitExceeded
 from ..interp.state import bind_params, make_memory
 from ..interp.step_oracle import StepStatus, ThreadContext
@@ -211,6 +212,9 @@ def simulate_threads_oracle(functions: Sequence[Function], exit_thread: int,
     """
     memory = make_memory(memory_owner, initial_memory)
     queues = TimedQueues(n_queues, config.sa_queue_size) if n_queues else None
+    # A produce reads its queue before it steps (a consume traps in the
+    # step interpreter): without queues, the lookup traps.
+    fifos = NoQueues() if queues is None else queues.queues
     hierarchy = MemoryHierarchy(config)
     topo = config.resolve_topology()
     sa_latency = topo.sa_access_latency
@@ -267,8 +271,7 @@ def simulate_threads_oracle(functions: Sequence[Function], exit_thread: int,
                 uses_sa = instruction.is_communication()
 
                 if op is Opcode.PRODUCE or op is Opcode.PRODUCE_SYNC:
-                    if len(queues.queues[instruction.queue]) \
-                            >= queues.capacity:
+                    if len(fifos[instruction.queue]) >= queues.capacity:
                         break  # functionally full: retry after consumers run
                     slot_free = queues.slot_free_time(instruction.queue)
                     min_issue_before = float(core.min_issue)

@@ -76,6 +76,15 @@ class Partitioner:
                   profile: EdgeProfile, n_threads: int) -> Partition:
         raise NotImplementedError
 
+    def partition_of(self, built) -> Partition:
+        """This partitioner's partition of what ``built`` (a
+        :class:`~repro.pipeline.core.Parallelization`) was made from —
+        its normalized function, PDG and profile, at its thread count.
+        Passed back as ``parallelize(..., partition=...)``, it runs a
+        partitioner no technique names through the staged pipeline."""
+        return self.partition(built.function, built.pdg, built.profile,
+                              built.partition.n_threads)
+
 
 def single_thread_partition(function: Function,
                             n_threads: int = 1) -> Partition:

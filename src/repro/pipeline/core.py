@@ -35,6 +35,14 @@ from .stages import (BACKENDS, EVALUATE_STAGES, PARALLELIZE_STAGES,
 from .telemetry import Telemetry, global_telemetry
 
 CacheOption = Union[ArtifactCache, bool, None]
+#: An explicit partition, or ``{iid: thread}`` over the normalized IR.
+PartitionOption = Union[Partition, Mapping[int, int], None]
+
+
+def _assignment(partition: PartitionOption) -> Optional[Dict[int, int]]:
+    if isinstance(partition, Partition):
+        partition = partition.assignment
+    return None if partition is None else dict(partition)
 
 
 def _resolve_cache(cache: CacheOption) -> Optional[ArtifactCache]:
@@ -94,7 +102,8 @@ def parallelize(function: Function,
                 telemetry: Optional[Telemetry] = None,
                 topology: Optional[str] = None,
                 partitioner_args: Optional[
-                    Mapping[str, object]] = None) -> Parallelization:
+                    Mapping[str, object]] = None,
+                partition: PartitionOption = None) -> Parallelization:
     """Parallelize ``function`` into ``n_threads`` threads.
 
     ``profile`` may be supplied directly; otherwise the function is
@@ -117,6 +126,11 @@ def parallelize(function: Function,
     ``partitioner_args`` forwards tunable cost-model parameters to the
     technique's partitioner (see
     :data:`repro.pipeline.stages.PARTITIONER_PARAMS`).
+
+    ``partition`` replaces the partitioner: the ``partition`` stage
+    adopts the given assignment (validated against the normalized
+    function) and keys it by its digest; ``technique`` then only picks
+    the default machine configuration.
     """
     if config is None:
         config = technique_config(technique)
@@ -137,6 +151,7 @@ def parallelize(function: Function,
             "mt_check": mt_check,
             "partitioner_args": dict(partitioner_args)
             if partitioner_args else None,
+            "partition": _assignment(partition),
         },
         config=config.with_cores(n_threads),
         cache=_resolve_cache(cache))
@@ -246,7 +261,8 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
                       placer: str = "identity",
                       backend: str = "fast",
                       partitioner_args: Optional[
-                          Mapping[str, object]] = None) -> Evaluation:
+                          Mapping[str, object]] = None,
+                      partition: PartitionOption = None) -> Evaluation:
     """Run the full methodology for one workload: profile on `train`,
     measure on ``scale`` (default `ref`), and verify the multi-threaded
     run produced the single-threaded results.
@@ -282,22 +298,26 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     ``split_threshold``) to the technique's partitioner; they enter the
     partition-stage fingerprint, so distinct parameters never share
     cache entries (see
-    :data:`repro.pipeline.stages.PARTITIONER_PARAMS`).
+    :data:`repro.pipeline.stages.PARTITIONER_PARAMS`).  ``partition``
+    evaluates an explicit partition instead (see :func:`parallelize`).
     """
     ctx = _evaluation_context(
         workload, technique, n_threads, coco, scale, config, alias_mode,
         local_schedule, mt_check, cache, trace, trace_limit, topology,
-        placer, backend, partitioner_args)
+        placer, backend, partitioner_args, partition)
     execute(ctx, EVALUATE_STAGES)
     _publish_telemetry(ctx.telemetry, telemetry)
     return _finish(ctx, workload, check)
 
 
-def _evaluation_context(workload, technique, n_threads, coco, scale,
-                        config, alias_mode, local_schedule, mt_check,
-                        cache=None, trace=False, trace_limit=None,
+def _evaluation_context(workload, technique="gremio", n_threads=2,
+                        coco=False, scale="ref", config=None,
+                        alias_mode="annotated", local_schedule=None,
+                        mt_check=False, cache=None, trace=False,
+                        trace_limit=None,
                         topology=None, placer="identity", backend="fast",
-                        partitioner_args=None) -> PipelineContext:
+                        partitioner_args=None,
+                        partition=None) -> PipelineContext:
     """What :func:`evaluate_workload` (whose parameters these are)
     resolves before the first stage: the built function, both input
     sets — fingerprinted by the workload, once per process — and both
@@ -333,6 +353,7 @@ def _evaluation_context(workload, technique, n_threads, coco, scale,
             "backend": backend,
             "partitioner_args": dict(partitioner_args)
             if partitioner_args else None,
+            "partition": _assignment(partition),
         },
         config=config.with_cores(n_threads),
         sim_config=config,

@@ -38,7 +38,7 @@ from ..machine.fast_timing import (simulate_program, simulate_single,
                                    simulate_threads_fast)
 from ..machine.placement import make_placement
 from ..mtcg.codegen import generate
-from ..partition.base import Partitioner
+from ..partition.base import Partition, Partitioner
 from ..partition.dswp import DSWPPartitioner
 from ..partition.gremio import GremioPartitioner
 from .cache import ArtifactCache
@@ -160,6 +160,9 @@ _ROOTS: Dict[str, Callable[[PipelineContext], str]] = {
     "sim_config": lambda ctx: fingerprint_config(ctx.sim_config),
     "st_config": lambda ctx: fingerprint_config(
         ctx.sim_config.single_core()),
+    "assignment": lambda ctx: digest(
+        "assignment", repr(sorted(ctx.options["partition"].items())),
+        str(ctx.options["n_threads"])),
 }
 
 
@@ -273,10 +276,17 @@ def _count_pdg(ctx: PipelineContext) -> None:
 def _fp_partition(ctx: PipelineContext) -> str:
     parts = ["stage:partition",
              ctx.fingerprints.get("pdg") or "",
-             fingerprint_profile(ctx.values["profile"]),
-             str(ctx.options["technique"]),
-             str(ctx.options["n_threads"]),
-             ctx.root("config")]
+             fingerprint_profile(ctx.values["profile"])]
+    if ctx.options.get("partition") is not None:
+        # An explicit assignment stands in for the technique, its
+        # parameters and the partitioning config.  The profile stays:
+        # COCO's key derives from this one alone, and COCO weighs the
+        # same assignment's channels by whichever profile it is given.
+        return digest(*parts, str(ctx.options["n_threads"]),
+                      ctx.root("assignment"))
+    parts += [str(ctx.options["technique"]),
+              str(ctx.options["n_threads"]),
+              ctx.root("config")]
     params = ctx.options.get("partitioner_args")
     if params:
         # Appended only when present so default-parameter fingerprints
@@ -286,6 +296,10 @@ def _fp_partition(ctx: PipelineContext) -> str:
 
 
 def _run_partition(ctx: PipelineContext) -> dict:
+    explicit = ctx.options.get("partition")
+    if explicit is not None:  # Partition() validates it
+        return {"partition": Partition(ctx.function,
+                                       ctx.options["n_threads"], explicit)}
     params = ctx.options.get("partitioner_args") or {}
     partitioner = make_partitioner(ctx.options["technique"], ctx.config,
                                    **params)
@@ -531,10 +545,13 @@ def cell_key(ctx: PipelineContext, check: bool) -> str:
     .evaluate_summary`), valid once normalize has run: a digest of the
     roots every stage fingerprint derives from — normalized IR, both
     input sets, both machine configurations — each result-affecting
-    option, and ``check`` (an unverified entry never answers a verifying
-    request).  ``backend`` stays out, as out of every fingerprint."""
+    option (an explicit partition as its assignment digest), and
+    ``check`` (an unverified entry never answers a verifying request).
+    ``backend`` stays out, as out of every fingerprint."""
     options = ctx.options
     params = options.get("partitioner_args")
+    explicit = () if options.get("partition") is None \
+        else (ctx.root("assignment"),)
     return digest("stage:evaluation", ctx.norm_fp, ctx.root("train"),
                   ctx.root("measure"), ctx.root("config"),
                   ctx.root("sim_config"),
@@ -543,7 +560,7 @@ def cell_key(ctx: PipelineContext, check: bool) -> str:
                         options["local_schedule"],
                         bool(options["mt_check"]), options["placer"],
                         sorted(params.items()) if params else None,
-                        bool(check))))
+                        bool(check))), *explicit)
 
 
 def stage_names() -> Iterable[str]:

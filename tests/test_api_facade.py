@@ -208,6 +208,25 @@ class TestLayeringCovenant:
         daemon = (package / "service" / "daemon.py").read_text()
         assert "from_dict" not in daemon
 
+    def test_one_partition_path(self):
+        """MTCG and COCO run in the staged pipeline's stages, and are
+        imported elsewhere only by the host-time spec that times them as
+        passes; partitioners run there and in the partition package.  A
+        partition -> COCO -> MTCG chain anywhere else bypasses the
+        cache, telemetry and validators: give the pipeline the
+        assignment instead (``parallelize(..., partition=...)``).
+        ``pipeline/core.py`` imports only the ``CocoResult`` type."""
+        assert self._holders(
+            r"^\s*from\s+[.\w]*\b(mtcg|coco)(\.codegen|\.driver)?\s+import"
+            r"\s+(\([^)]*|[^(\n]*)\b(generate|optimize)\b") \
+            == ["bench/specs/hostperf.py", "pipeline/stages.py"]
+        assert self._holders(r"^from \.\.coco\.driver import CocoResult$") \
+            == ["pipeline/core.py"]
+        callers = self._holders(r"\.partition\(\s*[\w.]+\s*,")
+        assert [name for name in callers
+                if not name.startswith(("pipeline/", "partition/"))] \
+            == ["bench/specs/hostperf.py"]
+
     #: The library modules allowed to import an oracle — the step
     #: interpreter (``interp/step_oracle.py``) or the reference timed
     #: loop (``machine/timing_oracle.py``): the differential checker,

@@ -196,16 +196,38 @@ def test_ring_eviction_bit_identical():
 
 @pytest.mark.parametrize("traced", (False, True))
 def test_error_paths_identical(traced):
-    """A trap, a deadlock, the step limit and a consume in a run
-    without queues raise the same exception type and message on both
-    loops, tracer attached or not."""
+    """A trap, a deadlock, the step limit and a consume and a produce
+    in a run without queues raise the same exception type and message
+    on both loops, tracer attached or not."""
     from repro.trace import DEFAULT_EVENT_LIMIT
     cases = run_error_cases(DEFAULT_EVENT_LIMIT if traced else 0)
     assert [case.label.split("/")[1] for case in cases] == [
-        "trap", "deadlock", "max-steps", "consume-without-queues"]
+        "trap", "deadlock", "max-steps", "consume-without-queues",
+        "produce-without-queues"]
     for case in cases:
         assert case.ok, "%s diverged:\n%s" % (
             case.label, "\n".join(case.divergences))
+
+
+@pytest.mark.parametrize("label", ("consume-without-queues",
+                                   "produce-without-queues"))
+def test_communication_without_queues_traps(label):
+    """Both timed loops and the untimed executor trap on a produce or a
+    consume in a run that has no queues."""
+    from repro.check.differential_backend import _error_programs
+    from repro.executor.records import TrapError
+    program = {name: program
+               for name, program, _ in _error_programs()}[label]
+    runs = [lambda simulate=simulate: simulate(
+                program.threads, 0, program.original, {"r_n": 3},
+                n_queues=program.n_queues)
+            for simulate in (fast_timing.simulate_threads_fast,
+                             simulate_threads_oracle)]
+    runs.append(lambda: machine.run_mt_program(program, {"r_n": 3}))
+    for run in runs:
+        with pytest.raises(TrapError,
+                           match="^communication outside MT simulation$"):
+            run()
 
 
 @pytest.fixture
