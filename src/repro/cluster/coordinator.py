@@ -11,7 +11,9 @@ sent the body bytes the client sent, not a re-encoding.  A
 connection-level failure (the node died mid-request) marks the node,
 walks to the next node in the same deterministic ranking, and counts a
 failover; an HTTP *error document* from a live node (400/429/504...)
-is a real answer and passes through.
+is a real answer and passes through.  A kept-alive connection the node
+closed while idle (it restarted, or timed the connection out) is no
+failure: the transport retries it once on a fresh connection.
 
 :class:`CoordinatorDaemon` is a :class:`repro.service.wire.HttpDaemon`
 — the server, framing, error documents and request log are the ones a

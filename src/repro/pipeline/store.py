@@ -27,19 +27,25 @@ reads through it.  Cluster worker daemons set the variable from their
 ``--coordinator`` URL at startup.
 
 :func:`http_request` is the repo's one HTTP client transport — the
-only ``urlopen`` call under ``src/repro``.  :class:`HttpStore`, the
-:class:`repro.api.ServiceClient`, the coordinator's proxy and the
-worker's cluster RPC all go through it, so connection reuse is one
-edit here.
+only module under ``src/repro`` that dials an ``http.client``
+connection.  :class:`HttpStore`, the :class:`repro.api.ServiceClient`,
+the coordinator's proxy and the worker's cluster RPC all go through it,
+and it keeps their connections alive: a module-level idle pool holds at
+most :data:`MAX_IDLE_PER_PEER` connections per peer, a connection
+returns to it only after its reply was read in full without
+``Connection: close``, and a connection its peer closed while idle
+costs one silent retry on a fresh one.
 """
 
 from __future__ import annotations
 
+import atexit
+import http.client
 import os
 import tempfile
-import urllib.error
-import urllib.request
-from typing import Dict, Optional, Tuple
+import threading
+import urllib.parse
+from typing import Dict, List, Optional, Tuple
 
 #: Environment variable naming the remote artifact store's base URL
 #: (e.g. ``http://coordinator:8184/store``).  Empty/unset = local-only.
@@ -51,21 +57,121 @@ STORE_URL_ENV = "REPRO_STORE_URL"
 REMOTE_TIMEOUT = float(os.environ.get("REPRO_STORE_TIMEOUT", "10") or 10)
 
 
+#: Idle kept-alive connections held per peer (scheme, host, port); one
+#: more returned while that many wait is closed instead.
+MAX_IDLE_PER_PEER = 32
+
+_Peer = Tuple[str, str, Optional[int]]  # scheme, host, port
+
+_idle: Dict[_Peer, List[http.client.HTTPConnection]] = {}
+_idle_lock = threading.Lock()
+
+#: How a kept-alive connection its peer closed while it sat idle fails
+#: before any status line (``RemoteDisconnected`` is a
+#: ``ConnectionResetError``).
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
 def http_request(method: str, url: str, body: Optional[bytes] = None,
                  headers: Optional[Dict[str, str]] = None,
                  timeout: float = REMOTE_TIMEOUT) -> Tuple[int, bytes]:
     """One HTTP exchange: ``(status, response_bytes)``.  Any status a
     live server sends is an *answer* (400/404/429/504 included); only
     a connection-level failure raises (``OSError``, or
-    ``http.client.HTTPException`` for a reply torn mid-way)."""
-    request = urllib.request.Request(url, data=body, method=method,
-                                     headers=headers or {})
+    ``http.client.HTTPException`` for a reply torn mid-way).
+
+    The exchange reuses an idle connection to the same peer when one
+    is pooled.  If that reused connection fails before any reply
+    arrives (its peer closed it while idle, or restarted behind the
+    same address), the request is sent once more on a fresh connection;
+    every other failure — on a fresh connection, any timeout, a torn
+    reply — closes the socket and raises.  ``*_proxy`` environment
+    variables are not consulted."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError("not an http(s) URL: %r" % (url,))
+    peer = (parts.scheme, parts.hostname, parts.port)
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    headers = headers or {}
+    with _idle_lock:
+        idle = _idle.get(peer)
+        connection = idle.pop() if idle else None
+    if connection is not None:
+        connection.sock.settimeout(timeout)
+        try:
+            reply = _send(connection, method, target, body, headers)
+        except _STALE:
+            connection = None
+    if connection is None:
+        if peer[0] == "https":
+            connection = http.client.HTTPSConnection(
+                peer[1], peer[2], timeout=timeout)
+        else:
+            connection = http.client.HTTPConnection(
+                peer[1], peer[2], timeout=timeout)
+        try:
+            reply = _send(connection, method, target, body, headers)
+        except ConnectionRefusedError:
+            _close_idle(peer)  # nothing listens: its idle ones are dead
+            raise
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, reply.read()
-    except urllib.error.HTTPError as error:
-        with error:
-            return error.code, error.read()
+        data = reply.read()
+    except BaseException:
+        connection.close()
+        raise
+    kept = False
+    if not reply.will_close:
+        with _idle_lock:
+            idle = _idle.setdefault(peer, [])
+            kept = len(idle) < MAX_IDLE_PER_PEER
+            if kept:
+                idle.append(connection)
+    if not kept:
+        connection.close()
+    return reply.status, data
+
+
+def _send(connection: http.client.HTTPConnection, method: str,
+          target: str, body: Optional[bytes],
+          headers: Dict[str, str]) -> http.client.HTTPResponse:
+    """Send one request and read its status line and headers; a
+    failure closes ``connection`` before it propagates."""
+    try:
+        connection.request(method, target, body, headers)
+        return connection.getresponse()
+    except BaseException:
+        connection.close()
+        raise
+
+
+def _close_idle(peer: Optional[_Peer] = None) -> None:
+    """Close the pooled idle connections to ``peer``, or to every peer
+    (at exit)."""
+    with _idle_lock:
+        if peer is None:
+            connections = [c for idle in _idle.values() for c in idle]
+            _idle.clear()
+        else:
+            connections = _idle.pop(peer, [])
+    for connection in connections:
+        connection.close()
+
+
+def _forget_parent_connections() -> None:
+    """In a forked child: drop the parent's pooled sockets (closing the
+    child's copies leaves the parent's connections open), so the child
+    never dials through them.  The lock is new because another parent
+    thread may have held it across the fork."""
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    _close_idle()
+
+
+atexit.register(_close_idle)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_connections)
 
 
 class ArtifactStore:

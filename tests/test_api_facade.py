@@ -200,9 +200,13 @@ class TestLayeringCovenant:
         assert holders(r"\bBaseHTTPRequestHandler\b") == ["service/wire.py"]
         assert holders(r"\bThreadingHTTPServer\b") == ["service/wire.py"]
         assert holders(r"^MAX_BODY_BYTES\s*=") == ["service/wire.py"]
-        assert holders(r"\burlopen\(") == ["pipeline/store.py"]
-        assert holders(r"^\s*(import|from)\s+(urllib\.request|http\.)") \
-            == ["pipeline/store.py", "service/wire.py"]
+        assert holders(r"\bHTTPS?Connection\(") == ["pipeline/store.py"]
+        assert holders(r"\burlopen\(|^\s*(import|from)\s+urllib\.request") \
+            == []
+        assert holders(r"^\s*(import|from)\s+http\.client") \
+            == ["pipeline/store.py"]
+        assert holders(r"^\s*(import|from)\s+http\.server") \
+            == ["service/wire.py"]
         # A daemon parses a request once: the front end leaves it to
         # the service's shared intake.
         daemon = (package / "service" / "daemon.py").read_text()

@@ -599,3 +599,41 @@ class TestClusterFailover:
                     process.kill()
                     process.wait(10)
             coordinator.close()
+
+    def test_node_restarted_behind_its_url_is_not_a_failover(
+            self, clean_env):
+        """The coordinator's kept-alive connection to a node that
+        restarted on the same port is stale: the transport's one
+        silent retry reaches the new node, so nothing fails over."""
+        tmp_path = clean_env
+        coordinator = _coordinator(tmp_path)
+        os.environ["REPRO_CACHE_DIR"] = str(tmp_path / "cluster-cache")
+
+        def node(port):
+            return WorkerNode(ServiceConfig(
+                host="127.0.0.1", port=port, workers=0, queue_limit=8,
+                request_timeout=120.0, role="worker",
+                coordinator_url=coordinator.address, node_id="w0",
+                heartbeat_interval=0.5, quiet=True)).start()
+
+        first = node(0)
+        restarted = None
+        try:
+            registry = coordinator.service.registry
+            _wait_until(lambda: registry.healthy() == ["w0"], 30.0,
+                        "worker node never registered")
+            cluster = ServiceClient(coordinator.address)
+            assert cluster.evaluate_raw(CELLS[0])[0] == 200
+            first.close()
+            restarted = node(first.port)
+            status, document = cluster.evaluate_raw(CELLS[1])
+            assert status == 200 and document["memoized"] is False
+            counters = coordinator.service.counters
+            assert counters["failovers_total"] == 0
+            assert counters["routed_total"] == 2
+            assert registry.snapshot()["w0"]["failed"] == 0
+        finally:
+            first.close()
+            if restarted is not None:
+                restarted.close()
+            coordinator.close()

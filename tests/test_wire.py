@@ -1,8 +1,9 @@
 """The HTTP surface ``repro.service.wire`` owns, checked once against
 both daemon kinds: body framing and its 400 documents, the routing 404,
 ``Retry-After``, exact ``Content-Length``, the ``Server:`` strings, the
-request-log schema, the connection-close rule after an unread body, and
-"one daemon parses a request once"."""
+request-log schema, the connection-close rule after an unread body,
+kept-alive answers without the Nagle stall, a closed daemon answering
+nothing, and "one daemon parses a request once"."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import time
 import pytest
 
 from repro.api import (API_SCHEMA_VERSION, EvaluateRequest,
-                       EvaluateResult, configure_cache)
+                       EvaluateResult, ServiceClient, configure_cache)
 from repro.cluster import CoordinatorDaemon
 from repro.service import ServiceConfig, ServiceDaemon
 from repro.service.wire import MAX_BODY_BYTES
@@ -206,6 +207,36 @@ class TestHttpSurface:
         finally:
             connection.close()
         assert len(parses) == 1
+
+    def test_kept_alive_requests_do_not_stall(self, daemon):
+        """Headers and body leave without waiting on Nagle's algorithm:
+        with it, each answer on a kept-alive connection waits ~40 ms
+        for the client's delayed ACK (50 requests took over 2 s)."""
+        connection = _connect(daemon)
+        try:
+            started = time.perf_counter()
+            for _ in range(50):
+                _exchange(connection, "POST", "/v1/evaluate",
+                          json.dumps(CELL))
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 1.0, "50 kept-alive requests took %.2f s" % elapsed
+
+    def test_closed_daemon_answers_no_kept_alive_connection(self,
+                                                            daemon):
+        connection = _connect(daemon)
+        try:
+            assert _exchange(connection, "GET", "/healthz")[0] == 200
+            daemon.close()
+            # The connection's handler thread outlives the server; it
+            # must not answer.
+            with pytest.raises((OSError, http.client.HTTPException)):
+                _exchange(connection, "GET", "/healthz")
+        finally:
+            connection.close()
+        with pytest.raises(OSError):
+            ServiceClient(daemon.address, timeout=5.0).health()
 
 
 class TestKeepAliveAfterErrors:

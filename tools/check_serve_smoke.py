@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """CI smoke check for ``python -m repro serve`` (the ``serve-smoke``
 job): boot the daemon on an ephemeral port, run one evaluation over
-real HTTP, check memoization, liveness, and that the ``/metrics``
-counters moved, then tear the daemon down.
+real HTTP, check memoization, liveness, that 50 memo hits through one
+kept-alive client take under a second (a Nagle/delayed-ACK stall costs
+~40 ms each), and that the ``/metrics`` counters moved, then tear the
+daemon down.
 
 Usage: PYTHONPATH=src python tools/check_serve_smoke.py
 Exits nonzero (with a diagnostic) on any failed expectation.
@@ -12,12 +14,16 @@ from __future__ import annotations
 
 import functools
 import sys
+import time
 
 import _daemon
 from repro.api import ServiceClient
 
 REQUEST = {"program": {"kind": "registry", "value": "ks"},
            "technique": "gremio", "n_threads": 2, "scale": "train"}
+
+#: Sequential memo hits timed on one client, and their budget.
+MEMO_HITS, MEMO_HITS_BUDGET_S = 50, 1.0
 
 fail = functools.partial(_daemon.fail, "serve-smoke")
 
@@ -50,11 +56,24 @@ def main() -> int:
                  % (status, {k: repeat.get(k)
                              for k in ("memoized", "stale")}))
 
+        started = time.perf_counter()
+        for _ in range(MEMO_HITS):
+            status, _ = client.evaluate_raw(REQUEST)
+            if status != 200:
+                fail("memo hit answered %d" % status)
+        elapsed = time.perf_counter() - started
+        if elapsed >= MEMO_HITS_BUDGET_S:
+            fail("%d memo hits on one client took %.2f s (budget %.1f s)"
+                 % (MEMO_HITS, elapsed, MEMO_HITS_BUDGET_S))
+        print("serve-smoke: %d memo hits in %.3f s"
+              % (MEMO_HITS, elapsed))
+
         metrics = client.metrics()
         counters = metrics.get("counters", {})
-        for name, floor in (("requests_total", 2), ("responses_ok", 2),
+        for name, floor in (("requests_total", 2 + MEMO_HITS),
+                            ("responses_ok", 2 + MEMO_HITS),
                             ("evaluations_completed", 1),
-                            ("memo_hits", 1)):
+                            ("memo_hits", 1 + MEMO_HITS)):
             if counters.get(name, 0) < floor:
                 fail("counter %s=%r below %d (counters: %r)"
                      % (name, counters.get(name), floor, counters))
