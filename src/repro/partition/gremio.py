@@ -24,15 +24,25 @@ following concrete choices, all flagged in DESIGN.md:
   estimates faster (split estimate: per-iteration list-schedule makespan x
   iterations; pipeline fill ignored).
 **********************************************************************
+
+A level is built once as plain data (:class:`Level`).  One walk over
+its priority order holds the cost arithmetic: the greedy search is that
+walk with an argmin chooser, the forward-only floor and the split gate;
+:meth:`Level.estimate` is the walk with fixed choices, so it scores any
+partition of the level (the search's own at exactly its makespan).  Each
+loop body is list-scheduled once per ``partition()`` call: the per-call
+:class:`_Nest` memoises its cycles per header execution (read by the
+split gate) and its assignment (copied by a committed split).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Collection, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from ..analysis.loops import Loop, loop_nest_forest
-from ..analysis.pdg import PDG
+from ..analysis.pdg import PDG, DepKind
 from ..graphs import condense, topological_sort
 from ..interp.profile import EdgeProfile
 from ..ir.cfg import Function
@@ -40,27 +50,30 @@ from ..machine.config import DEFAULT_CONFIG, MachineConfig
 from .base import Partition, Partitioner
 
 
-class _Item:
-    """One schedulable unit at some hierarchy level: either a single
-    instruction or a loop supernode.  Weights are in estimated cycles *per
-    entry of the level being scheduled*; ``count`` is the unit's execution
-    frequency per level entry (used to charge per-execution communication
-    overhead on cross-thread dependences)."""
+class _Item(NamedTuple):
+    """One schedulable item at some hierarchy level: a single
+    instruction, a control-equivalent region or a loop supernode.
+    Weights are in estimated cycles *per entry of the level being
+    scheduled*."""
 
-    __slots__ = ("key", "iids", "loop", "weight", "order", "count")
-
-    def __init__(self, key, iids: List[int], loop: Optional[Loop],
-                 weight: float, order: Tuple, count: float):
-        self.key = key
-        self.iids = iids
-        self.loop = loop
-        self.weight = weight
-        self.order = order
-        self.count = count
+    key: object
+    iids: List[int]
+    loop: Optional[Loop]
+    weight: float
+    order: Tuple
 
 
 class GremioPartitioner(Partitioner):
     name = "gremio"
+
+    # Per-dynamic-execution issue-slot overhead when a dependence crosses
+    # threads: a communicated value costs a produce + a consume (charged
+    # once per distinct (defining instruction, register) — MTCG dedups
+    # repeats); a replicated branch costs its condition communication plus
+    # the duplicate itself (charged once per branch, however many
+    # instructions it controls).
+    _DATA_CHANNEL_OVERHEAD = 2.0
+    _CONTROL_CHANNEL_OVERHEAD = 3.0
 
     def __init__(self, config: MachineConfig = DEFAULT_CONFIG,
                  split_threshold: float = 1.0,
@@ -101,80 +114,119 @@ class GremioPartitioner(Partitioner):
 
     def partition(self, function: Function, pdg: PDG,
                   profile: EdgeProfile, n_threads: int) -> Partition:
-        self._function = function
-        self._pdg = pdg
-        self._profile = profile
-        self._n = max(1, n_threads)
+        nest = _Nest(self, function, pdg, profile, n_threads)
+        _, assignment = nest.schedule(nest.root_level())
+        for instruction in function.instructions():
+            assignment.setdefault(instruction.iid, 0)
+        return Partition(function, n_threads, assignment)
+
+    def body_level(self, function: Function, pdg: PDG,
+                   profile: EdgeProfile, n_threads: int,
+                   header: Optional[str] = None) -> "Level":
+        """The level this partitioner schedules for the body of the loop
+        headed by ``header`` (costs per header execution), or its root
+        level when ``header`` is None: the function minus its loops, or
+        the whole function when not ``hierarchical``."""
+        nest = _Nest(self, function, pdg, profile, n_threads)
+        if header is None:
+            return nest.root_level()
+        return nest.body_level(nest.forest.by_header[header])
+
+
+class _Nest:
+    """The state of one ``partition()`` call: its inputs, the operand
+    latency matrix, and the body memo (one schedule per loop header)."""
+
+    def __init__(self, partitioner: GremioPartitioner, function: Function,
+                 pdg: PDG, profile: EdgeProfile, n_threads: int):
+        self.partitioner = partitioner
+        self.function = function
+        self.pdg = pdg
+        self.profile = profile
+        self.n = max(1, n_threads)
         # Topology-aware operand-network latency per thread pair (identity
         # thread->core assumption — the placement stage may later refine
         # the mapping, but at partition time identity is the estimate):
         # the scalar comm_latency plus the clusters' crossing penalty.
         # On any flat topology every entry is comm_latency * latency_factor,
         # i.e. exactly the legacy scalar model.
-        topo = self.config.resolve_topology()
+        config = partitioner.config
+        topo = config.resolve_topology()
         last_core = topo.n_cores - 1
-        self._comm_matrix = [
-            [(float(self.config.comm_latency)
-              + topo.crossing(min(a, last_core), min(b, last_core)))
-             * self.latency_factor
-             for b in range(self._n)]
-            for a in range(self._n)]
-        self._block_of = function.block_of()
-        self._position = function.position_of()
-        self._by_iid = function.by_iid()
-        forest = loop_nest_forest(function)
+        self.comm = [[(float(config.comm_latency)
+                       + topo.crossing(min(a, last_core), min(b, last_core)))
+                      * partitioner.latency_factor
+                      for b in range(self.n)]
+                     for a in range(self.n)]
+        self.block_of = function.block_of()
+        self.position = function.position_of()
+        self.by_iid = function.by_iid()
+        self.forest = loop_nest_forest(function)
+        self.bodies: Dict[str, Tuple[float, Dict[int, int]]] = {}
 
-        assignment: Dict[int, int] = {}
-        if self.hierarchical:
-            top_blocks = set(b.label for b in function.blocks)
-            for loop in forest.top_level:
-                top_blocks -= loop.blocks
-            entry_weight = max(
-                profile.block_weight(function.entry.label), 1.0)
-            self._schedule_level(top_blocks, forest.top_level, entry_weight,
-                                 assignment)
-        else:
-            items = [self._instruction_item(instruction.iid, 1.0)
-                     for instruction in function.instructions()]
-            self._list_schedule(items, assignment, commit=True)
+    # -- levels ---------------------------------------------------------------
 
-        for instruction in function.instructions():
-            assignment.setdefault(instruction.iid, 0)
-        return Partition(function, n_threads, assignment)
+    def root_level(self) -> "Level":
+        if not self.partitioner.hierarchical:
+            items = [self.instruction_item(instruction.iid, 1.0)
+                     for instruction in self.function.instructions()]
+            return Level(self, items, 1.0, pipelined=False)
+        top_blocks = set(b.label for b in self.function.blocks)
+        for loop in self.forest.top_level:
+            top_blocks -= loop.blocks
+        scale = 1.0 / max(
+            self.profile.block_weight(self.function.entry.label), 1.0)
+        return Level(self, self.level_items(top_blocks,
+                                            self.forest.top_level, scale),
+                     scale, pipelined=False)
 
-    # -- item construction ------------------------------------------------------
+    def body_level(self, loop: Loop) -> "Level":
+        scale = 1.0 / self.header_weight(loop)
+        return Level(self, self.level_items(loop.exclusive_blocks,
+                                            loop.children, scale, loop),
+                     scale, pipelined=True)
 
-    def _instruction_weight(self, iid: int, scale: float) -> float:
-        instruction = self._by_iid[iid]
-        count = max(self._profile.block_weight(self._block_of[iid]), 0.0)
-        return self.config.latency_of(instruction) * count * scale
+    def header_weight(self, loop: Loop) -> float:
+        return max(self.profile.block_weight(loop.header), 1.0)
 
-    def _instruction_item(self, iid: int, scale: float) -> _Item:
-        count = max(
-            self._profile.block_weight(self._block_of[iid]), 0.0) * scale
+    def body(self, loop: Loop) -> Tuple[float, Dict[int, int]]:
+        """``(cycles per header execution, assignment)`` of the loop's
+        body split across all threads — list-scheduled on first use."""
+        if loop.header not in self.bodies:
+            self.bodies[loop.header] = self.schedule(self.body_level(loop))
+        return self.bodies[loop.header]
+
+    def schedule(self, level: "Level") -> Tuple[float, Dict[int, int]]:
+        """Search ``level``; the bodies of the loops it splits contribute
+        their memoised assignments."""
+        makespan, assignment, split = level.search()
+        for header in split:
+            assignment.update(self.bodies[header][1])
+        return makespan, assignment
+
+    # -- item construction ----------------------------------------------------
+
+    def instruction_weight(self, iid: int, scale: float) -> float:
+        count = max(self.profile.block_weight(self.block_of[iid]), 0.0)
+        return (self.partitioner.config.latency_of(self.by_iid[iid])
+                * count * scale)
+
+    def instruction_item(self, iid: int, scale: float) -> _Item:
         return _Item(("i", iid), [iid], None,
-                     self._instruction_weight(iid, scale),
-                     self._position[iid], count)
+                     self.instruction_weight(iid, scale),
+                     self.position[iid])
 
-    def _loop_item(self, loop: Loop, scale: float) -> _Item:
+    def loop_item(self, loop: Loop, scale: float) -> _Item:
         iids = [instruction.iid
                 for label in sorted(loop.blocks)
-                for instruction in self._function.block(label)]
-        weight = sum(self._instruction_weight(iid, scale) for iid in iids)
-        order = min(self._position[iid] for iid in iids)
-        # A loop supernode communicates per loop *entry*, not per iteration.
-        entries = 0.0
-        preds = self._function.predecessors_map()
-        for pred in preds.get(loop.header, ()):
-            if pred not in loop.blocks:
-                entries += self._profile.edge_weight(pred, loop.header)
-        count = max(entries, 1.0) * scale
-        return _Item(("loop", loop.header), iids, loop, weight, order, count)
+                for instruction in self.function.block(label)]
+        weight = sum(self.instruction_weight(iid, scale) for iid in iids)
+        order = min(self.position[iid] for iid in iids)
+        return _Item(("loop", loop.header), iids, loop, weight, order)
 
-    def _level_items(self, region_blocks: Set[str],
-                     child_loops: Sequence[Loop],
-                     scale: float,
-                     level_loop: Optional[Loop] = None) -> List[_Item]:
+    def level_items(self, region_blocks: Set[str],
+                    child_loops: Sequence[Loop], scale: float,
+                    level_loop: Optional[Loop] = None) -> List[_Item]:
         items: List[_Item] = []
         region_groups: Dict[frozenset, List[int]] = {}
         # Control dependences shared by the whole level (the loop's own
@@ -182,308 +234,256 @@ class GremioPartitioner(Partitioner):
         baseline_deps: frozenset = frozenset()
         if level_loop is not None:
             baseline_deps = frozenset(
-                self._pdg.cdg.deps_of(level_loop.header))
+                self.pdg.cdg.deps_of(level_loop.header))
         for label in sorted(region_blocks):
-            if self.region_grouping:
-                deps = frozenset(self._pdg.cdg.deps_of(label)
-                                 - baseline_deps)
-                deps = frozenset(d for d in deps
-                                 if d[0] in region_blocks)
-            else:
-                deps = frozenset()
-            for instruction in self._function.block(label):
+            deps: frozenset = frozenset()
+            if self.partitioner.region_grouping:
+                deps = frozenset(
+                    d for d in self.pdg.cdg.deps_of(label) - baseline_deps
+                    if d[0] in region_blocks)
+            for instruction in self.function.block(label):
                 if deps:
                     region_groups.setdefault(deps, []).append(
                         instruction.iid)
                 else:
-                    items.append(self._instruction_item(instruction.iid,
-                                                        scale))
+                    items.append(self.instruction_item(instruction.iid,
+                                                       scale))
         for deps in sorted(region_groups, key=sorted):
             iids = region_groups[deps]
-            weight = math.fsum(self._instruction_weight(iid, scale)
+            weight = math.fsum(self.instruction_weight(iid, scale)
                                for iid in iids)
-            count = max(
-                max(self._profile.block_weight(self._block_of[iid]), 0.0)
-                * scale for iid in iids)
-            order = min(self._position[iid] for iid in iids)
+            order = min(self.position[iid] for iid in iids)
             items.append(_Item(("cd", min(iids)), sorted(iids), None,
-                               weight, order, count))
+                               weight, order))
         for loop in child_loops:
-            items.append(self._loop_item(loop, scale))
+            items.append(self.loop_item(loop, scale))
         return items
 
-    # -- hierarchical scheduling ---------------------------------------------------
 
-    def _schedule_level(self, region_blocks: Set[str],
-                        child_loops: Sequence[Loop], entry_weight: float,
-                        assignment: Dict[int, int],
-                        level_loop: Optional[Loop] = None) -> float:
-        """Schedule one hierarchy level (commits assignments and recurses
-        into loops the scheduler decided to split); returns the estimated
-        makespan per entry of the level."""
-        scale = 1.0 / max(entry_weight, 1e-12)
-        items = self._level_items(region_blocks, child_loops, scale,
-                                  level_loop)
-        makespan, split_loops = self._list_schedule(
-            items, assignment, commit=True, scale=scale,
-            pipelined=level_loop is not None)
-        for loop in child_loops:
-            if loop.header in split_loops:
-                header_weight = max(
-                    self._profile.block_weight(loop.header), 1.0)
-                self._schedule_level(loop.exclusive_blocks, loop.children,
-                                     header_weight, assignment,
-                                     level_loop=loop)
-        return makespan
+class Level:
+    """One hierarchy level as plain data, scheduled onto ``n`` threads.
 
-    def _estimate_split(self, loop: Loop, scale: float) -> float:
-        """Estimated cycles-per-level-entry if the loop body is scheduled
-        across all threads, comparable to the supernode's atomic weight."""
-        header_weight = max(self._profile.block_weight(loop.header), 1.0)
-        body_scale = 1.0 / header_weight
-        items = self._level_items(loop.exclusive_blocks, loop.children,
-                                  body_scale, level_loop=loop)
-        per_iteration, _ = self._list_schedule(items, assignment={},
-                                               commit=False,
-                                               scale=body_scale,
-                                               pipelined=True)
-        # per_iteration is cycles per header execution; the loop executes
-        # header_weight times overall; scale converts to per-level-entry.
-        return per_iteration * header_weight * scale
+    ``units`` are the SCCs of the PDG projected onto the level's items
+    (lists of iids); ``loops[u]`` is the loop of a unit that is a lone
+    loop supernode (a split candidate), else None.  Costs are in cycles
+    per entry of the level (per header execution for a loop body).
 
-    # -- list scheduling of one level ----------------------------------------------
+    ``pipelined`` marks loop-body levels: iterations overlap and
+    dependence cycles were condensed into units, so the operand-network
+    *latency* (inter-cluster crossings included) is a one-time skew, not
+    a per-iteration cost — the schedule optimizes throughput (balance +
+    communication occupancy).  Acyclic levels run once, where latency is
+    the real cost.  Pipelined levels also search only *forward* flow (a
+    unit goes to a thread >= its producers' threads): values zig-zagging
+    between cores would re-couple them with a round-trip latency per
+    iteration, destroying the decoupling the split exists for.
+    """
 
-    # Per-dynamic-execution issue-slot overhead when a dependence crosses
-    # threads: a communicated value costs a produce + a consume (charged
-    # once per distinct (defining instruction, register) — MTCG dedups
-    # repeats); a replicated branch costs its condition communication plus
-    # the duplicate itself (charged once per branch, however many
-    # instructions it controls).
-    _DATA_CHANNEL_OVERHEAD = 2.0
-    _CONTROL_CHANNEL_OVERHEAD = 3.0
-
-    def _project_arcs(self, items: List[_Item]
-                      ) -> Tuple[Dict[object, Set[object]],
-                                 Dict[Tuple[object, object], Set[Tuple]]]:
-        """Project PDG arcs to item-level adjacency.  The second result
-        maps (source item, target item) to the distinct communication
-        *channels* the crossing would require: ("d", def iid, register)
-        for data, ("c", branch iid) for control replication."""
-        from ..analysis.pdg import DepKind
-        item_of: Dict[int, object] = {}
-        for item in items:
-            for iid in item.iids:
-                item_of[iid] = item.key
-        successors: Dict[object, Set[object]] = {item.key: set()
-                                                 for item in items}
-        channels: Dict[Tuple[object, object], Set[Tuple]] = {}
-        for arc in self._pdg.arcs:
+    def __init__(self, nest: _Nest, items: List[_Item], scale: float,
+                 pipelined: bool):
+        self._nest = nest
+        self.scale = scale
+        self.pipelined = pipelined
+        by_key = {item.key: item for item in items}
+        # Project PDG arcs onto the items, noting the communication
+        # *channel* each crossing would need: ("d", def iid, register)
+        # for data, ("c", branch iid) for control replication.
+        item_of = {iid: item.key for item in items for iid in item.iids}
+        successors: Dict[object, Set[object]] = {key: set()
+                                                 for key in by_key}
+        crossings = []
+        for arc in nest.pdg.arcs:
             source = item_of.get(arc.source)
             target = item_of.get(arc.target)
             if source is None or target is None or source == target:
                 continue
             successors[source].add(target)
-            if arc.kind is DepKind.CONTROL:
-                channel = ("c", arc.source)
-            else:
-                channel = ("d", arc.source, arc.register)
-            channels.setdefault((source, target), set()).add(channel)
+            crossings.append((source, target, ("c", arc.source)
+                              if arc.kind is DepKind.CONTROL
+                              else ("d", arc.source, arc.register)))
         # Deterministic adjacency order (set iteration order depends on
         # the hash seed, which would leak into SCC numbering and FP sums).
-        ordered = {key: sorted(targets, key=repr)
-                   for key, targets in successors.items()}
-        return ordered, channels
-
-    def _list_schedule(self, items: List[_Item], assignment: Dict[int, int],
-                       commit: bool,
-                       scale: float = 1.0,
-                       pipelined: bool = False) -> Tuple[float, Set[str]]:
-        """Greedy EFT list scheduling onto n threads.
-
-        Returns ``(makespan, split loop headers)``.  When ``commit`` is
-        set, thread choices for covered instructions are written into
-        ``assignment`` (instructions of split loops are left to the
-        recursion).  ``scale`` converts raw profile counts to
-        per-level-entry frequencies (for communication-overhead charges).
-
-        ``pipelined`` marks loop-body levels: the body executes many
-        iterations, and cross-thread dependences within one iteration are
-        pipelineable (dependence cycles were condensed into single units),
-        so the operand-network *latency* is a one-time skew, not a
-        per-iteration cost — the scheduler then optimizes throughput
-        (balance + communication occupancy) rather than latency.  Acyclic
-        levels run once, where latency is the real cost.
-
-        Pipelined levels additionally enforce *forward-only* cross-thread
-        flow (a unit may only be placed on a thread >= all its producers'
-        threads): values zig-zagging between cores would re-couple the
-        threads with a round-trip operand latency per iteration, which
-        destroys the decoupling the split exists for.
-        """
-        n = self._n
-        # Per-pair operand-network latency (see partition()); in pipelined
-        # loop bodies the latency — including any inter-cluster crossing —
-        # is a one-time skew rather than a per-iteration cost, so it does
-        # not gate the throughput estimate.
-        comm = self._comm_matrix if not pipelined else None
-        by_key = {item.key: item for item in items}
-        successors, arc_channels = self._project_arcs(items)
         components, component_of, dag = condense(
-            [item.key for item in items], successors)
-
-        # Aggregate required communication channels to the unit level.
-        unit_channels: Dict[Tuple[int, int], Set[Tuple]] = {}
-        for (source_key, target_key), channel_set in arc_channels.items():
-            source_unit = component_of[source_key]
-            target_unit = component_of[target_key]
-            if source_unit == target_unit:
-                continue
-            unit_channels.setdefault(
-                (source_unit, target_unit), set()).update(channel_set)
-
-        def channel_cost(channel: Tuple) -> float:
-            source_iid = channel[1]
-            frequency = max(self._profile.block_weight(
-                self._block_of[source_iid]), 0.0) * scale
-            factor = (self._CONTROL_CHANNEL_OVERHEAD if channel[0] == "c"
-                      else self._DATA_CHANNEL_OVERHEAD)
-            return factor * frequency * self.occupancy_factor
-
-        unit_weight = [math.fsum(by_key[key].weight for key in component)
-                       for component in components]
-        unit_order = [min(by_key[key].order for key in component)
+            list(by_key), {key: sorted(targets, key=repr)
+                           for key, targets in successors.items()})
+        self.units = [[iid for key in component for iid in by_key[key].iids]
                       for component in components]
+        self.loops = [by_key[component[0]].loop if len(component) == 1
+                      else None for component in components]
+        self.weights = [math.fsum(by_key[key].weight for key in component)
+                        for component in components]
+
+        # Required channels per (predecessor, unit) and their
+        # per-execution occupancy.
+        unit_channels: Dict[Tuple[int, int], Set[Tuple]] = {}
+        for source, target, channel in crossings:
+            pair = (component_of[source], component_of[target])
+            if pair[0] != pair[1]:
+                unit_channels.setdefault(pair, set()).add(channel)
+        partitioner = nest.partitioner
+        overhead = {"c": partitioner._CONTROL_CHANNEL_OVERHEAD,
+                    "d": partitioner._DATA_CHANNEL_OVERHEAD}
+        self.channel_cost: Dict[Tuple, float] = {
+            channel: overhead[channel[0]] * (max(nest.profile.block_weight(
+                nest.block_of[channel[1]]), 0.0) * scale)
+            * partitioner.occupancy_factor
+            for channels in unit_channels.values() for channel in channels}
+        # Every condensed arc carries at least one channel.
+        self.inputs: List[List[Tuple[int, Set[Tuple]]]] = [
+            [] for _ in components]
+        for (source, target), channels in unit_channels.items():
+            self.inputs[target].append((source, channels))
 
         bottom: List[float] = [0.0] * len(components)
         for index in reversed(range(len(components))):
             succ_best = max((bottom[succ] for succ in dag[index]),
                             default=0.0)
-            bottom[index] = unit_weight[index] + succ_best
-
-        order = topological_sort(
+            bottom[index] = self.weights[index] + succ_best
+        unit_order = [min(by_key[key].order for key in component)
+                      for component in components]
+        self.order = topological_sort(
             range(len(components)), dag,
             priority={i: (-bottom[i], unit_order[i])
                       for i in range(len(components))})
 
-        predecessors: Dict[int, List[int]] = {i: [] for i in dag}
-        for source, targets in dag.items():
-            for target in targets:
-                predecessors[target].append(source)
+    def split_cost(self, index: int) -> float:
+        """Cycles per level entry of unit ``index``'s loop split across
+        all threads (its memoised body schedule)."""
+        loop = self.loops[index]
+        cycles, _ = self._nest.body(loop)
+        return cycles * self._nest.header_weight(loop) * self.scale
 
-        thread_ready = [0.0] * n
-        finish: Dict[int, float] = {}
-        unit_thread: Dict[int, int] = {}
-        split_loops: Set[str] = set()
-        total_weight = sum(unit_weight)
-        scheduled_weight = 0.0
+    # -- the one walk -------------------------------------------------------
+
+    def _walk(self, choose: Callable) -> Tuple[float, List[int], Set[int]]:
+        """Place the units in priority order.  ``choose(index, place,
+        earliest, ready)`` returns ``(thread, split?, place(index,
+        thread))``; ``earliest(index)`` is the earliest-finishing
+        ``(thread, place(index, thread))``, first on ties, at or above
+        every producer's thread in a pipelined level.  Returns
+        ``(makespan, thread per unit, split units)``."""
+        n = self._nest.n
+        comm = self._nest.comm
+        ready = [0.0] * n
+        finish = [0.0] * len(self.units)
+        thread_of = [0] * len(self.units)
         # Channels already charged, per receiving thread (MTCG communicates
         # each channel once per target thread, however many units use it).
         paid: Set[Tuple[Tuple, int]] = set()
+        split: Set[int] = set()
 
-        def pending_channels(index: int, thread: int) -> List[Tuple]:
-            required: List[Tuple] = []
-            for pred in predecessors[index]:
-                if unit_thread.get(pred, thread) == thread:
-                    continue
-                for channel in unit_channels.get((pred, index), ()):
-                    if (channel, thread) not in paid:
-                        required.append(channel)
-            return required
+        def place(index: int, thread: int) -> Tuple[float, float, Set]:
+            # Cross-thread dependences pay per-execution communication
+            # occupancy, once per channel per receiving thread.
+            start = ready[thread]
+            pending = {channel
+                       for pred, channels in self.inputs[index]
+                       if thread_of[pred] != thread
+                       for channel in channels
+                       if (channel, thread) not in paid}
+            # math.fsum: exact, hence independent of set iteration order
+            # (keeps the scheduler deterministic across runs).
+            occupancy = math.fsum(self.channel_cost[channel]
+                                  for channel in pending)
+            if not self.pipelined:
+                # One-shot level: intra-level precedence and operand
+                # latency gate the start.  (In a pipelined loop body,
+                # iteration i+1 overlaps iteration i, so precedence
+                # within one iteration costs throughput nothing.)
+                for pred, _ in self.inputs[index]:
+                    arrival = finish[pred]
+                    if thread_of[pred] != thread:
+                        arrival += comm[thread_of[pred]][thread]
+                    start = max(start, arrival)
+            return start, start + self.weights[index] + occupancy, pending
 
-        for index in order:
-            weight = unit_weight[index]
-            component = components[index]
-            lone_loop = (len(component) == 1
-                         and by_key[component[0]].loop is not None)
+        def earliest(index: int) -> Tuple[int, Tuple[float, float, Set]]:
+            floor = 0
+            if self.pipelined:
+                floor = max((thread_of[pred]
+                             for pred, _ in self.inputs[index]), default=0)
+            return min(((thread, place(index, thread))
+                        for thread in range(floor, n)),
+                       key=lambda option: option[1][1])
 
-            # Earliest-finish-time thread choice; cross-thread dependences
-            # pay the operand-network latency once plus per-execution
-            # communication occupancy (charged once per channel per
-            # receiving thread).
-            minimum_thread = 0
-            if pipelined:
-                for pred in predecessors[index]:
-                    minimum_thread = max(minimum_thread,
-                                         unit_thread.get(pred, 0))
+        for index in self.order:
+            thread, split_here, (start, end, pending) = choose(
+                index, place, earliest, ready)
+            if split_here:
+                # A split occupies every core from when all are free.
+                end = max(max(ready), start) + self.split_cost(index)
+                ready[:] = [end] * n
+                split.add(index)
+            else:
+                paid.update((channel, thread) for channel in pending)
+                ready[thread] = end
+            finish[index] = end
+            # A split loop's thread is its "home" for later arcs.
+            thread_of[index] = thread
+        return max(ready), thread_of, split
 
-            best_thread, best_finish, best_start = 0, float("inf"), 0.0
-            for thread in range(minimum_thread, n):
-                start = thread_ready[thread]
-                # math.fsum: exact, hence independent of set iteration
-                # order (keeps the scheduler deterministic across runs).
-                occupancy = math.fsum(
-                    channel_cost(c)
-                    for c in set(pending_channels(index, thread)))
-                if not pipelined:
-                    # One-shot level: intra-level precedence and operand
-                    # latency gate the start.  (In a pipelined loop body,
-                    # iteration i+1 overlaps iteration i, so precedence
-                    # within one iteration costs throughput nothing.)
-                    for pred in predecessors[index]:
-                        arrival = finish.get(pred, 0.0)
-                        pred_thread = unit_thread.get(pred, thread)
-                        if pred_thread != thread:
-                            arrival += comm[pred_thread][thread]
-                        start = max(start, arrival)
-                candidate = start + weight + occupancy
-                if candidate < best_finish:
-                    best_thread, best_finish, best_start = (thread,
-                                                            candidate, start)
+    def search(self) -> Tuple[float, Dict[int, int], Set[str]]:
+        """Greedy EFT list scheduling.  Returns ``(makespan, {iid:
+        thread} of the units not split, split loop headers)``; a split
+        loop's instructions are its body schedule's (:meth:`_Nest.body`).
 
-            if lone_loop and self.hierarchical and n > 1 and weight > 0:
-                loop = by_key[component[0]].loop
-                # Item weights carry the level's scale implicitly; recover
-                # it (scale = scaled weight / raw cycles) so the split
-                # estimate comes out in the same units.
-                level_scale = weight / max(_raw_loop_cycles(self, loop),
-                                           1e-12)
-                split_cost = self._estimate_split(loop, level_scale)
-                # A split occupies every core.  When there is enough other
-                # work around to fill the other cores, demand that the
-                # split also wins on total core-time; when this loop is
-                # essentially the whole remaining program, a latency win
-                # (estimated finish) suffices.
+        Split gate: a split occupies every core.  When there is enough
+        other work around to fill the other cores, the split must also
+        win on total core-time; when this loop is essentially the whole
+        remaining level, a latency win (estimated finish) suffices."""
+        n = self._nest.n
+        partitioner = self._nest.partitioner
+        threshold = partitioner.split_threshold
+        total_weight, scheduled_weight = sum(self.weights), 0.0
+
+        def choose(index, place, earliest, ready):
+            nonlocal scheduled_weight
+            thread, placed = earliest(index)
+            weight = self.weights[index]
+            split_here = False
+            if (self.loops[index] is not None and partitioner.hierarchical
+                    and n > 1 and weight > 0):
+                split_cost = self.split_cost(index)
                 other_work = total_weight - scheduled_weight - weight
                 if other_work >= 0.5 * weight:
-                    use_split = (split_cost * n
-                                 <= weight * self.split_threshold)
+                    split_here = split_cost * n <= weight * threshold
                 else:
-                    split_start = max(max(thread_ready), best_start)
-                    use_split = (split_start + split_cost
-                                 <= best_finish * self.split_threshold)
-                if use_split:
-                    start = max(max(thread_ready), best_start)
-                    end = start + split_cost
-                    thread_ready = [end] * n
-                    finish[index] = end
-                    # Mark for recursion; any thread may be recorded as the
-                    # "home" for dependence estimation purposes.
-                    unit_thread[index] = best_thread
-                    scheduled_weight += weight
-                    if commit:
-                        split_loops.add(loop.header)
-                    continue
-
-            for channel in pending_channels(index, best_thread):
-                paid.add((channel, best_thread))
-            thread_ready[best_thread] = best_finish
-            finish[index] = best_finish
-            unit_thread[index] = best_thread
+                    split_here = (max(max(ready), placed[0]) + split_cost
+                                  <= placed[1] * threshold)
             scheduled_weight += weight
-            if commit:
-                for key in component:
-                    for iid in by_key[key].iids:
-                        assignment[iid] = best_thread
+            return thread, split_here, placed
 
-        makespan = max(thread_ready) if thread_ready else 0.0
-        return makespan, split_loops
+        makespan, thread_of, split = self._walk(choose)
+        assignment = {iid: thread_of[index]
+                      for index, unit in enumerate(self.units)
+                      if index not in split for iid in unit}
+        return makespan, assignment, {self.loops[i].header for i in split}
 
+    def estimate(self, assignment: Mapping[int, int],
+                 split: Collection[str] = ()) -> float:
+        """The level's makespan under ``assignment`` (``{iid: thread}``),
+        with the loop units headed by ``split`` split across all threads
+        at their body schedule's cost (other headers are ignored).  Every
+        other unit goes where its instructions are; raises ``ValueError``
+        if they sit on more than one thread.
+        ``estimate(*search()[1:]) == search()[0]``."""
+        fixed: Dict[int, int] = {}
+        for index, unit in enumerate(self.units):
+            loop = self.loops[index]
+            if loop is not None and loop.header in split:
+                continue
+            threads = {assignment[iid] for iid in unit}
+            if len(threads) != 1 or not 0 <= min(threads) < self._nest.n:
+                raise ValueError(
+                    "unit of iids %s sits on threads %s; it needs one "
+                    "thread in range(%d)"
+                    % (unit[:6], sorted(threads), self._nest.n))
+            fixed[index] = threads.pop()
 
-def _raw_loop_cycles(partitioner: GremioPartitioner, loop: Loop) -> float:
-    """Unscaled estimated total cycles spent in the loop (profile-weighted
-    instruction latencies over all member blocks)."""
-    total = 0.0
-    for label in sorted(loop.blocks):
-        for instruction in partitioner._function.block(label):
-            total += partitioner._instruction_weight(instruction.iid, 1.0)
-    return total
+        def choose(index, place, earliest, ready):
+            if index in fixed:
+                return fixed[index], False, place(index, fixed[index])
+            thread, placed = earliest(index)
+            return thread, True, placed
+
+        return self._walk(choose)[0]

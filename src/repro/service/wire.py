@@ -121,6 +121,10 @@ class HttpDaemon:
                                           handler)
         self.server.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
+        # Whether a serve_forever loop may be running on another thread:
+        # server.shutdown() waits for one, so a daemon that never
+        # served must not call it.
+        self._serving = False
         self._closed = False
         #: Accepted connections whose handler thread is still running.
         self._live: Set[socket.socket] = set()
@@ -142,6 +146,7 @@ class HttpDaemon:
 
     def start(self):
         """Serve on a background thread (tests, embedding)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self.server.serve_forever, daemon=True,
             name=self.server_name + "-http")
@@ -154,9 +159,11 @@ class HttpDaemon:
                         "address": self.address, "port": self.port,
                         "queue_limit": self.config.queue_limit,
                         "schema": API_SCHEMA_VERSION})
+        self._serving = True
         try:
             self.server.serve_forever()
         finally:
+            self._serving = False   # the loop has ended on this thread
             self.close()
 
     def close(self) -> None:
@@ -168,7 +175,8 @@ class HttpDaemon:
             # shut their sockets so none answers another request.
             for connection in self._live:
                 _hang_up(connection)
-        self.server.shutdown()
+        if self._serving:
+            self.server.shutdown()
         self.server.server_close()
         self.service.close()
         if self._thread is not None:

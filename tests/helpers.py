@@ -7,6 +7,8 @@ codegen behaviour can be checked against the published walk-throughs.
 
 from __future__ import annotations
 
+import functools
+
 from repro.ir import Function, FunctionBuilder
 
 
@@ -187,3 +189,20 @@ def build_paper_figure4() -> Function:
     b.label("B5")
     b.exit()
     return b.build()
+
+
+@functools.lru_cache(maxsize=None)
+def train_front(name: str):
+    """A registry workload's partitioner inputs as the pipeline builds
+    them: the normalized function, its PDG (annotated aliasing) and its
+    edge profile on the ``train`` inputs.  Cached per process; callers
+    must not mutate the results."""
+    from repro.analysis import AliasAnalysis, build_pdg
+    from repro.interp import run_function
+    from repro.pipeline.stages import normalize
+    from repro.workloads import get_workload
+    workload = get_workload(name)
+    train = workload.make_inputs("train")
+    function = normalize(workload.build())
+    profile = run_function(function, train.args, train.memory).profile
+    return function, build_pdg(function, AliasAnalysis(function)), profile

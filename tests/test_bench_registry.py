@@ -282,7 +282,7 @@ class TestBenchCli:
         out = self.out(tmp_path)
         assert main(["bench", "--smoke", "--spec", "fig6_setup",
                      "--out", out]) == 0
-        document = json.loads(open(out).read())
+        document = json.loads(Path(out).read_text())
         assert document["schema"] == "repro.bench/v1"
         assert document["mode"] == "smoke"
         assert "fig6_setup" in document["specs"]
@@ -299,7 +299,7 @@ class TestBenchCli:
                      "--out", out, "--compare", baseline]) == 0
         capsys.readouterr()
         # Perturb one exact-tolerance metric: gate fails, table names it.
-        document = json.loads(open(baseline).read())
+        document = json.loads(Path(baseline).read_text())
         document["specs"]["fig6_setup"]["metrics"][
             "workloads/count"]["value"] = 99
         with open(baseline, "w") as handle:
@@ -311,7 +311,7 @@ class TestBenchCli:
         printed = capsys.readouterr().out
         assert "`workloads/count`" in printed
         assert "regression" in printed
-        written = open(summary).read()
+        written = Path(summary).read_text()
         assert "Benchmark regression gate" in written
         assert "`workloads/count`" in written
 
@@ -323,7 +323,7 @@ class TestBenchCli:
                      "--update-baseline"]) == 0
         printed = capsys.readouterr().out
         assert "| `COCO-Fig6/eleven-functions` |" in printed  # scorecard
-        document = json.loads(open(baseline).read())
+        document = json.loads(Path(baseline).read_text())
         metric = document["specs"]["fig6_setup"]["metrics"][
             "claim/COCO-Fig6/eleven-functions"]
         assert (metric["value"], metric["tolerance"]) == (1, 0.0)
@@ -361,7 +361,7 @@ class TestBenchCli:
                      "--out", self.out(tmp_path),
                      "--baseline", baseline]) == 0
         assert "baseline updated" in capsys.readouterr().out
-        assert json.loads(open(baseline).read())["mode"] == "smoke"
+        assert json.loads(Path(baseline).read_text())["mode"] == "smoke"
 
 
 def test_bench_stays_lazily_imported():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -413,6 +414,38 @@ class TestCoordinatorEdges:
             assert "w0" in page and "repro cluster" in page
         finally:
             coordinator.close()
+
+
+class TestCloseWithoutStart:
+    """A daemon or node built and closed without ever serving (an error
+    or Ctrl-C before ``serve_forever``) closes promptly and frees its
+    port: ``HttpDaemon.close`` must not wait for a serving loop that
+    never ran."""
+
+    @staticmethod
+    def _closes_promptly(node) -> None:
+        port = node.port
+        closer = threading.Thread(target=node.close, daemon=True)
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive(), "close() hung on an unstarted node"
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))
+
+    def test_service_daemon(self):
+        self._closes_promptly(ServiceDaemon(ServiceConfig(
+            host="127.0.0.1", port=0, workers=0, quiet=True)))
+
+    def test_coordinator_daemon(self, tmp_path):
+        self._closes_promptly(CoordinatorDaemon(
+            ServiceConfig(host="127.0.0.1", port=0, role="coordinator",
+                          quiet=True),
+            store_directory=str(tmp_path / "coord-store")))
+
+    def test_worker_node(self, clean_env):
+        self._closes_promptly(WorkerNode(ServiceConfig(
+            host="127.0.0.1", port=0, workers=0, role="worker",
+            coordinator_url="http://127.0.0.1:1", quiet=True)))
 
 
 class TestClusterEndToEnd:
