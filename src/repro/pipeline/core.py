@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Mapping, NamedTuple, Optional, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Union
 
 from ..analysis.pdg import PDG
 from ..coco.driver import CocoResult
@@ -305,7 +305,7 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
         workload, technique, n_threads, coco, scale, config, alias_mode,
         local_schedule, mt_check, cache, trace, trace_limit, topology,
         placer, backend, partitioner_args, partition)
-    execute(ctx, EVALUATE_STAGES)
+    _walk(ctx, workload, EVALUATE_STAGES)
     _publish_telemetry(ctx.telemetry, telemetry)
     return _finish(ctx, workload, check)
 
@@ -319,21 +319,27 @@ def _evaluation_context(workload, technique="gremio", n_threads=2,
                         partitioner_args=None,
                         partition=None) -> PipelineContext:
     """What :func:`evaluate_workload` (whose parameters these are)
-    resolves before the first stage: the built function, both input
-    sets — fingerprinted by the workload, once per process — and both
-    machine configurations."""
+    resolves before the first stage: both machine configurations, and
+    the roots a cell key needs that the workload remembers — its input
+    fingerprints and, once a build of it was normalized in this
+    process, its IR's.  Unknown backends and topologies raise here,
+    before any cache is read.  Nothing is built or copied yet:
+    :func:`_walk` does that once a stage needs it."""
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r (expected one of %s)"
                          % (backend, ", ".join(BACKENDS)))
-    train = workload.make_inputs("train")
-    measure = workload.make_inputs(scale)
     if config is None:
         config = technique_config(technique)
     if topology is not None:
         from ..machine.topology import get_topology
         config = dataclasses.replace(config, topology=get_topology(topology))
+    roots = {"train": workload.inputs_fingerprint("train"),
+             "measure": workload.inputs_fingerprint(scale)}
+    ir = workload.ir_fingerprint()
+    if ir is not None:
+        roots["ir"] = ir
     return PipelineContext(
-        workload.build(),
+        None,
         options={
             "technique": technique,
             "n_threads": n_threads,
@@ -341,12 +347,9 @@ def _evaluation_context(workload, technique="gremio", n_threads=2,
             "alias_mode": alias_mode,
             "normalized": False,
             "profile": None,
-            "profile_args": train.args,
-            "profile_memory": train.memory,
+            "scale": scale,
             "local_schedule": local_schedule,
             "mt_check": mt_check,
-            "measure_args": measure.args,
-            "measure_memory": measure.memory,
             "trace": trace,
             "trace_limit": trace_limit,
             "placer": placer,
@@ -358,8 +361,31 @@ def _evaluation_context(workload, technique="gremio", n_threads=2,
         config=config.with_cores(n_threads),
         sim_config=config,
         cache=_resolve_cache(cache),
-        roots={"train": workload.inputs_fingerprint("train"),
-               "measure": workload.inputs_fingerprint(scale)})
+        roots=roots)
+
+
+def _load(ctx: PipelineContext, workload: Workload) -> None:
+    """Give ``ctx`` a fresh build of ``workload`` and fresh copies of
+    both input images: what a stage walk needs and a cache hit does
+    not."""
+    train = workload.make_inputs("train")
+    measure = workload.make_inputs(ctx.options["scale"])
+    ctx.values["function"] = workload.build()
+    ctx.options.update(profile_args=train.args, profile_memory=train.memory,
+                       measure_args=measure.args,
+                       measure_memory=measure.memory)
+
+
+def _walk(ctx: PipelineContext, workload: Workload,
+          stage_names: Sequence[str]) -> None:
+    """Execute ``stage_names`` on ``ctx``, loading the workload first
+    if no stage has needed it yet.  The first normalize of the workload
+    in the process teaches it its IR fingerprint."""
+    if ctx.function is None:
+        _load(ctx, workload)
+    execute(ctx, stage_names)
+    if workload.ir_fingerprint() is None and "normalize" in stage_names:
+        workload.remember_ir_fingerprint(ctx.root("ir"))
 
 
 def _finish(ctx: PipelineContext, workload: Workload,
@@ -403,29 +429,32 @@ def evaluate_summary(workload: Workload, check: bool = True,
     runs no stage (its telemetry is that hit plus the stored counters);
     a miss walks the stages — telemetry as :func:`evaluate_workload`'s,
     so a computed answer's document does not grow — and, once the
-    evaluation and its ``check`` succeeded, writes the entry.  Traced
-    runs (an entry cannot replay the event stream) and a disabled cache
-    bypass it.  ``walk=False`` only looks: a miss returns ``None``."""
+    evaluation and its ``check`` succeeded, writes the entry under the
+    key it looked up.  Once the workload's IR fingerprint is known in
+    the process, the lookup builds and copies nothing; before that,
+    normalize runs first, as the key needs its hash.  Traced runs (an
+    entry cannot replay the event stream) and a disabled cache bypass
+    it.  ``walk=False`` only looks: a miss returns ``None``."""
     start = time.perf_counter()
     ctx = _evaluation_context(workload, **options)
     run, cache = ctx.telemetry, ctx.cache
     stages = EVALUATE_STAGES
     key = None
     if not ctx.options["trace"] and cache is not None and cache.enabled:
-        # normalize runs first: the key needs the normalized IR's hash.
-        execute(ctx, stages[:1])
-        stages = stages[1:]
+        if "ir" not in ctx.roots:  # the key needs the normalized IR's hash
+            _walk(ctx, workload, stages[:1])
+            stages = stages[1:]
         key = cell_key(ctx, check)
         hit, entry = cache.load(RESULT_STAGE, key)
         if hit:
-            run = Telemetry()  # no stage ran: normalize is the entry's cost
+            run = Telemetry()  # the hit alone: no stage's work is its cost
             run.counters.update(entry["counters"])
             run.record_hit(RESULT_STAGE, time.perf_counter() - start)
             _publish_telemetry(run, telemetry)
             return CellResult(entry["metrics"], entry["fingerprints"], run)
     if not walk:
         return None
-    execute(ctx, stages)
+    _walk(ctx, workload, stages)
     evaluation = _finish(ctx, workload, check)
     metrics = dict(evaluation.metrics())
     if key is not None:

@@ -105,12 +105,15 @@ class PipelineContext:
     ``values`` holds the named artifacts stages produce; ``options``
     the run configuration (technique, thread count, alias mode, inputs,
     ...); ``fingerprints`` the per-stage cache keys actually used;
-    ``roots`` the input and configuration fingerprints those keys derive
-    from, each computed at most once per run (:meth:`root`) unless the
-    caller already holds it (a workload's cached inputs fingerprint).
+    ``roots`` the IR, input and configuration fingerprints those keys
+    derive from, each computed at most once per run (:meth:`root`)
+    unless the caller already holds it (a workload's remembered IR and
+    inputs fingerprints).  ``function`` may be ``None`` until a stage
+    needs it: a cell can be keyed, and answered, without one.
     """
 
-    def __init__(self, function: Function, options: Dict[str, object],
+    def __init__(self, function: Optional[Function],
+                 options: Dict[str, object],
                  config: MachineConfig,
                  sim_config: Optional[MachineConfig] = None,
                  cache: Optional[ArtifactCache] = None,
@@ -137,7 +140,6 @@ class PipelineContext:
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.fingerprints: Dict[str, Optional[str]] = {}
-        self.norm_fp: Optional[str] = None
         self.roots: Dict[str, str] = dict(roots or {})
 
     @property
@@ -151,14 +153,58 @@ class PipelineContext:
         return fingerprint
 
 
+#: ``fingerprint_config`` by configuration, filled once per distinct
+#: configuration in the process (:func:`config_fingerprint`).
+_CONFIG_FINGERPRINTS: Dict[tuple, str] = {}
+#: Past this many distinct configurations (a long ``repro tune`` run in
+#: one daemon) the memo starts over rather than grow without bound.
+_CONFIG_MEMO_LIMIT = 4096
+
+
+def _config_identity(config: MachineConfig) -> tuple:
+    """Every field of ``config`` with its type, as a hashable value:
+    ``1`` and ``1.0`` compare equal but print, and so fingerprint,
+    apart.  Dict fields count as their items in order, nested
+    dataclasses (caches, topology) as their fields."""
+    parts = []
+    for value in vars(config).values():
+        kind = type(value)
+        if kind is dict:
+            parts.append((tuple(value.items()),
+                          tuple(map(type, value.values()))))
+        elif hasattr(kind, "__dataclass_fields__"):
+            fields = tuple(vars(value).values())
+            parts.append((kind, fields, tuple(map(type, fields))))
+        else:
+            parts.append((kind, value))
+    return tuple(parts)
+
+
+def config_fingerprint(config: MachineConfig) -> str:
+    """:func:`~repro.pipeline.fingerprint.fingerprint_config`, computed
+    once per distinct configuration in the process.  The memo is keyed
+    by the configuration's content, not its identity, so it holds
+    across the fresh ``replace()`` copies every cell makes."""
+    identity = _config_identity(config)
+    fingerprint = _CONFIG_FINGERPRINTS.get(identity)
+    if fingerprint is None:
+        if len(_CONFIG_FINGERPRINTS) >= _CONFIG_MEMO_LIMIT:
+            _CONFIG_FINGERPRINTS.clear()
+        fingerprint = _CONFIG_FINGERPRINTS[identity] = \
+            fingerprint_config(config)
+    return fingerprint
+
+
 _ROOTS: Dict[str, Callable[[PipelineContext], str]] = {
+    # The normalized IR: read only once normalize has run.
+    "ir": lambda ctx: fingerprint_function(ctx.function),
     "train": lambda ctx: fingerprint_inputs(
         ctx.options.get("profile_args"), ctx.options.get("profile_memory")),
     "measure": lambda ctx: fingerprint_inputs(
         ctx.options.get("measure_args"), ctx.options.get("measure_memory")),
-    "config": lambda ctx: fingerprint_config(ctx.config),
-    "sim_config": lambda ctx: fingerprint_config(ctx.sim_config),
-    "st_config": lambda ctx: fingerprint_config(
+    "config": lambda ctx: config_fingerprint(ctx.config),
+    "sim_config": lambda ctx: config_fingerprint(ctx.sim_config),
+    "st_config": lambda ctx: config_fingerprint(
         ctx.sim_config.single_core()),
     "assignment": lambda ctx: digest(
         "assignment", repr(sorted(ctx.options["partition"].items())),
@@ -232,14 +278,14 @@ def _run_stage(ctx: PipelineContext, stage: Stage) -> None:
 def _run_normalize(ctx: PipelineContext) -> dict:
     if not ctx.options.get("normalized", False):
         normalize(ctx.function)
-    ctx.norm_fp = fingerprint_function(ctx.function)
+    ctx.root("ir")  # hashed here unless the workload remembered it
     return {}
 
 
 def _fp_profile(ctx: PipelineContext) -> Optional[str]:
     if ctx.options.get("profile") is not None:
         return None  # supplied directly; adopt it, don't cache it
-    return digest("stage:profile", ctx.norm_fp, ctx.root("train"))
+    return digest("stage:profile", ctx.root("ir"), ctx.root("train"))
 
 
 def _run_profile(ctx: PipelineContext) -> dict:
@@ -257,7 +303,7 @@ def _run_profile(ctx: PipelineContext) -> dict:
 
 
 def _fp_pdg(ctx: PipelineContext) -> str:
-    return digest("stage:pdg", ctx.norm_fp,
+    return digest("stage:pdg", ctx.root("ir"),
                   str(ctx.options.get("alias_mode", "annotated")))
 
 
@@ -415,8 +461,8 @@ def _count_placement(ctx: PipelineContext) -> None:
 
 
 def _fp_simulate_st(ctx: PipelineContext) -> str:
-    return digest("stage:simulate-st", ctx.norm_fp, ctx.root("measure"),
-                  ctx.root("st_config"),
+    return digest("stage:simulate-st", ctx.root("ir"),
+                  ctx.root("measure"), ctx.root("st_config"),
                   repr(ctx.options.get("local_schedule")))
 
 
@@ -542,17 +588,21 @@ EVALUATE_STAGES = PARALLELIZE_STAGES + ("schedule", "placement",
 
 def cell_key(ctx: PipelineContext, check: bool) -> str:
     """The key of a cell-level result entry (:func:`repro.pipeline.core
-    .evaluate_summary`), valid once normalize has run: a digest of the
-    roots every stage fingerprint derives from — normalized IR, both
-    input sets, both machine configurations — each result-affecting
-    option (an explicit partition as its assignment digest), and
-    ``check`` (an unverified entry never answers a verifying request).
-    ``backend`` stays out, as out of every fingerprint."""
+    .evaluate_summary`): a digest of the roots every stage fingerprint
+    derives from — normalized IR, both input sets, both machine
+    configurations — each result-affecting option (an explicit
+    partition as its assignment digest), and ``check`` (an unverified
+    entry never answers a verifying request).  ``backend`` stays out,
+    as out of every fingerprint.  It reads nothing but ``ctx.roots``
+    and ``ctx.options``, so the lookup before a build (the workload's
+    remembered ``ir`` root) and the store after a walk (the root that
+    normalize hashed) derive one key; without a remembered root it is
+    valid once normalize has run."""
     options = ctx.options
     params = options.get("partitioner_args")
     explicit = () if options.get("partition") is None \
         else (ctx.root("assignment"),)
-    return digest("stage:evaluation", ctx.norm_fp, ctx.root("train"),
+    return digest("stage:evaluation", ctx.root("ir"), ctx.root("train"),
                   ctx.root("measure"), ctx.root("config"),
                   ctx.root("sim_config"),
                   repr((options["technique"], options["n_threads"],

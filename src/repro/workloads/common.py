@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 import random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.cfg import Function
 
@@ -50,6 +50,7 @@ class Workload:
         self._make_inputs = make_inputs
         self._inputs_cache: Dict[str, WorkloadInputs] = {}
         self._inputs_fingerprints: Dict[str, str] = {}
+        self._ir_fingerprint: Optional[str] = None
         self.reference = reference
         # Memory objects whose final contents are workload outputs (checked
         # against the oracle in addition to live-out registers).
@@ -88,6 +89,19 @@ class Workload:
             fingerprint = self._inputs_fingerprints[scale] = \
                 fingerprint_inputs(cached.args, cached.memory)
         return fingerprint
+
+    def ir_fingerprint(self) -> Optional[str]:
+        """Content hash of ``build()``'s normalized IR, or ``None``
+        until the pipeline first normalizes a build of this workload in
+        this process (:meth:`remember_ir_fingerprint`).  ``build()`` is
+        deterministic and returns a fresh function on every call, so
+        that first hash holds for every later build: a cached cell can
+        be looked up without building, and a kernel edited on disk
+        still misses in the next process, which hashes it anew."""
+        return self._ir_fingerprint
+
+    def remember_ir_fingerprint(self, fingerprint: str) -> None:
+        self._ir_fingerprint = fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Workload %s (%s:%s)>" % (self.name, self.benchmark,

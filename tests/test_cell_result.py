@@ -166,11 +166,18 @@ class TestHit:
         monkeypatch.setattr(stages, "fingerprint_inputs", inputs)
         monkeypatch.setattr(fingerprint, "fingerprint_inputs", inputs)
         monkeypatch.setattr(get_workload("ks"), "_inputs_fingerprints", {})
+        monkeypatch.setattr(get_workload("ks"), "_ir_fingerprint", None)
+        monkeypatch.setattr(stages, "_CONFIG_FINGERPRINTS", {})
         evaluate(_request(scale="ref", coco=True))
-        # train + ref images; partition, simulation and ST configs.
-        assert calls == {"function": 1, "config": 3, "inputs": 2}
+        # train + ref images; GREMIO's machine (two cores by default, so
+        # it partitions and simulates) and the single-core baseline's.
+        assert calls == {"function": 1, "config": 2, "inputs": 2}
+        # Once per workload and per distinct configuration in the
+        # process: DSWP's 32-entry machine is new, its baseline is not.
         evaluate(_request(scale="ref", technique="dswp"))
-        assert calls == {"function": 2, "config": 6, "inputs": 2}
+        assert calls == {"function": 1, "config": 3, "inputs": 2}
+        evaluate(_request(scale="ref", technique="dswp", n_threads=3))
+        assert calls == {"function": 1, "config": 4, "inputs": 2}
 
     def test_timings_counters_do_not_depend_on_cache_state(self, cache):
         requests = [_request(name, technique=technique)
@@ -185,6 +192,121 @@ class TestHit:
         warm = global_telemetry().stages
         assert set(warm) == {STAGE}
         assert warm[STAGE].cache_hits == len(requests)
+
+
+def _count_loads(cache, monkeypatch):
+    """Record ``(stage, hit)`` for every lookup ``cache`` answers."""
+    loads = []
+    original = cache.load
+
+    def load(stage, key):
+        hit, payload = original(stage, key)
+        loads.append((stage, hit))
+        return hit, payload
+    monkeypatch.setattr(cache, "load", load)
+    return loads
+
+
+def _count_builds(monkeypatch, *names):
+    """Count ``build()`` and ``make_inputs()`` calls of the named
+    workloads (instance attributes, so each is patched where it
+    lives)."""
+    calls = {"build": 0, "make_inputs": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+    for workload in map(get_workload, names):
+        monkeypatch.setattr(workload, "build",
+                            counted("build", workload.build))
+        monkeypatch.setattr(workload, "make_inputs",
+                            counted("make_inputs", workload.make_inputs))
+    return calls
+
+
+class TestOneLookup:
+    """A cell is looked up once, before anything is built once the
+    workload's IR fingerprint is known, and a hit is one load."""
+
+    @pytest.mark.parametrize("ir_known", [False, True])
+    def test_cold_cell_is_one_evaluation_miss(self, cache, monkeypatch,
+                                              ir_known):
+        workload = get_workload("ks")
+        if ir_known:
+            evaluate(_request(technique="dswp"))
+        else:
+            monkeypatch.setattr(workload, "_ir_fingerprint", None)
+        loads = _count_loads(cache, monkeypatch)
+        evaluate(_request())
+        assert [load for load in loads if load[0] == STAGE] \
+            == [(STAGE, False)]
+        assert workload.ir_fingerprint() is not None
+        loads.clear()
+        evaluate(_request())
+        assert loads == [(STAGE, True)]
+
+    def test_walk_false_builds_nothing_once_the_ir_is_known(
+            self, cache, monkeypatch):
+        workload = get_workload("ks")
+        evaluate(_request())
+        assert workload.ir_fingerprint() is not None
+        calls = _count_builds(monkeypatch, "ks")
+        cold = core.evaluate_summary(workload, scale="train", coco=True,
+                                     walk=False)
+        warm = core.evaluate_summary(workload, scale="train", walk=False)
+        assert cold is None and warm is not None
+        assert calls == {"build": 0, "make_inputs": 0}
+        # The miss a walk answers builds once and copies both images.
+        core.evaluate_summary(workload, scale="train", coco=True)
+        assert calls == {"build": 1, "make_inputs": 2}
+
+    def test_all_warm_pooled_batch_builds_nothing(self, cache,
+                                                  monkeypatch):
+        requests = [_request(name, technique=technique)
+                    for name in ("ks", "adpcmdec")
+                    for technique in ("gremio", "dswp")]
+        cold = evaluate_many(requests)
+        calls = _count_builds(monkeypatch, "ks", "adpcmdec")
+        warm = evaluate_many(requests, jobs=2)
+        assert calls == {"build": 0, "make_inputs": 0}
+        assert [_comparable(r) for r in warm] \
+            == [_comparable(r) for r in cold]
+
+    def test_warm_explicit_partition_cell_is_one_load(self, cache,
+                                                      monkeypatch):
+        workload = get_workload("ks")
+        pinned = evaluate_workload(workload, "dswp", scale="train",
+                                   cache=False).parallelization.partition
+        options = dict(technique="gremio", scale="train",
+                       partition=dict(pinned.assignment))
+        cold = core.evaluate_summary(workload, **options)
+        assert cold.telemetry.stages["partition"].runs == 1
+        cache.drop_memory()
+        cache.stats.reset()
+        calls = _count_builds(monkeypatch, "ks")
+        warm = core.evaluate_summary(workload, **options)
+        assert cache.stats.as_dict() == {
+            "hits": 1, "misses": 0, "invalidations": 0, "stores": 0,
+            "memory_hits": 0}
+        assert set(warm.telemetry.stages) == {STAGE}
+        assert warm.telemetry.stages[STAGE].runs == 0
+        assert calls == {"build": 0, "make_inputs": 0}
+        assert warm.metrics == cold.metrics
+
+    @pytest.mark.parametrize("option", [{"backend": "bogus"},
+                                        {"topology": "bogus"}])
+    def test_unknown_option_raises_before_any_cache_read(
+            self, cache, monkeypatch, option):
+        """A lookup ahead of these checks would answer them from the
+        warm entry of the cell they otherwise name."""
+        workload = get_workload("ks")
+        core.evaluate_summary(workload, scale="train")
+        loads = _count_loads(cache, monkeypatch)
+        with pytest.raises(ValueError, match="unknown"):
+            core.evaluate_summary(workload, scale="train", **option)
+        assert loads == []
 
 
 class TestRecovery:

@@ -14,7 +14,7 @@ from repro.check.generate import random_partition
 from repro.interp.profile import static_profile
 from repro.partition import PartitionError
 from repro.pipeline import stages
-from repro.pipeline.core import _evaluation_context
+from repro.pipeline.core import _evaluation_context, _walk
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ class TestKeyHygiene:
             ctx = _evaluation_context(get_workload("ks"), "dswp",
                                       scale="train", cache=False,
                                       partition=candidate)
-            stages.execute(ctx, ("normalize",))
+            _walk(ctx, get_workload("ks"), ("normalize",))
             cell_keys.add(stages.cell_key(ctx, True))
         assert len(partition_keys) == len(cell_keys) == 2
 
@@ -123,7 +123,7 @@ class TestKeyHygiene:
                     "0a0b4cada319d737ea383afca3436c2c"}
         ctx = _evaluation_context(get_workload("ks"), "gremio",
                                   scale="train", cache=False)
-        stages.execute(ctx, ("normalize",))
+        _walk(ctx, get_workload("ks"), ("normalize",))
         assert stages.cell_key(ctx, True) == (
             "89ede347b6442f0b0a535c728306327a"
             "714f7ac58792dece31e1555a2ef4c9b3")
