@@ -23,7 +23,7 @@ The names below load on first use, so importing one subpackage
 
 import importlib
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 #: Each top-level name and the submodule that defines it.
 _EXPORTS = {
@@ -31,7 +31,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("API_SCHEMA_VERSION", "EvaluateRequest", "EvaluateResult",
          "RequestValidationError", "evaluate", "evaluate_many",
-         "Evaluation", "Parallelization", "TECHNIQUES", "MatrixCell",
+         "Evaluation", "Parallelization", "TECHNIQUES",
          "evaluate_workload", "parallelize"), "repro.api"),
     **dict.fromkeys(("all_workloads", "get_workload", "workload_names"),
                     "repro.workloads"),

@@ -9,7 +9,9 @@ from here.  The surface is:
   round-trippable, with deterministic idempotency keys), the
   :class:`ProgramSpec` program-input union (registry name, inline IR,
   or Python source compiled by :mod:`repro.frontend`) and the
-  :func:`evaluate` / :func:`evaluate_many` entry points, plus
+  :func:`evaluate` / :func:`evaluate_many` entry points — a request is
+  the one description of a cell, and ``evaluate_many`` the one batch
+  engine — plus
   :class:`TuneRequest` / :class:`TuneResult` and the :func:`tune`
   search driver (``TUNE_SCHEMA_VERSION``-stamped leaderboards);
 * **the classic callables**: :func:`parallelize`,
@@ -31,7 +33,7 @@ release whose notes name its replacement (``docs/api.md``).
 
 from .facade import (ArtifactCache, ArtifactStore, CacheStats,
                      HttpStore, LocalStore, STORE_URL_ENV, make_store,
-                     Evaluation, LatencyHistogram, MatrixCell,
+                     Evaluation, LatencyHistogram,
                      PARTITIONER_PARAMS, PLACERS, Parallelization,
                      TECHNIQUES, TOPOLOGIES, TUNABLE_MACHINE_FIELDS,
                      Telemetry, all_workloads,
@@ -68,7 +70,7 @@ __all__ = [
     "TUNABLE_MACHINE_FIELDS", "PARTITIONER_PARAMS",
     # classic callables
     "Evaluation", "Parallelization", "evaluate_summary",
-    "evaluate_workload", "parallelize", "MatrixCell",
+    "evaluate_workload", "parallelize",
     "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
     # machine topology / placement registries
     "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",

@@ -2,11 +2,12 @@
 
 :class:`EvaluateRequest` is the wire-level description of one
 evaluation-matrix cell (workload, technique, coco, threads, scale,
-alias mode, ...).  It validates itself against the live registries
-(workload names, techniques), converts to/from the pipeline's
-:class:`~repro.pipeline.matrix.MatrixCell`, and derives a deterministic
-**request key** — a content fingerprint that the ``repro serve`` daemon
-uses for idempotent response memoization and stale-artifact lookup.
+alias mode, ...) and the only one: the CLI, the bench specs, ``repro
+tune`` and the batch engine all build requests.  It validates itself
+against the live registries (workload names, techniques, override
+knobs) and derives a deterministic **request key** — a content
+fingerprint that the ``repro serve`` daemon uses for idempotent
+response memoization and stale-artifact lookup.
 
 :class:`EvaluateResult` is the matching response: the paper metrics of
 one :class:`~repro.pipeline.core.Evaluation`, the per-stage cache
@@ -18,12 +19,15 @@ carry ``schema_version`` so clients can detect incompatible servers.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
+from ..machine.config import TUNABLE_MACHINE_FIELDS, MachineConfig
 from ..pipeline.fingerprint import SCHEMA_VERSION as PIPELINE_SCHEMA
 from ..pipeline.fingerprint import digest
-from ..pipeline.matrix import MatrixCell, Overrides, validate_overrides
-from ..pipeline.stages import BACKENDS, TECHNIQUES
+from ..pipeline.stages import (BACKENDS, PARTITIONER_PARAMS, TECHNIQUES,
+                               technique_config)
 
 #: Bumped on any incompatible change to the request/response layout.
 API_SCHEMA_VERSION = "repro.api/v1"
@@ -51,6 +55,78 @@ PROGRAM_KINDS = ("registry", "ir", "source")
 #: Upper bound on inline program text (UTF-8 bytes); ``repro serve``
 #: turns anything larger into a 400 before a worker ever sees it.
 MAX_INLINE_PROGRAM_BYTES = 64 * 1024
+
+Overrides = Tuple[Tuple[str, object], ...]
+
+
+def validate_overrides(overrides: Iterable[Sequence],
+                       technique: str = "gremio") -> Overrides:
+    """Check ``(knob, value)`` override pairs against the tunable-knob
+    registries and return them as a canonical sorted tuple.
+
+    Knobs are namespaced: ``machine.<field>`` tweaks a whitelisted
+    :class:`~repro.machine.config.MachineConfig` field
+    (:data:`~repro.machine.config.TUNABLE_MACHINE_FIELDS`);
+    ``partitioner.<param>`` forwards a keyword to the technique's
+    partitioner (:data:`~repro.pipeline.stages.PARTITIONER_PARAMS`).
+    Raises :class:`ValueError` with an actionable message otherwise.
+    """
+    canonical: Dict[str, object] = {}
+    partitioner_params = PARTITIONER_PARAMS.get(technique, ())
+    for pair in overrides:
+        if len(tuple(pair)) != 2 or not isinstance(pair[0], str):
+            raise ValueError(
+                "override entries must be (name, value) pairs with a "
+                "string name, got %r" % (pair,))
+        name, value = pair
+        domain, _, field = name.partition(".")
+        if domain == "machine":
+            if field not in TUNABLE_MACHINE_FIELDS:
+                raise ValueError(
+                    "unknown machine override %r (tunable machine "
+                    "fields: %s)" % (name, ", ".join(
+                        sorted(TUNABLE_MACHINE_FIELDS))))
+            TUNABLE_MACHINE_FIELDS[field].check(name, value)
+        elif domain == "partitioner":
+            if field not in partitioner_params:
+                raise ValueError(
+                    "technique %r does not accept partitioner override "
+                    "%r (tunable: %s)"
+                    % (technique, name,
+                       ", ".join(partitioner_params) or "none"))
+            if not isinstance(value, (int, float)) \
+                    or isinstance(value, bool) or not value > 0:
+                raise ValueError(
+                    "partitioner override %r must be a positive number, "
+                    "got %r" % (name, value))
+        else:
+            raise ValueError(
+                "unknown override namespace %r in %r (use "
+                "'machine.<field>' or 'partitioner.<param>')"
+                % (domain, name))
+        if name in canonical:
+            raise ValueError("duplicate override %r" % (name,))
+        canonical[name] = value
+    return tuple(sorted(canonical.items()))
+
+
+def overrides_config(technique: str,
+                     overrides: Optional[Iterable[Sequence]]
+                     ) -> Tuple[Optional[MachineConfig],
+                                Optional[Mapping[str, object]]]:
+    """Resolve override pairs into the ``(config, partitioner_args)``
+    arguments of :func:`~repro.pipeline.core.evaluate_workload`: a
+    machine configuration with the overridden fields applied on top of
+    the technique's default (or ``None`` when untouched), plus the
+    partitioner keyword mapping (or ``None``)."""
+    machine: Dict[str, object] = {}
+    partitioner: Dict[str, object] = {}
+    for name, value in overrides or ():
+        domain, _, field = name.partition(".")
+        (machine if domain == "machine" else partitioner)[field] = value
+    config = (replace(technique_config(technique), **machine)
+              if machine else None)
+    return config, (partitioner or None)
 
 
 @dataclass(frozen=True)
@@ -152,6 +228,17 @@ class ProgramSpec:
                 "name": self.name}
 
 
+#: The fields that name a cell, in key order.  They make the identity
+#: tuple :meth:`EvaluateRequest.request_key` hashes (the sorted
+#: overrides follow when there are any), and every one but ``workload``
+#: is the :func:`~repro.pipeline.core.evaluate_summary` keyword of the
+#: same name.
+KEY_FIELDS = ("workload", "technique", "coco", "n_threads", "scale",
+              "alias_mode", "local_schedule", "mt_check", "topology",
+              "placer")
+_key_values = attrgetter(*KEY_FIELDS)
+
+
 @dataclass(frozen=True)
 class EvaluateRequest:
     """One evaluation-matrix cell, as clients describe it.
@@ -177,14 +264,12 @@ class EvaluateRequest:
     placer: str = "identity"
     #: The oracle seam: ``"reference"`` makes an in-process
     #: :func:`repro.api.evaluate` run the reference simulator loop
-    #: instead of the production core.  Bit-identical by contract, so
-    #: it is in neither the request key nor the matrix cell (pooled
-    #: evaluations — ``evaluate_many``, ``repro serve`` workers — always
-    #: run the production core); validated and echoed for the wire.
+    #: instead of the production core, pooled or not.  Bit-identical by
+    #: contract, so it is in no key; validated and echoed for the wire.
     backend: str = "fast"
     #: Namespaced ``(knob, value)`` tuning overrides — ``machine.<field>``
-    #: or ``partitioner.<param>`` pairs (see
-    #: :func:`repro.pipeline.matrix.validate_overrides`).  Part of the
+    #: or ``partitioner.<param>`` pairs (see :func:`validate_overrides`).
+    #: Part of the
     #: request key when non-empty; the empty default keeps keys
     #: byte-compatible with pre-tune clients.
     overrides: Overrides = ()
@@ -287,30 +372,6 @@ class EvaluateRequest:
 
     # -- conversions -------------------------------------------------------
 
-    def cell(self) -> MatrixCell:
-        overrides = tuple(tuple(pair) for pair in self.overrides)
-        return MatrixCell(self.workload, self.technique, self.coco,
-                          self.n_threads, self.scale, self.alias_mode,
-                          self.local_schedule, self.mt_check,
-                          self.topology, self.placer, overrides)
-
-    @classmethod
-    def from_cell(cls, cell: MatrixCell, check: bool = True,
-                  program: Optional[ProgramSpec] = None
-                  ) -> "EvaluateRequest":
-        """Wrap a matrix cell back into a request.  ``program`` carries
-        the original spec for inline-program cells; without it the cell
-        is assumed to name a registry workload."""
-        if program is None:
-            program = ProgramSpec.registry(cell.workload)
-        return cls(workload=cell.workload, technique=cell.technique,
-                   coco=cell.coco, n_threads=cell.n_threads,
-                   scale=cell.scale, alias_mode=cell.alias_mode,
-                   local_schedule=cell.local_schedule,
-                   mt_check=cell.mt_check, check=check,
-                   topology=cell.topology, placer=cell.placer,
-                   overrides=cell.overrides, program=program)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "EvaluateRequest":
         """Build and validate a request from a plain (JSON) mapping.
@@ -347,10 +408,12 @@ class EvaluateRequest:
         part of the key — the simulator and its oracle are
         bit-identical, so one memoized response answers both (and keys
         stay byte-compatible with clients that predate the field)."""
-        cell = self.cell()
+        identity = _key_values(self)
+        if self.overrides:
+            identity += (("overrides", tuple(sorted(
+                tuple(pair) for pair in self.overrides))),)
         return digest("api:evaluate", PIPELINE_SCHEMA, API_SCHEMA_VERSION,
-                      repr(cell.identity()), repr(self.check),
-                      repr(self.trace))
+                      repr(identity), repr(self.check), repr(self.trace))
 
 
 @dataclass

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping
 
-from ..api import EvaluateRequest, MatrixCell, evaluate, evaluate_many
+from ..api import EvaluateRequest, ProgramSpec, evaluate, evaluate_many
 
 # Benchmark display order (the papers' figure order).
 BENCH_ORDER = ["adpcmdec", "adpcmenc", "ks", "mpeg2enc", "177.mesa",
                "181.mcf", "183.equake", "188.ammp", "300.twolf",
                "435.gromacs", "458.sjeng"]
 
-_MEMO: Dict[MatrixCell, Mapping[str, float]] = {}
+_MEMO: Dict[EvaluateRequest, Mapping[str, float]] = {}
 
 
 def clear_memo() -> None:
@@ -27,28 +27,31 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def evaluation(name: str, technique: str, coco: bool = False,
-               n_threads: int = 2, scale: str = "ref",
-               alias_mode: str = "annotated", topology=None,
-               placer: str = "identity",
-               local_schedule=None) -> Mapping[str, float]:
-    """The memoized ``metrics`` of one checked matrix cell (the keys of
-    :meth:`repro.api.Evaluation.metrics`)."""
-    cell = MatrixCell(name, technique, coco, n_threads, scale,
-                      alias_mode, local_schedule, topology=topology,
-                      placer=placer)
-    if cell not in _MEMO:
-        _MEMO[cell] = evaluate(EvaluateRequest.from_cell(cell)).metrics
-    return _MEMO[cell]
+def cell(name: str, technique: str, coco: bool = False,
+         n_threads: int = 2, scale: str = "ref",
+         **fields) -> EvaluateRequest:
+    """The checked request for one matrix cell of registry workload
+    ``name``; ``fields`` are further :class:`~repro.api.EvaluateRequest`
+    fields (``alias_mode``, ``topology``, ...)."""
+    return EvaluateRequest(program=ProgramSpec.registry(name),
+                           technique=technique, coco=coco,
+                           n_threads=n_threads, scale=scale, **fields)
 
 
-def prewarm(cells: Iterable[MatrixCell], jobs: int = 1) -> None:
+def evaluation(*args, **fields) -> Mapping[str, float]:
+    """The memoized ``metrics`` (the keys of
+    :meth:`repro.api.Evaluation.metrics`) of :func:`cell`'s request."""
+    request = cell(*args, **fields)
+    if request not in _MEMO:
+        _MEMO[request] = evaluate(request).metrics
+    return _MEMO[request]
+
+
+def prewarm(requests: Iterable[EvaluateRequest], jobs: int = 1) -> None:
     """Bulk-populate the memo through ``evaluate_many`` — with
-    ``jobs > 1`` the cells no cache entry answers run on a process
+    ``jobs > 1`` the requests no cache entry answers run on a process
     pool, so a benchmark session can front-load every evaluation it
     will need."""
-    todo = [cell for cell in cells if cell not in _MEMO]
-    results = evaluate_many([EvaluateRequest.from_cell(cell)
-                             for cell in todo], jobs=jobs)
-    for cell, result in zip(todo, results):
-        _MEMO[cell] = result.metrics
+    todo = [request for request in requests if request not in _MEMO]
+    for request, result in zip(todo, evaluate_many(todo, jobs=jobs)):
+        _MEMO[request] = result.metrics

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from typing import Callable, Iterable, List, Optional
 
-from ..api import (MatrixCell, get_cache, global_telemetry,
+from ..api import (EvaluateRequest, get_cache, global_telemetry,
                    reset_global_telemetry)
 from .harness import prewarm
 from .results import BenchResults, SpecResult
@@ -46,7 +46,7 @@ def run_bench(mode: BenchMode, jobs: int = 1,
     results = BenchResults(mode=mode.name, host=BenchResults.host_info())
     started = time.perf_counter()
 
-    cells: List[MatrixCell] = []
+    cells: List[EvaluateRequest] = []
     seen = set()
     for spec in specs:
         for cell in spec.prewarm_cells(mode):
@@ -57,7 +57,7 @@ def run_bench(mode: BenchMode, jobs: int = 1,
         if progress:
             progress("prewarming %d evaluation cells (jobs=%d)"
                      % (len(cells), jobs))
-        prewarm(cells=cells, jobs=jobs)
+        prewarm(cells, jobs=jobs)
 
     for spec in specs:
         if progress:
@@ -76,7 +76,7 @@ def run_bench(mode: BenchMode, jobs: int = 1,
     results.telemetry = global_telemetry()
     stats = cache.stats
     # Under --jobs the cache traffic happens in worker processes; the
-    # merged telemetry still carries it (see repro.pipeline.matrix).
+    # merged telemetry still carries it (see repro.api.evaluate_many).
     results.cache = {
         "hits": max(stats.hits, telemetry.cache_hits),
         "misses": max(stats.misses, telemetry.cache_misses),

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api import MatrixCell
+from ..api import EvaluateRequest
 
 #: Exact comparison (deterministic simulator metrics).
 EXACT = 0.0
@@ -166,10 +166,10 @@ class BenchSpec:
     id: str
     title: str
     collect: Callable[[BenchMode], MetricMap]
-    cells: Optional[Callable[[BenchMode], List[MatrixCell]]] = None
+    cells: Optional[Callable[[BenchMode], List[EvaluateRequest]]] = None
     claims: List[Claim] = field(default_factory=list)
 
-    def prewarm_cells(self, mode: BenchMode) -> List[MatrixCell]:
+    def prewarm_cells(self, mode: BenchMode) -> List[EvaluateRequest]:
         return self.cells(mode) if self.cells is not None else []
 
     def claim(self, id: str, paper: str) -> Callable:
@@ -196,7 +196,7 @@ def register(spec: BenchSpec) -> BenchSpec:
 
 def bench_spec(id: str, title: str,
                cells: Optional[Callable[[BenchMode],
-                                        List[MatrixCell]]] = None
+                                        List[EvaluateRequest]]] = None
                ) -> Callable:
     """Decorator form: registers the decorated collect function and
     returns the :class:`BenchSpec`, whose :meth:`~BenchSpec.claim`

@@ -27,12 +27,12 @@ from ...ir.outline import OutlineError, outline_hottest_loop
 from ...machine import (DEFAULT_CONFIG, run_mt_program, simulate_program,
                         simulate_single)
 from ...partition.gremio import GremioPartitioner
-from ...api import MatrixCell, evaluate_summary, parallelize
+from ...api import EvaluateRequest, evaluate_summary, parallelize
 from ...stats import (arithmetic_mean, geomean,
                       overhead_breakdown as classify_overheads)
 from ...workloads import get_workload
 from ...workloads.common import WorkloadInputs
-from ..harness import evaluation
+from ..harness import cell, evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
 
@@ -64,13 +64,13 @@ def _parallelized(workload, technique: str, **options):
 # -- EXT-E1: thread-count scaling ------------------------------------------
 
 
-def _scaling_cells(mode: BenchMode) -> List[MatrixCell]:
+def _scaling_cells(mode: BenchMode) -> List[EvaluateRequest]:
     benches = mode.pick(SCALING_BENCHES)
-    cells = [MatrixCell(name, technique, False, threads, mode.scale)
+    cells = [cell(name, technique, False, threads, mode.scale)
              for name in benches
              for technique in ("gremio", "dswp")
              for threads in (2, 3, 4)]
-    cells += [MatrixCell(name, "dswp", True, threads, mode.scale)
+    cells += [cell(name, "dswp", True, threads, mode.scale)
               for name in benches for threads in (2, 4)]
     return cells
 
@@ -149,7 +149,7 @@ def _coco_more_pronounced(m):
 @bench_spec(
     id="ablation_hierarchy",
     title="GREMIO-E3: scheduling-policy ablation (full/flat/region)",
-    cells=lambda mode: [MatrixCell(name, technique, False, 2, mode.scale)
+    cells=lambda mode: [cell(name, technique, False, 2, mode.scale)
                         for name in mode.pick(HIERARCHY_BENCHES)
                         for technique in ("gremio", "gremio-flat")])
 def ablation_hierarchy(mode: BenchMode) -> MetricMap:
@@ -294,8 +294,8 @@ def _bimodal_regimes(m):
 @bench_spec(
     id="memory_disambiguation",
     title="EXT-E3: DSWP speedup vs memory-disambiguation power",
-    cells=lambda mode: [MatrixCell(name, "dswp", False, 2, mode.scale,
-                                   alias)
+    cells=lambda mode: [cell(name, "dswp", False, 2, mode.scale,
+                             alias_mode=alias)
                         for name in mode.pick(MEMDIS_BENCHES)
                         for alias in ALIAS_MODES])
 def memory_disambiguation(mode: BenchMode) -> MetricMap:
@@ -371,7 +371,7 @@ def _outlined_loop_speedup(workload, mode: BenchMode) -> float:
 @bench_spec(
     id="region_selection",
     title="EXT-E6: whole procedure vs outlined hottest loop",
-    cells=lambda mode: [MatrixCell(name, "dswp", False, 2, mode.scale)
+    cells=lambda mode: [cell(name, "dswp", False, 2, mode.scale)
                         for name in mode.pick(REGION_BENCHES)])
 def region_selection(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
@@ -407,8 +407,8 @@ PRIORITIES = (("none", None), ("early", "early"), ("late", "late"))
 @bench_spec(
     id="scheduler_interaction",
     title="EXT-E4: COCO x downstream local scheduler priorities",
-    cells=lambda mode: [MatrixCell(name, "dswp", True, 2, mode.scale,
-                                   local_schedule=priority)
+    cells=lambda mode: [cell(name, "dswp", True, 2, mode.scale,
+                             local_schedule=priority)
                         for name in mode.pick(SCHEDULER_BENCHES)
                         for _, priority in PRIORITIES])
 def scheduler_interaction(mode: BenchMode) -> MetricMap:

@@ -14,11 +14,11 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from ...machine import DEFAULT_CONFIG
-from ...api import MatrixCell
+from ...api import EvaluateRequest
 from ...stats import (arithmetic_mean, communicates, geomean,
                       relative_communication)
 from ...workloads import all_workloads
-from ..harness import BENCH_ORDER, evaluation
+from ..harness import BENCH_ORDER, cell, evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
 TECHNIQUES = ("gremio", "dswp")
@@ -48,8 +48,8 @@ def _benches(mode: BenchMode) -> List[str]:
 
 def _matrix_cells(mode: BenchMode,
                   coco: tuple = (False, True),
-                  n_threads: tuple = (2,)) -> List[MatrixCell]:
-    return [MatrixCell(name, technique, use_coco, threads, mode.scale)
+                  n_threads: tuple = (2,)) -> List[EvaluateRequest]:
+    return [cell(name, technique, use_coco, threads, mode.scale)
             for name in _benches(mode)
             for technique in TECHNIQUES
             for use_coco in coco

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ...api import MatrixCell, TOPOLOGIES
-from ..harness import evaluation
+from ...api import TOPOLOGIES, EvaluateRequest
+from ..harness import cell, evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
 TECHNIQUES = ("gremio", "dswp")
@@ -58,16 +58,15 @@ def _benches(mode: BenchMode) -> List[str]:
     return mode.pick(list(SCALING_BENCHES), limit=1)
 
 
-def _scaling_cells(mode: BenchMode) -> List[MatrixCell]:
-    cells = [MatrixCell(name, technique, False, threads, mode.scale,
-                        topology=preset)
+def _scaling_cells(mode: BenchMode) -> List[EvaluateRequest]:
+    cells = [cell(name, technique, False, threads, mode.scale,
+                  topology=preset)
              for name in _benches(mode)
              for technique in TECHNIQUES
              for preset in _presets(mode)
              for threads in curve_threads(preset)]
-    cells += [MatrixCell(name, technique, False, PLACER_THREADS,
-                         mode.scale, topology=PLACER_TOPOLOGY,
-                         placer=placer)
+    cells += [cell(name, technique, False, PLACER_THREADS, mode.scale,
+                   topology=PLACER_TOPOLOGY, placer=placer)
               for name in _benches(mode)
               for technique in TECHNIQUES
               for placer in ("identity", "affinity")]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ...api import MatrixCell
 from ...workloads.synthetic import SYNTHETIC_NAMES
-from ..harness import evaluation
+from ..harness import cell, evaluation
 from ..spec import BenchMode, Metric, MetricMap, bench_spec
 
 TECHNIQUES = ("gremio", "dswp")
@@ -31,7 +30,7 @@ def _benches(mode: BenchMode) -> List[str]:
 @bench_spec(
     id="synthetic_frontend",
     title="FE-E1: frontend-compiled synthetic kernels",
-    cells=lambda mode: [MatrixCell(name, technique, scale=mode.scale)
+    cells=lambda mode: [cell(name, technique, scale=mode.scale)
                         for technique in TECHNIQUES
                         for name in _benches(mode)])
 def synthetic_frontend(mode: BenchMode) -> MetricMap:

@@ -59,10 +59,10 @@ from typing import List, Optional
 
 from .api import (PLACERS, STRATEGIES, TECHNIQUES, TOPOLOGIES,
                   EvaluateRequest, ProgramSpec, RequestValidationError,
-                  configure_cache, evaluate_many, evaluate_workload,
-                  get_cache, get_topology, global_telemetry, normalize,
-                  parallelize, reset_global_telemetry, resolve_program,
-                  workload_names)
+                  configure_cache, evaluate, evaluate_many,
+                  evaluate_workload, get_cache, get_topology,
+                  global_telemetry, normalize, parallelize,
+                  reset_global_telemetry, resolve_program, workload_names)
 from .ir.printer import format_function
 from .machine.config import config_table
 from .report import headline, table
@@ -406,18 +406,43 @@ def _inline_program(args):
     return spec
 
 
-def _resolve_workload(args):
-    """The workload a run/dump/trace invocation targets: a registry
-    name, or an inline program from ``--source``/``--ir``."""
+def _program(args) -> ProgramSpec:
+    """The program a run/dump/trace invocation targets: a registry
+    workload (aliases resolved), or an inline program from
+    ``--source``/``--ir``."""
     spec = _inline_program(args)
-    name = spec.workload_name() if spec else getattr(args, "workload", None)
+    if spec is not None:
+        return spec
+    name = getattr(args, "workload", None)
     if not name:
         raise SystemExit("missing program: name a workload (see `list`) "
                          "or pass --source FILE.py / --ir FILE.ir")
     try:
-        return get_workload(name)
+        return ProgramSpec.registry(get_workload(name).name)
     except KeyError as error:
         raise SystemExit(error.args[0])
+
+
+def _resolve_workload(args):
+    return get_workload(_program(args).workload_name())
+
+
+#: Each request field a command line sets, and the flag (its ``dest``)
+#: that sets it; a command that lacks a flag leaves the field to
+#: :func:`_request`'s caller or the request's default.
+_REQUEST_FLAGS = (("technique", "technique"), ("coco", "coco"),
+                  ("n_threads", "threads"), ("scale", "scale"),
+                  ("alias_mode", "alias_mode"),
+                  ("local_schedule", "schedule"), ("mt_check", "check"),
+                  ("topology", "topology"), ("placer", "placer"))
+
+
+def _request(args, program: ProgramSpec, **fields) -> EvaluateRequest:
+    """The request for ``program`` on the command line's axes (run,
+    sweep, report); ``fields`` set the axes the command iterates."""
+    flags = {field: getattr(args, dest) for field, dest in _REQUEST_FLAGS
+             if hasattr(args, dest)}
+    return EvaluateRequest(program=program, **dict(flags, **fields))
 
 
 def _print_telemetry() -> None:
@@ -440,31 +465,29 @@ def _print_telemetry() -> None:
 
 
 def _run_one(args) -> int:
-    workload = _resolve_workload(args)
+    program = _program(args)
     if args.technique == "all":
         raise SystemExit("run: pick one --technique (not 'all')")
-    ev = evaluate_workload(workload, technique=args.technique,
-                           n_threads=args.threads, coco=args.coco,
-                           scale=args.scale, alias_mode=args.alias_mode,
-                           local_schedule=args.schedule,
-                           mt_check=args.check, topology=args.topology,
-                           placer=args.placer)
+    try:
+        metrics = evaluate(_request(args, program)).metrics
+    except RequestValidationError as error:
+        raise SystemExit("run: %s" % error)
     rows = [
-        ("single-threaded cycles", "%.0f" % ev.st_result.cycles),
-        ("multi-threaded cycles", "%.0f" % ev.mt_result.cycles),
-        ("speedup", "%.3fx" % ev.speedup),
+        ("single-threaded cycles", "%.0f" % metrics["st_cycles"]),
+        ("multi-threaded cycles", "%.0f" % metrics["mt_cycles"]),
+        ("speedup", "%.3fx" % metrics["speedup"]),
         ("dynamic instructions (MT)",
-         str(ev.mt_result.dynamic_instructions)),
+         "%d" % metrics["dynamic_instructions"]),
         ("communication instructions",
-         str(ev.communication_instructions)),
+         "%d" % metrics["communication_instructions"]),
         ("communication share",
-         "%.1f%%" % (100 * ev.communication_fraction)),
-        ("channels", str(len(ev.parallelization.program.channels))),
+         "%.1f%%" % (100 * metrics["communication_fraction"])),
+        ("channels", "%d" % metrics["channels"]),
         ("verified vs single-threaded", "yes"),
     ]
     print(table(["metric", "value"], rows,
                 title="%s / %s%s / %d threads"
-                      % (workload.name, args.technique,
+                      % (program.workload_name(), args.technique,
                          "+coco" if args.coco else "", args.threads)))
     if args.timings:
         _print_telemetry()
@@ -533,12 +556,8 @@ def _sweep(args) -> int:
     inline = _inline_program(args)
     programs = ([inline] if inline is not None else
                 [ProgramSpec.registry(name) for name in workload_names()])
-    requests = [EvaluateRequest(
-        program=program, technique=technique, coco=args.coco,
-        n_threads=args.threads, scale=args.scale,
-        alias_mode=args.alias_mode, local_schedule=args.schedule,
-        mt_check=args.check, topology=args.topology, placer=args.placer)
-        for program in programs for technique in techniques]
+    requests = [_request(args, program, technique=technique)
+                for program in programs for technique in techniques]
     try:
         results = evaluate_many(requests, jobs=args.jobs)
     except RequestValidationError as error:
@@ -575,9 +594,8 @@ def _report(args) -> int:
             for technique in ("gremio", "dswp") for coco in (False, True)]
     try:
         results = evaluate_many([
-            EvaluateRequest(program=ProgramSpec.registry(name),
-                            technique=technique, coco=coco,
-                            n_threads=args.threads, scale=args.scale)
+            _request(args, ProgramSpec.registry(name), technique=technique,
+                     coco=coco)
             for name, technique, coco in keys])
     except RequestValidationError as error:
         raise SystemExit("report: %s" % error)

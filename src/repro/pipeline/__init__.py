@@ -13,18 +13,19 @@ pdg, partition, coco, mtcg, schedule, simulate-st, simulate-mt) with
   hits/misses, PDG/channel/cycle counters) rendered by
   ``python -m repro ... --timings`` and exported by ``repro serve``
   on ``/metrics``;
-* one batch engine, :func:`repro.pipeline.matrix.evaluate_cells`, that
-  fans the cells no cache entry answers across a ``multiprocessing``
-  pool (``sweep``/``bench``/``tune --jobs N``); workers send back
-  :class:`~repro.pipeline.core.CellResult` summaries only.
+* one-cell evaluation in :mod:`.core`: ``parallelize``,
+  ``evaluate_workload`` and ``evaluate_summary``.  Batches are the
+  facade's: :func:`repro.api.evaluate_many` fans the requests no cache
+  entry answers across a ``multiprocessing`` pool, and its workers
+  send back :class:`~repro.pipeline.core.CellResult` summaries only.
 
 Consumers should import the *facade*, :mod:`repro.api` — the high-level
 entry points (``parallelize``, ``evaluate_workload``, ``evaluate_many``,
 ``Evaluation``...) are re-exported there with a stability covenant.
 
 See the submodules: :mod:`.stages` (the pass manager), :mod:`.cache`,
-:mod:`.telemetry`, :mod:`.fingerprint`, :mod:`.matrix`, and :mod:`.core`
-(the legacy wrappers).
+:mod:`.telemetry`, :mod:`.fingerprint`, and :mod:`.core` (the one-cell
+entry points).
 """
 
 from .cache import (ArtifactCache, CacheStats, configure_cache,
@@ -33,7 +34,6 @@ from .store import (ArtifactStore, HttpStore, LocalStore, make_store,
                     STORE_URL_ENV)
 from .fingerprint import (digest, fingerprint_config, fingerprint_function,
                           fingerprint_inputs, fingerprint_profile)
-from .matrix import MatrixCell
 from .stages import (EVALUATE_STAGES, PARALLELIZE_STAGES, STAGES,
                      PipelineContext, Stage, TECHNIQUES, execute,
                      stage_names)
@@ -56,6 +56,4 @@ __all__ = [
     # telemetry
     "LatencyHistogram", "StageRecord", "Telemetry", "global_telemetry",
     "reset_global_telemetry",
-    # batch machinery
-    "MatrixCell",
 ]

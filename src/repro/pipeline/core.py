@@ -9,9 +9,9 @@ One call takes a workload (or any IR function) through the whole stack:
 ``parallelize()`` and ``evaluate_workload()`` keep their historical
 signatures, but are now thin wrappers over the staged pass manager
 (:mod:`repro.pipeline.stages`): every stage is fingerprinted, consults
-the persistent artifact cache, and records telemetry.  Batch evaluation
-across a (workload x technique x coco x threads) matrix lives in
-:mod:`repro.pipeline.matrix`.
+the persistent artifact cache, and records telemetry.  This module
+evaluates one cell; batches across a (workload x technique x coco x
+threads) matrix are :func:`repro.api.evaluate_many`'s, over requests.
 """
 
 from __future__ import annotations
@@ -245,27 +245,15 @@ class Evaluation:
             100 * self.communication_fraction)
 
 
-def evaluate_workload(workload: Workload, technique: str = "gremio",
-                      n_threads: int = 2, coco: bool = False,
-                      scale: str = "ref",
-                      config: Optional[MachineConfig] = None,
+def evaluate_workload(workload: Workload, technique: str = "gremio", *,
                       check: bool = True,
-                      alias_mode: str = "annotated",
-                      local_schedule: Optional[str] = None,
-                      mt_check: bool = False,
-                      cache: CacheOption = None,
                       telemetry: Optional[Telemetry] = None,
-                      trace: bool = False,
-                      trace_limit: Optional[int] = None,
-                      topology: Optional[str] = None,
-                      placer: str = "identity",
-                      backend: str = "fast",
-                      partitioner_args: Optional[
-                          Mapping[str, object]] = None,
-                      partition: PartitionOption = None) -> Evaluation:
+                      **options) -> Evaluation:
     """Run the full methodology for one workload: profile on `train`,
-    measure on ``scale`` (default `ref`), and verify the multi-threaded
-    run produced the single-threaded results.
+    measure on ``scale`` (default `ref`), and verify (``check``) that
+    the multi-threaded run produced the single-threaded results.  The
+    keyword ``options`` are :func:`_evaluation_context`'s, which
+    declares them with their defaults.
 
     ``local_schedule`` optionally runs the downstream local instruction
     scheduler over both the single-threaded baseline and every generated
@@ -301,24 +289,28 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     :data:`repro.pipeline.stages.PARTITIONER_PARAMS`).  ``partition``
     evaluates an explicit partition instead (see :func:`parallelize`).
     """
-    ctx = _evaluation_context(
-        workload, technique, n_threads, coco, scale, config, alias_mode,
-        local_schedule, mt_check, cache, trace, trace_limit, topology,
-        placer, backend, partitioner_args, partition)
+    ctx = _evaluation_context(workload, technique, **options)
     _walk(ctx, workload, EVALUATE_STAGES)
     _publish_telemetry(ctx.telemetry, telemetry)
     return _finish(ctx, workload, check)
 
 
-def _evaluation_context(workload, technique="gremio", n_threads=2,
-                        coco=False, scale="ref", config=None,
-                        alias_mode="annotated", local_schedule=None,
-                        mt_check=False, cache=None, trace=False,
-                        trace_limit=None,
-                        topology=None, placer="identity", backend="fast",
-                        partitioner_args=None,
-                        partition=None) -> PipelineContext:
-    """What :func:`evaluate_workload` (whose parameters these are)
+def _evaluation_context(workload: Workload, technique: str = "gremio",
+                        n_threads: int = 2, coco: bool = False,
+                        scale: str = "ref",
+                        config: Optional[MachineConfig] = None,
+                        alias_mode: str = "annotated",
+                        local_schedule: Optional[str] = None,
+                        mt_check: bool = False, cache: CacheOption = None,
+                        trace: bool = False,
+                        trace_limit: Optional[int] = None,
+                        topology: Optional[str] = None,
+                        placer: str = "identity", backend: str = "fast",
+                        partitioner_args: Optional[
+                            Mapping[str, object]] = None,
+                        partition: PartitionOption = None
+                        ) -> PipelineContext:
+    """What :func:`evaluate_workload` (whose keyword options these are)
     resolves before the first stage: both machine configurations, and
     the roots a cell key needs that the workload remembers — its input
     fingerprints and, once a build of it was normalized in this

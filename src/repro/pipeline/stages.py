@@ -50,7 +50,7 @@ TECHNIQUES = ("gremio", "gremio-flat", "dswp")
 
 #: Tunable cost-model parameters each technique's partitioner accepts as
 #: keyword arguments (the ``partitioner.<param>`` override namespace of
-#: :func:`repro.pipeline.matrix.validate_overrides`).  DSWP's greedy
+#: :func:`repro.api.validate_overrides`).  DSWP's greedy
 #: packer has no free thresholds; ``hierarchical`` is deliberately not
 #: tunable — it is what distinguishes the ``gremio``/``gremio-flat``
 #: techniques.

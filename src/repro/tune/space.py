@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from ..pipeline.matrix import Overrides, validate_overrides
-from ..pipeline.stages import PARTITIONER_PARAMS, technique_config
+from ..api import PARTITIONER_PARAMS, technique_config
+from ..api.types import Overrides, validate_overrides
 
 #: The partitioner cost-model defaults (``GremioPartitioner.__init__``);
 #: a ``partitioner.*`` knob set to its default is dropped from the

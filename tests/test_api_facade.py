@@ -35,10 +35,6 @@ class TestEvaluateRequest:
         assert again == request
         assert again.schema_version == API_SCHEMA_VERSION
 
-    def test_cell_round_trip(self):
-        request = _request(local_schedule="late", mt_check=True)
-        assert EvaluateRequest.from_cell(request.cell()) == request
-
     def test_from_dict_rejects_unknown_fields(self):
         body = _request().as_dict()
         body["threds"] = 4  # typo must 400, not silently default
@@ -110,6 +106,10 @@ class TestFacadeEvaluate:
         assert result.speedup == pytest.approx(direct.speedup)
         assert result.metrics["mt_cycles"] == float(direct.mt_result.cycles)
         assert result.fingerprints  # per-stage cache keys present
+
+    def test_evaluate_workload_rejects_unknown_keywords(self):
+        with pytest.raises(TypeError, match="n_thread"):
+            evaluate_workload(get_workload("ks"), "gremio", n_thread=2)
 
     def test_rejects_invalid_before_running(self):
         with pytest.raises(RequestValidationError):
@@ -280,26 +280,31 @@ class TestLayeringCovenant:
 
     def test_facade_exports_the_classic_surface(self):
         for name in ("parallelize", "evaluate_workload", "evaluate_many",
-                     "MatrixCell", "configure_cache", "ensure_cache",
+                     "EvaluateRequest", "configure_cache", "ensure_cache",
                      "get_cache", "Telemetry", "global_telemetry"):
             assert name in repro.api.__all__, name
             assert getattr(repro.api, name) is not None
-        # Removed in 1.3 with the engine they belonged to — no shim.
+        # Removed in 1.3 with the engine they belonged to, and in 1.4
+        # (``MatrixCell``: the request is the cell) — no shim.
         for name in ("evaluate_matrix", "build_cells", "pool_payload",
-                     "run_cell_payload"):
+                     "run_cell_payload", "MatrixCell"):
             assert name not in repro.api.__all__, name
             assert not hasattr(repro.api, name), name
             assert not hasattr(repro, name), name
 
     def test_one_batch_engine(self):
-        """One pool, one materialising call: ``pipeline/matrix.py`` is
-        the only library module that fans evaluations across processes
-        (the daemon's supervised pool aside), the CLI's ``run`` and
-        ``trace`` are the only callers of the materialising
-        ``evaluate_workload`` outside the pipeline, and the engine
-        deleted in 1.3 is spelled nowhere."""
+        """One pool, one materialising call, one cell type:
+        ``api/facade.py`` is the only library module that fans
+        evaluations across processes (the daemon's supervised pool
+        aside), and its ``evaluate_many`` pools traced requests like
+        any other; the CLI's ``trace`` is the only caller of the
+        materialising ``evaluate_workload`` outside the pipeline; and
+        the engine deleted in 1.3 and the cell type deleted in 1.4 are
+        spelled nowhere."""
+        import inspect
         assert self._holders(r"^\s*(import|from)\s+multiprocessing\b") \
-            == ["pipeline/matrix.py", "service/workers.py"]
+            == ["api/facade.py", "service/workers.py"]
+        assert "trace" not in inspect.getsource(repro.api.evaluate_many)
 
         root = Path(repro.__file__).parents[2]
         package = root / "src" / "repro"
@@ -316,8 +321,10 @@ class TestLayeringCovenant:
 
         spelled = sorted(
             str(source.relative_to(root))
-            for folder in ("src", "tools", "benchmarks", "examples")
+            for folder in ("src", "tools", "perf", "benchmarks",
+                           "examples")
             for source in (root / folder).rglob("*.py")
-            if re.search(r"evaluate_matrix|build_cells",
+            if re.search(r"evaluate_matrix|build_cells|MatrixCell|"
+                         r"from_cell|evaluate_cells|pipeline[./]matrix",
                          source.read_text()))
         assert spelled == []

@@ -11,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import configure_cache, get_cache
+from repro.api import EvaluateRequest, configure_cache, get_cache
 from repro.bench import (FULL, HOLDS, NA, SMOKE, TIME_BAND, Claim, Metric,
                          all_specs, clear_memo, get_spec, register,
                          run_bench, spec_ids)
 from repro.bench.specs.hostperf import COMPILE_PASSES, compile_passes
 from repro.cli import main
 from repro.machine import DEFAULT_CONFIG
-from repro.pipeline import MatrixCell
 
 ROOT = Path(__file__).parents[1]
 
@@ -75,7 +74,7 @@ class TestRegistry:
     def test_prewarm_cells_are_matrix_cells(self):
         cells = get_spec("fig8_speedup").prewarm_cells(SMOKE)
         assert cells
-        assert all(isinstance(cell, MatrixCell) for cell in cells)
+        assert all(isinstance(cell, EvaluateRequest) for cell in cells)
         assert all(cell.scale == SMOKE.scale for cell in cells)
 
     def test_modes(self):

@@ -69,7 +69,7 @@ def _comparable(result):
 class TestKey:
     def test_every_result_affecting_field_changes_the_key(self, cache):
         """Each variant must write an entry under a key no earlier
-        variant used: every ``MatrixCell.identity()`` field, ``check``,
+        variant used: every ``KEY_FIELDS`` field, ``check``,
         each override namespace, and the program text."""
         text = ("def f(n: int, xs: 'int[8]'):\n"
                 "    return xs[0] + n + %d\n")

@@ -29,10 +29,13 @@ class TestParser:
             assert args.jobs == 3, command
 
     def test_simulator_is_not_an_option(self, capsys):
-        """One production simulator: no command takes ``--backend``, and
-        no config object or cell carries the choice."""
+        """One production simulator: no command takes ``--backend``, no
+        config object carries the choice, and a request's ``backend``
+        enters neither its request key nor its cell key."""
         import dataclasses
-        from repro.api import MatrixCell, TuneRequest
+        from repro.api import (EvaluateRequest, ProgramSpec, TuneRequest,
+                               get_workload)
+        from repro.pipeline import core, stages
         from repro.service.config import ServiceConfig
         for command in (["run", "ks"], ["sweep"], ["bench"],
                         ["trace", "ks"], ["tune"], ["serve"]):
@@ -43,7 +46,18 @@ class TestParser:
         for config in (ServiceConfig, TuneRequest):
             assert "backend" not in {
                 field.name for field in dataclasses.fields(config)}
-        assert "backend" not in MatrixCell._fields
+        request = EvaluateRequest(program=ProgramSpec.registry("ks"))
+        assert request.request_key() == EvaluateRequest(
+            program=ProgramSpec.registry("ks"),
+            backend="reference").request_key()
+        workload = get_workload("ks")
+        keys = set()
+        for backend in ("fast", "reference"):
+            ctx = core._evaluation_context(workload, scale="train",
+                                           cache=False, backend=backend)
+            core._walk(ctx, workload, ("normalize",))
+            keys.add(stages.cell_key(ctx, True))
+        assert len(keys) == 1
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -127,12 +141,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "speedup" in out
 
-    def test_run_timings_table(self, capsys):
-        assert main(["run", "ks", "--scale", "train", "--timings"]) == 0
-        out = capsys.readouterr().out
-        assert "per-stage timings" in out
-        assert "simulate-mt" in out
-        assert "artifact cache:" in out
+    def test_run_timings_table(self, capsys, tmp_path):
+        """A cold ``run`` walks the stages; the same ``run`` again is
+        one load of the cell's result entry, with the same rows."""
+        from repro.pipeline import configure_cache, get_cache
+        previous = get_cache()
+        configure_cache(str(tmp_path / "cache"))
+        try:
+            assert main(["run", "ks", "--scale", "train",
+                         "--timings"]) == 0
+            cold = capsys.readouterr().out
+            assert main(["run", "ks", "--scale", "train",
+                         "--timings"]) == 0
+            warm = capsys.readouterr().out
+        finally:
+            configure_cache(previous.directory, previous.enabled)
+        assert "per-stage timings" in cold
+        assert "simulate-mt" in cold
+        assert "artifact cache:" in cold
+        assert "simulate-mt" not in warm
+        assert "artifact cache: 1 hits, 0 misses" in warm
+        assert warm.split("per-stage timings")[0] \
+            == cold.split("per-stage timings")[0]
 
     def test_sweep_prints_summary_and_telemetry(self, capsys):
         from repro.pipeline import configure_cache, get_cache

@@ -10,12 +10,12 @@ evaluating each cell cold and serially.
 
 import pytest
 
-from repro.api import configure_cache, get_cache, get_workload
+from repro.api import (EvaluateRequest, ProgramSpec, configure_cache,
+                       get_cache, get_workload)
+from repro.api.facade import _run_batch, _run_payload
 from repro.check.differential_backend import diff_snapshots, \
     snapshot_result
 from repro.pipeline.core import CellResult, evaluate_workload
-from repro.pipeline.matrix import (MatrixCell, _run_batch_payload,
-                                   pool_payload, run_cell_payload)
 from repro.service.workers import _evaluate_request_dict
 
 #: One workload, four cells: two techniques x two thread counts.  Every
@@ -34,8 +34,9 @@ def cache(tmp_path):
 
 
 def _matrix():
-    return [MatrixCell(WORKLOAD, technique, n_threads=n_threads,
-                       scale="train")
+    return [EvaluateRequest(program=ProgramSpec.registry(WORKLOAD),
+                            technique=technique, n_threads=n_threads,
+                            scale="train", check=False)
             for technique in TECHNIQUES for n_threads in THREADS]
 
 
@@ -105,8 +106,8 @@ def test_pool_worker_keeps_its_cache_between_cells(cache, tmp_path,
     front-end artifacts through its memory tier: the payload's cache
     settings match the active cache, so it is kept, not rebuilt."""
     cells = _matrix()
-    results = _run_batch_payload([pool_payload(cell, check=False)
-                                  for cell in cells])
+    results = _run_batch([(cell, cache.directory, cache.enabled)
+                          for cell in cells])
     # What a pool worker sends back: summaries, nothing materialised.
     assert [type(result) for result in results] == [CellResult] * 4
     assert get_cache() is cache
@@ -128,18 +129,18 @@ def test_pool_worker_keeps_its_cache_between_cells(cache, tmp_path,
 
     # A payload naming another directory still re-points the process...
     elsewhere = str(tmp_path / "elsewhere")
-    payload = (cells[0], False, elsewhere, True)
-    run_cell_payload(payload)
+    payload = (cells[0], elsewhere, True)
+    _run_payload(payload)
     moved = get_cache()
     assert moved is not cache and moved.directory == elsewhere
     # ...and so does a remote store exported after the cache was built
     # (the blobs are local by now, so the dead URL is never dialled).
     monkeypatch.setenv("REPRO_STORE_URL", "http://127.0.0.1:9/store/")
-    run_cell_payload(payload)
+    _run_payload(payload)
     remote = get_cache()
     assert remote is not moved
     assert remote.store_backend.remote_url == "http://127.0.0.1:9/store"
-    run_cell_payload(payload)
+    _run_payload(payload)
     assert get_cache() is remote
 
 

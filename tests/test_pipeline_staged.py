@@ -2,11 +2,13 @@
 on/off, warm-cache replay, and multiprocess ``evaluate_many`` must all
 produce bit-identical Evaluation metrics to plain serial execution."""
 
+import multiprocessing
+
 import pytest
 
 from repro import evaluate_workload, get_workload
-from repro.api import (EvaluateRequest, MatrixCell, Telemetry,
-                       configure_cache, evaluate_many, get_cache)
+from repro.api import (EvaluateRequest, ProgramSpec, Telemetry,
+                       configure_cache, evaluate, evaluate_many, get_cache)
 
 WORKLOADS = ["ks", "adpcmdec", "mpeg2enc"]
 TECHNIQUES = ["gremio", "dswp"]
@@ -35,8 +37,10 @@ def metrics(evaluation):
     )
 
 
-def requests(cells):
-    return [EvaluateRequest.from_cell(cell) for cell in cells]
+def request(name, technique="gremio", coco=False, **fields):
+    return EvaluateRequest(program=ProgramSpec.registry(name),
+                           technique=technique, coco=coco, scale="train",
+                           **fields)
 
 
 class TestStagedEquivalence:
@@ -54,18 +58,18 @@ class TestStagedEquivalence:
         assert cache.stats.hits > 0
 
     def test_matrix_parallel_matches_serial(self, cache, tmp_path):
-        cells = [MatrixCell(name, technique, scale="train")
+        cells = [request(name, technique)
                  for name in WORKLOADS for technique in TECHNIQUES]
-        serial = evaluate_many(requests(cells), jobs=1)
+        serial = evaluate_many(cells, jobs=1)
         configure_cache(str(tmp_path / "pooled"))  # cold again
-        parallel = evaluate_many(requests(cells), jobs=2)
+        parallel = evaluate_many(cells, jobs=2)
         assert ([result.metrics for result in serial]
                 == [result.metrics for result in parallel])
 
     def test_matrix_parallel_cold_matches_uncached(self, cache):
-        cells = [MatrixCell("ks", technique, coco, scale="train")
+        cells = [request("ks", technique, coco)
                  for technique in TECHNIQUES for coco in (False, True)]
-        parallel = evaluate_many(requests(cells), jobs=2)
+        parallel = evaluate_many(cells, jobs=2)
         baseline = [evaluate_workload(get_workload(cell.workload),
                                       technique=cell.technique,
                                       coco=cell.coco, scale="train",
@@ -74,10 +78,29 @@ class TestStagedEquivalence:
         assert ([result.metrics for result in parallel]
                 == [ev.metrics() for ev in baseline])
 
+    def test_traced_batch_runs_on_the_pool(self, cache, monkeypatch):
+        """A traced batch fans out like any other, and each answer is
+        the one ``evaluate`` gives its request."""
+        starts = []
+        pool = multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            starts.append(args)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        traced = [request(name, trace=True) for name in ("ks", "adpcmdec")]
+        pooled = evaluate_many(traced, jobs=2)
+        assert len(starts) == 1
+        for cell, result in zip(traced, pooled):
+            alone = evaluate(cell)
+            assert result.trace and result.trace == alone.trace
+            assert result.metrics == alone.metrics
+            assert result.fingerprints == alone.fingerprints
+
     def test_matrix_preserves_cell_order(self, cache):
-        cells = [MatrixCell(name, "gremio", scale="train")
-                 for name in WORKLOADS]
-        results = evaluate_many(requests(cells), jobs=2)
+        cells = [request(name) for name in WORKLOADS]
+        results = evaluate_many(cells, jobs=2)
         assert [result.request.workload for result in results] == WORKLOADS
         assert [result.metrics["st_cycles"] for result in results] \
             == [float(evaluate_workload(get_workload(name),

@@ -42,6 +42,30 @@ GOLDEN_KEYS = [
     (dict(program=ProgramSpec.registry("ks"),
           overrides=(("machine.comm_latency", 2),)),
      "832769aa0eba80ecc2a605bc4bf4458a1204de792d2c5f0ca3681706acf9607d"),
+    # Every other key field away from its default, one at a time.
+    (dict(program=ProgramSpec.registry("ks"), alias_mode="provenance"),
+     "6e7702ad57bb9e671f83186f5e2cc93d3e0edaa5a9ceabc5c5ed0a97aeabd7fe"),
+    (dict(program=ProgramSpec.registry("ks"), local_schedule="late"),
+     "b6698b9cbf2004b8a841e1e18628a52f5ce0a8aec3d6b4ac7c655893165af136"),
+    (dict(program=ProgramSpec.registry("ks"), mt_check=True),
+     "34569ebdb8f76b1c0e68215e3124aad31ee3709c8ff19ca2409b3ebd51fa3a33"),
+    (dict(program=ProgramSpec.registry("ks"), n_threads=4,
+          topology="quad-2x2", placer="affinity"),
+     "26d13cb1c8a0bb57884827e907c07653060fc67c44f67518ce4f89a494d19267"),
+    (dict(program=ProgramSpec.registry("ks"), check=False),
+     "1e36cd124d0197e437352cdf7fc328d07fdc9bc72ab96fbc6cf54761b19f3641"),
+    (dict(program=ProgramSpec.registry("mcf"), scale="train"),
+     "86f3222535ad40ba15c361dd678eb4501387b211f8811c5c400f42bb77265747"),
+    # Two overrides out of order: the key sorts them.
+    (dict(program=ProgramSpec.registry("ks"),
+          overrides=(("partitioner.split_threshold", 0.5),
+                     ("machine.comm_latency", 2))),
+     "b5131f8f75d5f9815f5f715f931b00bdf4a0c213165bd7b5334036bb7d07eecc"),
+    # The same pairs as JSON lists, as a wire body carries them.
+    (dict(program=ProgramSpec.registry("ks"),
+          overrides=(["partitioner.split_threshold", 0.5],
+                     ["machine.comm_latency", 2])),
+     "b5131f8f75d5f9815f5f715f931b00bdf4a0c213165bd7b5334036bb7d07eecc"),
 ]
 
 

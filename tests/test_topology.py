@@ -195,10 +195,6 @@ class TestEvaluateRequestTopology:
                                   topology="quad-2x2",
                                   placer="affinity").validate()
         assert EvaluateRequest.from_dict(request.as_dict()) == request
-        cell = request.cell()
-        assert cell.topology == "quad-2x2"
-        assert cell.placer == "affinity"
-        assert EvaluateRequest.from_cell(cell) == request
         flat = EvaluateRequest(program=ProgramSpec.registry("ks"), n_threads=4)
         assert request.request_key() != flat.request_key()
 
