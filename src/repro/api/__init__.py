@@ -18,43 +18,53 @@ from here.  The surface is:
   :func:`evaluate_workload` (one cell, materialised: program, PDG,
   memory images), :func:`evaluate_summary` (its numbers, through the
   cell-level result entry — for evaluations no request can name: a
-  swept machine configuration, an explicit partition), and the
-  workload registry;
+  machine configuration the ``machine.*`` overrides cannot express,
+  an explicit partition), and the workload registry;
 * **infrastructure handles**: the artifact cache
   (:func:`get_cache`/:func:`configure_cache`/:func:`ensure_cache`),
   telemetry (:class:`Telemetry`, :func:`global_telemetry`) and the one
   HTTP client transport (:func:`http_request`, under
   :class:`ServiceClient` and :class:`HttpStore` alike).
 
+The pipeline names are imported here from their home modules, so the
+CLI, the benchmark subsystem and the service import **only**
+``repro.api`` — never ``repro.pipeline.core`` internals, whose layout
+is free to change underneath this package.
+
 The facade is covenanted: the wire documents change only with an
 ``API_SCHEMA_VERSION`` bump; a callable is removed only in a minor
 release whose notes name its replacement (``docs/api.md``).
 """
 
-from .facade import (ArtifactCache, ArtifactStore, CacheStats,
-                     HttpStore, LocalStore, STORE_URL_ENV, make_store,
-                     Evaluation, LatencyHistogram,
-                     PARTITIONER_PARAMS, PLACERS, Parallelization,
-                     TECHNIQUES, TOPOLOGIES, TUNABLE_MACHINE_FIELDS,
-                     Telemetry, all_workloads,
-                     configure_cache, default_cache_dir, digest,
-                     ensure_cache, evaluate, evaluate_many,
-                     evaluate_summary, evaluate_workload,
-                     fingerprint_config, fingerprint_function,
-                     fingerprint_inputs, fingerprint_profile, get_cache,
-                     get_topology, get_workload, global_telemetry,
-                     http_request, make_partitioner, normalize,
-                     overrides_config,
-                     parallelize, reset_global_telemetry,
-                     technique_config, topology_names,
-                     resolve_program, tune, unknown_workload_message,
-                     validate_overrides, workload_names)
+from ..machine.config import TUNABLE_MACHINE_FIELDS
+from ..machine.placement import PLACERS
+from ..machine.topology import TOPOLOGIES, get_topology, topology_names
+from ..pipeline.cache import (ArtifactCache, CacheStats, configure_cache,
+                              default_cache_dir, ensure_cache, get_cache)
+from ..pipeline.core import (Evaluation, Parallelization, evaluate_summary,
+                             evaluate_workload, parallelize)
+from ..pipeline.fingerprint import (digest, fingerprint_config,
+                                    fingerprint_function,
+                                    fingerprint_inputs,
+                                    fingerprint_profile)
+from ..pipeline.stages import (PARTITIONER_PARAMS, TECHNIQUES,
+                               make_partitioner, normalize,
+                               technique_config)
+from ..pipeline.store import (STORE_URL_ENV, ArtifactStore, HttpStore,
+                              LocalStore, http_request, make_store)
+from ..pipeline.telemetry import (LatencyHistogram, Telemetry,
+                                  global_telemetry,
+                                  reset_global_telemetry)
+from ..workloads import (all_workloads, get_workload,
+                         unknown_workload_message, workload_names)
 from .client import ServiceClient, ServiceError
+from .facade import evaluate, evaluate_many, resolve_program, tune
 from .types import (ALIAS_MODES, API_SCHEMA_VERSION, LOCAL_SCHEDULES,
                     MAX_INLINE_PROGRAM_BYTES, PROGRAM_KINDS, SCALES,
                     STRATEGIES, TUNE_SCHEMA_VERSION, EvaluateRequest,
                     EvaluateResult, ProgramSpec, RequestValidationError,
-                    TuneRequest, TuneResult)
+                    TuneRequest, TuneResult, overrides_config,
+                    validate_overrides)
 
 __all__ = [
     # typed surface

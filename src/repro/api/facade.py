@@ -12,12 +12,6 @@ calls, so workers share the persistent artifact cache (atomic writes
 make that safe) and results are bit-identical to serial execution; a
 worker sends back a :class:`~repro.pipeline.core.CellResult` — numbers,
 never a program or a memory image.
-
-The module also re-exports the stable pipeline surface (``parallelize``,
-``evaluate_workload``, the cache and telemetry handles, the workload
-registry) so the CLI, the benchmark subsystem, and the service import
-**only** ``repro.api`` — never ``repro.pipeline.core`` internals, whose
-layout is free to change underneath this facade.
 """
 
 from __future__ import annotations
@@ -25,52 +19,14 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, List, Optional
 
-# Re-exported pipeline surface (the facade's stability boundary).
-from ..machine.config import TUNABLE_MACHINE_FIELDS
-from ..machine.placement import PLACERS
-from ..machine.topology import TOPOLOGIES, get_topology, topology_names
-from ..pipeline.cache import (ArtifactCache, CacheStats, configure_cache,
-                              default_cache_dir, ensure_cache, get_cache)
-from ..pipeline.store import (ArtifactStore, HttpStore, LocalStore,
-                              STORE_URL_ENV, http_request, make_store)
-from ..pipeline.core import (CellResult, Evaluation, Parallelization,
-                             evaluate_summary, evaluate_workload,
-                             parallelize)
-from ..pipeline.fingerprint import (digest, fingerprint_config,
-                                    fingerprint_function,
-                                    fingerprint_inputs,
-                                    fingerprint_profile)
-from ..pipeline.stages import (PARTITIONER_PARAMS, TECHNIQUES,
-                               make_partitioner, normalize,
-                               technique_config)
-from ..pipeline.telemetry import (LatencyHistogram, Telemetry,
-                                  global_telemetry,
-                                  reset_global_telemetry)
-from ..workloads import (all_workloads, get_workload,
-                         unknown_workload_message, workload_names)
+from ..pipeline.cache import ensure_cache, get_cache
+from ..pipeline.core import CellResult, evaluate_summary
+from ..pipeline.telemetry import Telemetry, global_telemetry
+from ..workloads import get_workload
 from .types import (KEY_FIELDS, EvaluateRequest, EvaluateResult,
-                    ProgramSpec, TuneRequest, TuneResult, overrides_config,
-                    validate_overrides)
+                    ProgramSpec, TuneRequest, TuneResult, overrides_config)
 
-__all__ = [
-    "evaluate", "evaluate_many", "tune",
-    "TuneRequest", "TuneResult",
-    "TUNABLE_MACHINE_FIELDS", "PARTITIONER_PARAMS",
-    "validate_overrides", "overrides_config",
-    "ArtifactCache", "CacheStats", "configure_cache",
-    "default_cache_dir", "ensure_cache", "get_cache", "http_request",
-    "digest", "fingerprint_config", "fingerprint_function",
-    "fingerprint_inputs", "fingerprint_profile",
-    "Evaluation", "Parallelization", "evaluate_summary",
-    "evaluate_workload", "parallelize",
-    "TECHNIQUES", "make_partitioner", "normalize", "technique_config",
-    "TOPOLOGIES", "get_topology", "topology_names", "PLACERS",
-    "LatencyHistogram", "Telemetry", "global_telemetry",
-    "reset_global_telemetry",
-    "all_workloads", "get_workload", "workload_names",
-    "unknown_workload_message",
-    "ProgramSpec", "resolve_program",
-]
+__all__ = ["evaluate", "evaluate_many", "resolve_program", "tune"]
 
 
 def resolve_program(program: ProgramSpec):

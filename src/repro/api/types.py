@@ -28,6 +28,7 @@ from ..pipeline.fingerprint import SCHEMA_VERSION as PIPELINE_SCHEMA
 from ..pipeline.fingerprint import digest
 from ..pipeline.stages import (BACKENDS, PARTITIONER_PARAMS, TECHNIQUES,
                                technique_config)
+from ..workloads import registry_name, unknown_workload_message
 
 #: Bumped on any incompatible change to the request/response layout.
 API_SCHEMA_VERSION = "repro.api/v1"
@@ -197,8 +198,7 @@ class ProgramSpec:
             raise RequestValidationError(
                 "program name must be a string, got %r" % (self.name,))
         if self.kind == "registry":
-            from ..workloads import unknown_workload_message, workload_names
-            if self.value not in workload_names():
+            if registry_name(self.value) is None:
                 raise RequestValidationError(
                     unknown_workload_message(self.value))
             return self
@@ -213,11 +213,12 @@ class ProgramSpec:
 
     def workload_name(self) -> str:
         """The workload-registry name this program evaluates under:
-        the registry name itself, or a content-hashed session name for
-        inline programs (identical content ⇒ identical name ⇒ shared
-        request keys and cache entries)."""
+        the registered kernel (an alias names its kernel), or a
+        content-hashed session name for inline programs (identical
+        content ⇒ identical name ⇒ shared request keys and cache
+        entries)."""
         if self.kind == "registry":
-            return self.value
+            return registry_name(self.value) or self.value
         tag = digest("program:" + self.kind, self.value,
                      self.name or "")[:12]
         return "inline-%s-%s" % ("ir" if self.kind == "ir" else "py",
@@ -517,7 +518,6 @@ class TuneRequest:
     def validate(self) -> "TuneRequest":
         """Return self (canonicalized) after checking every field;
         raise :class:`RequestValidationError` otherwise."""
-        from ..workloads import unknown_workload_message, workload_names
         if self.schema_version != TUNE_SCHEMA_VERSION:
             raise RequestValidationError(
                 "schema mismatch: request has %r, this facade speaks %r"
@@ -528,9 +528,10 @@ class TuneRequest:
                 "tune request needs at least one workload "
                 "(see `python -m repro list`)")
         for name in workloads:
-            if name not in workload_names():
+            if not isinstance(name, str) or registry_name(name) is None:
                 raise RequestValidationError(
-                    unknown_workload_message(name))
+                    unknown_workload_message(str(name)))
+        workloads = tuple(map(registry_name, workloads))
         if self.strategy not in STRATEGIES:
             raise RequestValidationError(
                 "unknown strategy %r (use one of %s)"

@@ -1,7 +1,8 @@
 """Specs for the ablation and sensitivity experiments (GREMIO-E3/E4,
-EXT-E1..E7), all through the staged pipeline: matrix cells via
-:func:`~repro.bench.harness.evaluation`; swept machine configurations
-and GREMIO's region-grouped partition via
+EXT-E1..E7), all through the staged pipeline: matrix cells — swept
+machine configurations among them, as ``machine.*`` overrides — via
+:func:`~repro.bench.harness.evaluation`; GREMIO's region-grouped
+partition, which no request names, via
 :func:`~repro.api.evaluate_summary` (its cell-level result entry
 answers a repeat); and where a spec reads the
 generated program (overhead classes, communication counts under other
@@ -18,7 +19,6 @@ functions present.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from typing import Dict, List, Tuple
 
 from ...executor import run_function
@@ -50,6 +50,13 @@ MACHINE_SWEEP_BENCH = "181.mcf"
 ALIAS_MODES = ("annotated", "provenance", "none")
 LATENCIES = (1, 2, 4, 8, 16, 32)
 QUEUE_DEPTHS = (1, 2, 4, 8, 32, 128)
+#: EXT-E2's variants of DSWP on 181.mcf: metric label, machine override.
+MACHINE_VARIANTS = tuple(
+    [("latency/%d" % latency, ("machine.sa_access_latency", latency))
+     for latency in LATENCIES]
+    + [("queue/%d" % depth, ("machine.sa_queue_size", depth))
+       for depth in QUEUE_DEPTHS])
+PREDICTORS = ("static", "bimodal", "perfect")
 
 
 def _parallelized(workload, technique: str, **options):
@@ -200,25 +207,19 @@ def _every_variant_runs(m):
 
 @bench_spec(
     id="ablation_machine",
-    title="EXT-E2: operand-network latency and queue-depth sweeps")
+    title="EXT-E2: operand-network latency and queue-depth sweeps",
+    cells=lambda mode: [cell(MACHINE_SWEEP_BENCH, "dswp", False, 2,
+                             mode.scale, overrides=(override,))
+                        for _, override in MACHINE_VARIANTS])
 def ablation_machine(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
-
-    def mt_cycles(**fields) -> Metric:
-        ev = evaluate_summary(
-            get_workload(MACHINE_SWEEP_BENCH), technique="dswp",
-            scale=mode.scale,
-            config=dataclasses.replace(DEFAULT_CONFIG, **fields)).metrics
+    for label, override in MACHINE_VARIANTS:
+        ev = evaluation(MACHINE_SWEEP_BENCH, "dswp", scale=mode.scale,
+                        overrides=(override,))
         # One single-threaded baseline: no swept field moves it.
         metrics["st_cycles"] = Metric(ev["st_cycles"], unit="cycles")
-        return Metric(ev["mt_cycles"], unit="cycles")
-
-    for latency in LATENCIES:
-        metrics["mt_cycles/latency/%d" % latency] = mt_cycles(
-            sa_access_latency=latency, sa_queue_size=32)
-    for depth in QUEUE_DEPTHS:
-        metrics["mt_cycles/queue/%d" % depth] = mt_cycles(
-            sa_queue_size=depth)
+        metrics["mt_cycles/" + label] = Metric(ev["mt_cycles"],
+                                               unit="cycles")
     return metrics
 
 
@@ -248,16 +249,19 @@ def _queue_depth_second_order(m):
 
 @bench_spec(
     id="branch_prediction",
-    title="EXT-E5: branch-handling models (static/bimodal/perfect)")
+    title="EXT-E5: branch-handling models (static/bimodal/perfect)",
+    cells=lambda mode: [cell(name, "dswp", False, 2, mode.scale,
+                             overrides=(("machine.branch_predictor",
+                                         predictor),))
+                        for name in mode.pick(BRANCH_BENCHES)
+                        for predictor in PREDICTORS])
 def branch_prediction(mode: BenchMode) -> MetricMap:
     metrics: MetricMap = {}
     for name in mode.pick(BRANCH_BENCHES):
-        for predictor in ("static", "bimodal", "perfect"):
-            ev = evaluate_summary(
-                get_workload(name), technique="dswp", scale=mode.scale,
-                config=dataclasses.replace(DEFAULT_CONFIG.for_dswp(),
-                                           branch_predictor=predictor)
-            ).metrics
+        for predictor in PREDICTORS:
+            ev = evaluation(name, "dswp", scale=mode.scale,
+                            overrides=(("machine.branch_predictor",
+                                        predictor),))
             metrics["st_cycles/%s/%s" % (predictor, name)] = \
                 Metric(ev["st_cycles"], unit="cycles")
             metrics["speedup/%s/%s" % (predictor, name)] = \

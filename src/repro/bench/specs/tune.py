@@ -27,7 +27,9 @@ TUNE_STRATEGY = "greedy"
 TUNE_BUDGET = {"smoke": 24, "full": 48}
 
 
-def _request(mode: BenchMode) -> TuneRequest:
+def search_request(mode: BenchMode) -> TuneRequest:
+    """The search this spec runs under ``mode`` (under ``SMOKE``, what
+    ``repro tune --smoke`` runs)."""
     return TuneRequest(
         workloads=tuple(mode.pick(list(TUNE_WORKLOADS))),
         strategy=TUNE_STRATEGY,
@@ -39,7 +41,7 @@ def _request(mode: BenchMode) -> TuneRequest:
     id="tune_smoke",
     title="TUNE-E1: auto-tuned configuration vs paper defaults")
 def tune_smoke(mode: BenchMode) -> MetricMap:
-    result = tune(_request(mode))
+    result = tune(search_request(mode))
     metrics: MetricMap = {
         "candidates_evaluated": Metric(float(result.evaluated),
                                        unit="count"),

@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="leaderboard entries kept per workload "
                            "(default: %(default)s)")
     tune.add_argument("--smoke", action="store_true",
-                      help="small fixed CI configuration: adpcmdec+ks, "
-                           "greedy, budget 24, train scale")
+                      help="the small fixed search of the bench's "
+                           "TUNE-E1 smoke run (--seed and --threads "
+                           "still apply)")
 
     serve = sub.add_parser(
         "serve", help="run the scheduling service: a JSON-over-HTTP "
@@ -771,22 +772,21 @@ def _dot(args) -> int:
 def _tune(args) -> int:
     # Imported here: the tune subsystem (and its leaderboard writer)
     # loads only when the subcommand actually runs.
+    from dataclasses import replace
+
     from .api import TuneRequest, tune
     from .tune.leaderboard import markdown_summary
     if args.smoke:
-        workloads = ("adpcmdec", "ks")
-        strategy, budget, scale = "greedy", 24, "train"
-        knobs = ()
+        from .bench import SMOKE
+        from .bench.specs.tune import search_request
+        request = search_request(SMOKE)
     else:
-        if args.workloads:
-            workloads = tuple(args.workloads)
-        else:
-            workloads = tuple(w.name for w in all_workloads())
-        strategy, budget, scale = args.strategy, args.budget, args.scale
-        knobs = tuple(args.knobs) if args.knobs else ()
-    request = TuneRequest(workloads=workloads, strategy=strategy,
-                          budget=budget, seed=args.seed,
-                          n_threads=args.threads, scale=scale, knobs=knobs)
+        request = TuneRequest(
+            workloads=tuple(args.workloads or
+                            (w.name for w in all_workloads())),
+            strategy=args.strategy, budget=args.budget, scale=args.scale,
+            knobs=tuple(args.knobs or ()))
+    request = replace(request, seed=args.seed, n_threads=args.threads)
     try:
         result = tune(request, jobs=args.jobs, out_dir=args.out,
                       top=args.top, progress=print)

@@ -200,7 +200,7 @@ TUNABLE_MACHINE_FIELDS: Dict[str, TunableField] = {
         choices=("static", "bimodal", "perfect")),
     "mispredict_penalty": TunableField(0, 64),
     "sa_queue_size": TunableField(1, 1024),
-    "sa_access_latency": TunableField(1, 16),
+    "sa_access_latency": TunableField(1, 32),
     "sa_ports": TunableField(1, 64),
     "comm_latency": TunableField(1, 32),
     "memory_latency": TunableField(1, 2048),

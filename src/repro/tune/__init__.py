@@ -16,12 +16,12 @@ Entry points: :func:`repro.api.tune` (typed), ``python -m repro tune``
 
 from .driver import GENERATION, run_tune
 from .leaderboard import markdown_summary, result_json, write_outputs
-from .space import DEFAULT_SPACE, CanonicalCandidate, Knob, KnobSpace
+from .space import DEFAULT_SPACE, Knob, KnobSpace
 from .strategies import make_strategy, strategy_names
 
 __all__ = [
     "run_tune", "GENERATION",
-    "DEFAULT_SPACE", "Knob", "KnobSpace", "CanonicalCandidate",
+    "DEFAULT_SPACE", "Knob", "KnobSpace",
     "make_strategy", "strategy_names",
     "result_json", "markdown_summary", "write_outputs",
 ]

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..api import (TOPOLOGIES, EvaluateRequest, ProgramSpec, TuneRequest,
                    TuneResult, evaluate, evaluate_many, get_cache)
-from .space import DEFAULT_SPACE, CanonicalCandidate, KnobSpace
+from .space import DEFAULT_SPACE, KnobSpace, candidate_key
 from .strategies import Strategy, make_strategy
 
 #: Candidates scored per strategy round.  Fixed (never derived from
@@ -56,21 +56,9 @@ def _say(progress: Progress, message: str) -> None:
         progress(message)
 
 
-def candidate_request(workload: str, candidate: CanonicalCandidate,
-                      request: TuneRequest) -> EvaluateRequest:
-    """The evaluation-cell request scoring one candidate."""
-    return EvaluateRequest(
-        program=ProgramSpec.registry(workload),
-        technique=candidate.technique,
-        coco=candidate.coco, n_threads=request.n_threads,
-        scale=request.scale, topology=candidate.topology,
-        placer=candidate.placer, overrides=candidate.overrides)
-
-
-def _feasible(candidate: CanonicalCandidate, n_threads: int) -> bool:
-    if candidate.topology is None:
-        return True
-    return n_threads <= TOPOLOGIES[candidate.topology].n_cores
+def _feasible(request: EvaluateRequest) -> bool:
+    return (request.topology is None
+            or request.n_threads <= TOPOLOGIES[request.topology].n_cores)
 
 
 def _score_requests(requests: List[EvaluateRequest],
@@ -97,20 +85,24 @@ def _critical_path(request: EvaluateRequest) -> Optional[float]:
 
 
 def _make_entry(key: str, source: str, assignment: Dict[str, object],
-                candidate: CanonicalCandidate) -> Dict[str, object]:
+                request: EvaluateRequest) -> Dict[str, object]:
     return {
         "key": key,
         "source": source,
         "candidate": dict(sorted(assignment.items())),
-        "technique": candidate.technique,
-        "coco": candidate.coco,
-        "placer": candidate.placer,
-        "topology": candidate.topology,
-        "overrides": [[name, value]
-                      for name, value in candidate.overrides],
+        "technique": request.technique,
+        "coco": request.coco,
+        "placer": request.placer,
+        "topology": request.topology,
+        "overrides": [[name, value] for name, value in request.overrides],
         "metrics": {},
         "critical_path_cycles": None,
     }
+
+
+#: One candidate in flight: its key, its assignment, and the request
+#: that scores it.
+Candidate = Tuple[str, Dict[str, object], EvaluateRequest]
 
 
 class _WorkloadSearch:
@@ -129,7 +121,17 @@ class _WorkloadSearch:
                                                 self.rng)
         self.seen: Set[str] = set()
         self.entries: Dict[str, Dict[str, object]] = {}
+        self.requests: Dict[str, EvaluateRequest] = {}
         self.evaluated = 0
+
+    def _candidate(self, assignment: Dict[str, object]) -> Candidate:
+        """The canonical candidate, completed into this search's cell."""
+        canonical = self.space.canonical(assignment)
+        return (candidate_key(canonical), assignment,
+                replace(canonical,
+                        program=ProgramSpec.registry(self.workload),
+                        n_threads=self.request.n_threads,
+                        scale=self.request.scale))
 
     # -- candidate generation ---------------------------------------------
 
@@ -147,9 +149,7 @@ class _WorkloadSearch:
             baselines.append(("baseline:%s" % label, assignment))
         return baselines
 
-    def _next_generation(self, want: int
-                         ) -> List[Tuple[str, Dict[str, object],
-                                         CanonicalCandidate]]:
+    def _next_generation(self, want: int) -> List[Candidate]:
         """Up to ``want`` fresh, feasible candidates from the strategy
         (infeasible proposals are consumed as seen, not scored)."""
         generation = []
@@ -159,30 +159,24 @@ class _WorkloadSearch:
             if not batch:
                 break
             for assignment in batch:
-                candidate = self.space.canonical(assignment)
-                key = candidate.key()
+                key, _, request = candidate = self._candidate(assignment)
                 self.seen.add(key)
-                if key in self.entries:
-                    continue
-                if not _feasible(candidate, self.request.n_threads):
-                    continue
-                generation.append((key, assignment, candidate))
+                if key not in self.entries and _feasible(request):
+                    generation.append(candidate)
         return generation
 
     # -- scoring -----------------------------------------------------------
 
-    def _score(self, batch: List[Tuple[str, Dict[str, object],
-                                       CanonicalCandidate]],
+    def _score(self, batch: List[Candidate],
                sources: Dict[str, str]) -> None:
-        requests = [candidate_request(self.workload, candidate,
-                                      self.request)
-                    for _, _, candidate in batch]
-        scored = _score_requests(requests, self.jobs)
-        for (key, assignment, candidate), metrics in zip(batch, scored):
+        scored = _score_requests([request for _, _, request in batch],
+                                 self.jobs)
+        for (key, assignment, request), metrics in zip(batch, scored):
             entry = _make_entry(key, sources.get(key, "search"),
-                                assignment, candidate)
+                                assignment, request)
             entry["metrics"] = metrics
             self.entries[key] = entry
+            self.requests[key] = request
             self.evaluated += 1
             self.strategy.observe(assignment, key,
                                   metrics.get("mt_cycles", float("inf")))
@@ -192,13 +186,12 @@ class _WorkloadSearch:
         baselines = []
         sources: Dict[str, str] = {}
         for source, assignment in self._baseline_assignments():
-            candidate = self.space.canonical(assignment)
-            key = candidate.key()
+            key, _, _ = candidate = self._candidate(assignment)
             if key in self.seen or len(baselines) >= budget:
                 continue
             self.seen.add(key)
             sources[key] = source
-            baselines.append((key, assignment, candidate))
+            baselines.append(candidate)
         self._score(baselines, sources)
         round_number = 0
         while self.evaluated < budget:
@@ -239,14 +232,8 @@ class _WorkloadSearch:
                 to_trace.append(entry)
                 traced_keys.add(entry["key"])
         for entry in to_trace:
-            candidate = CanonicalCandidate(
-                entry["technique"], entry["coco"], entry["placer"],
-                entry["topology"],
-                tuple((name, value)
-                      for name, value in entry["overrides"]))
             entry["critical_path_cycles"] = _critical_path(
-                candidate_request(self.workload, candidate,
-                                  self.request))
+                self.requests[entry["key"]])
 
         def rank_key(entry: Dict[str, object]):
             cycles = entry["metrics"].get("mt_cycles", float("inf"))

@@ -3,12 +3,14 @@
 A :class:`Knob` is one named axis with a finite value set and the paper
 default; a :class:`KnobSpace` is an ordered collection of knobs.  A
 *candidate* is a full assignment (one value per knob).  Candidates are
-compared through their **canonical form** (:meth:`KnobSpace.canonical`):
-inert values — the technique's own defaults, parameters the technique
-does not accept, ``None`` sentinels — are dropped, so a candidate that
+compared through their **canonical form** (:meth:`KnobSpace.canonical`),
+an :class:`~repro.api.EvaluateRequest` without a program yet: inert
+values — the technique's own defaults, parameters the technique does
+not accept, ``None`` sentinels — are dropped, so a candidate that
 re-states the paper configuration maps to exactly the legacy evaluation
 cell (sharing its cache entries and baselines), and assignments that
-would evaluate identically deduplicate instead of burning budget twice.
+would evaluate identically deduplicate (:func:`candidate_key`) instead
+of burning budget twice.
 
 :data:`DEFAULT_SPACE` is the space the CLI searches; ``--knob`` narrows
 it via :meth:`KnobSpace.subspace`.
@@ -18,19 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
-from ..api import PARTITIONER_PARAMS, technique_config
-from ..api.types import Overrides, validate_overrides
-
-#: The partitioner cost-model defaults (``GremioPartitioner.__init__``);
-#: a ``partitioner.*`` knob set to its default is dropped from the
-#: canonical override set.
-PARTITIONER_DEFAULTS: Dict[str, float] = {
-    "split_threshold": 1.0,
-    "occupancy_factor": 1.5,
-    "latency_factor": 1.0,
-}
+from ..api import (PARTITIONER_PARAMS, EvaluateRequest, technique_config,
+                   validate_overrides)
 
 
 @dataclass(frozen=True)
@@ -53,19 +46,11 @@ class Knob:
                              % (self.name, self.values))
 
 
-class CanonicalCandidate(NamedTuple):
-    """The workload-independent identity of one candidate: the cell
-    coordinates it evaluates at, plus the canonical override set."""
-
-    technique: str
-    coco: bool
-    placer: str
-    topology: Optional[str]
-    overrides: Overrides
-
-    def key(self) -> str:
-        """Deterministic dedupe/sort key."""
-        return repr(tuple(self))
+def candidate_key(candidate: EvaluateRequest) -> str:
+    """A candidate's deterministic dedupe and tie-break key: the axes
+    the knob space moves, whatever program the request names."""
+    return repr((candidate.technique, candidate.coco, candidate.placer,
+                 candidate.topology, candidate.overrides))
 
 
 class KnobSpace:
@@ -165,15 +150,15 @@ class KnobSpace:
 
     # -- canonicalization --------------------------------------------------
 
-    def canonical(self, assignment: Dict[str, object]
-                  ) -> CanonicalCandidate:
-        """Collapse an assignment to its evaluation identity.
+    def canonical(self, assignment: Dict[str, object]) -> EvaluateRequest:
+        """Collapse an assignment to its evaluation identity: a request
+        with no program yet (the search names the workload).
 
         ``machine.*`` values equal to the technique's default
         configuration (and the ``None`` sentinel) are dropped;
         ``partitioner.*`` values the technique does not accept, or equal
-        to the partitioner defaults, are dropped.  The result's override
-        set is validated and canonically sorted.
+        to their knob's default, are dropped.  The override set is
+        validated and canonically sorted.
         """
         technique = str(assignment.get("technique", "gremio"))
         base = technique_config(technique)
@@ -186,12 +171,11 @@ class KnobSpace:
                     continue
                 pairs.append((name, value))
             elif domain == "partitioner":
-                if field not in accepted or value is None:
-                    continue
-                if value == PARTITIONER_DEFAULTS.get(field):
+                if field not in accepted or value is None \
+                        or value == self.knob(name).default:
                     continue
                 pairs.append((name, value))
-        return CanonicalCandidate(
+        return EvaluateRequest(
             technique=technique,
             coco=bool(assignment.get("coco", False)),
             placer=str(assignment.get("placer", "identity")),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set
 
-from .space import KnobSpace
+from .space import KnobSpace, candidate_key
 
 #: Proposal attempts per requested candidate before a sampling strategy
 #: concedes and falls back to grid enumeration.
@@ -61,7 +61,7 @@ class Strategy:
 
     def _admit(self, batch: List[Dict[str, object]], taken: Set[str],
                assignment: Dict[str, object]) -> bool:
-        key = self.space.canonical(assignment).key()
+        key = candidate_key(self.space.canonical(assignment))
         if key in taken:
             return False
         taken.add(key)

@@ -2,10 +2,11 @@
 
 from .common import (Workload, WorkloadInputs, all_workloads,
                      benchmark_table, get_workload, register,
-                     unknown_workload_message, workload_names)
+                     registry_name, unknown_workload_message,
+                     workload_names)
 
 __all__ = [
     "Workload", "WorkloadInputs", "all_workloads", "benchmark_table",
-    "get_workload", "register", "unknown_workload_message",
-    "workload_names",
+    "get_workload", "register", "registry_name",
+    "unknown_workload_message", "workload_names",
 ]

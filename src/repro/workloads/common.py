@@ -16,6 +16,7 @@ mismatch.
 from __future__ import annotations
 
 import difflib
+import functools
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -122,11 +123,19 @@ def register(workload: Workload) -> Workload:
 _ALIASES = {"adpcm": "adpcmdec"}
 
 
-def get_workload(name: str) -> Workload:
+def registry_name(name: str) -> Optional[str]:
+    """The registered kernel ``name`` stands for — itself, or the
+    kernel an alias names — or ``None``.  Inline session programs are
+    not registry names."""
     _ensure_loaded()
-    workload = _REGISTRY.get(_ALIASES.get(name, name))
-    if workload is not None:
-        return workload
+    name = _ALIASES.get(name, name)
+    return name if name in _REGISTRY else None
+
+
+def get_workload(name: str) -> Workload:
+    kernel = registry_name(name)
+    if kernel is not None:
+        return _REGISTRY[kernel]
     # Inline programs (``--source`` / ``--ir`` / serve bodies) live in a
     # per-process session registry under content-hashed names.
     from .inline import lookup_inline
@@ -158,8 +167,10 @@ def workload_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
+@functools.lru_cache(maxsize=None)
 def _ensure_loaded() -> None:
-    # Import kernel modules for their registration side effects.
+    # Import kernel modules for their registration side effects (once:
+    # request validation asks on every call).
     from . import adpcm, ks, mpeg2, mesa, mcf  # noqa: F401
     from . import equake, ammp, twolf, gromacs, sjeng  # noqa: F401
     from . import synthetic  # noqa: F401

@@ -21,6 +21,29 @@ from repro.api import (API_SCHEMA_VERSION, EvaluateRequest, EvaluateResult,
 from repro.workloads import get_workload
 
 
+#: ``sorted(repro.api.__all__)``: the facade's public names.
+API_EXPORTS = [
+    "ALIAS_MODES", "API_SCHEMA_VERSION", "ArtifactCache", "ArtifactStore",
+    "CacheStats", "EvaluateRequest", "EvaluateResult", "Evaluation",
+    "HttpStore", "LOCAL_SCHEDULES", "LatencyHistogram", "LocalStore",
+    "MAX_INLINE_PROGRAM_BYTES", "PARTITIONER_PARAMS", "PLACERS",
+    "PROGRAM_KINDS", "Parallelization", "ProgramSpec",
+    "RequestValidationError", "SCALES", "STORE_URL_ENV", "STRATEGIES",
+    "ServiceClient", "ServiceError", "TECHNIQUES", "TOPOLOGIES",
+    "TUNABLE_MACHINE_FIELDS", "TUNE_SCHEMA_VERSION", "Telemetry",
+    "TuneRequest", "TuneResult", "all_workloads", "configure_cache",
+    "default_cache_dir", "digest", "ensure_cache", "evaluate",
+    "evaluate_many", "evaluate_summary", "evaluate_workload",
+    "fingerprint_config", "fingerprint_function", "fingerprint_inputs",
+    "fingerprint_profile", "get_cache", "get_topology", "get_workload",
+    "global_telemetry", "http_request", "make_partitioner", "make_store",
+    "normalize", "overrides_config", "parallelize",
+    "reset_global_telemetry", "resolve_program", "technique_config",
+    "topology_names", "tune", "unknown_workload_message",
+    "validate_overrides", "workload_names",
+]
+
+
 def _request(**overrides):
     fields = dict(program=ProgramSpec.registry("ks"),
                   technique="gremio", n_threads=2, scale="train")
@@ -59,6 +82,15 @@ class TestEvaluateRequest:
     def test_validate_rejects(self, overrides, fragment):
         with pytest.raises(RequestValidationError, match=fragment):
             _request(**overrides).validate()
+
+    def test_sa_access_latency_reaches_32(self):
+        """EXT-E2's latency sweep runs to 32 cycles as plain requests."""
+        latency = (("machine.sa_access_latency", 32),)
+        assert _request(overrides=latency).validate().overrides == latency
+        with pytest.raises(RequestValidationError,
+                           match="sa_access_latency"):
+            _request(overrides=(("machine.sa_access_latency", 33),)
+                     ).validate()
 
     def test_request_key_is_stable_and_discriminating(self):
         base = _request()
@@ -277,6 +309,13 @@ class TestLayeringCovenant:
             env={"PYTHONPATH": str(Path(repro.__file__).parent.parent)},
             check=True)
         assert completed.stdout.strip() == "[]"
+
+    def test_export_list_is_pinned(self):
+        """The package's export list: a name leaves it only under the
+        covenant (``docs/api.md``)."""
+        assert sorted(repro.api.__all__) == API_EXPORTS
+        for name in API_EXPORTS:
+            assert getattr(repro.api, name) is not None, name
 
     def test_facade_exports_the_classic_surface(self):
         for name in ("parallelize", "evaluate_workload", "evaluate_many",

@@ -130,6 +130,54 @@ class TestClaims:
         assert NA not in statuses.values()
 
 
+class TestMachineSweepsAreCells:
+    """EXT-E2's and EXT-E5's machine variants are ``machine.*`` override
+    requests: declared once, prewarmed on the pool, read by ``collect``."""
+
+    @pytest.fixture(autouse=True)
+    def isolated(self, tmp_path):
+        previous = get_cache()
+        configure_cache(str(tmp_path / "cache"))
+        clear_memo()
+        yield
+        clear_memo()
+        configure_cache(previous.directory, previous.enabled)
+
+    @pytest.mark.parametrize("spec_id", ["ablation_machine",
+                                         "branch_prediction"])
+    def test_collect_reads_only_prewarmed_cells(self, spec_id,
+                                                monkeypatch):
+        import repro.bench.harness as harness
+        evaluate, read = harness.evaluate, []
+
+        def recording(request, *args, **kwargs):
+            read.append(request)
+            return evaluate(request, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", recording)
+        spec = get_spec(spec_id)
+        spec.collect(SMOKE)
+        cells = spec.prewarm_cells(SMOKE)
+        assert read and set(read) <= set(cells)
+        assert all(name.startswith("machine.")
+                   for request in read for name, _ in request.overrides)
+
+    def test_no_bench_spec_passes_a_machine_config(self):
+        """A machine variant is a request; ``evaluate_summary`` is left
+        for what no request names (an explicit partition)."""
+        import ast
+        package = ROOT / "src" / "repro" / "bench"
+        configured = sorted(
+            "%s:%d" % (source.relative_to(package), node.lineno)
+            for source in package.rglob("*.py")
+            for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "evaluate_summary"
+            and any(keyword.arg == "config" for keyword in node.keywords))
+        assert configured == []
+
+
 class TestCompileTime:
     def test_passes_make_two_thread_code(self):
         passes = compile_passes()
@@ -226,12 +274,9 @@ class TestSmokeOnTheResultEntry:
                  for cell in spec.prewarm_cells(SMOKE)}
         tuned = warm.specs["tune_smoke"].metrics[
             "candidates_evaluated"].value
-        # The ablations' evaluations no matrix cell names — a swept
-        # machine configuration, GREMIO's region-grouped partition —
-        # are one entry load each, like a cell.
-        summaries = (counted("ablation_machine", "mt_cycles/")
-                     + counted("branch_prediction", "speedup/")
-                     + counted("ablation_hierarchy", "speedup/grouped/"))
+        # The one evaluation no request names — GREMIO's region-grouped
+        # partition — is one entry load each, like a cell.
+        summaries = counted("ablation_hierarchy", "speedup/grouped/")
         stages = warm.telemetry.stages
         assert stages["evaluation"].cache_hits \
             == len(cells) + tuned + summaries

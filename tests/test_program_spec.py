@@ -281,3 +281,32 @@ class TestServeInlinePrograms:
             "program": {"kind": "source", "value": "def f(:"}})
         assert status == 400
         assert "invalid inline program" in document["error"]
+
+
+class TestRegistryAliases:
+    """An alias (``adpcm``) names its kernel on the wire as it does on
+    the command line."""
+
+    def test_alias_validates_and_names_its_kernel(self):
+        request = EvaluateRequest(
+            program=ProgramSpec.registry("adpcm")).validate()
+        assert ProgramSpec.registry("adpcm").workload_name() == "adpcmdec"
+        assert request.workload == "adpcmdec"
+        assert request.request_key() == EvaluateRequest(
+            program=ProgramSpec.registry("adpcmdec")).request_key()
+
+    def test_alias_round_trips_through_dict(self):
+        request = EvaluateRequest(program=ProgramSpec.registry("adpcm"))
+        assert EvaluateRequest.from_dict(request.as_dict()) == request
+
+    def test_tune_request_accepts_alias(self):
+        from repro.api import TuneRequest
+        request = TuneRequest(workloads=("adpcm",)).validate()
+        assert request.workloads == ("adpcmdec",)
+
+    def test_inline_session_name_is_not_a_registry_name(self):
+        name = resolve_program(ProgramSpec.source(SAXPY)).name
+        assert get_workload(name).name == name
+        with pytest.raises(RequestValidationError,
+                           match="unknown workload"):
+            EvaluateRequest(program=ProgramSpec.registry(name)).validate()

@@ -8,6 +8,7 @@ import pytest
 from repro.api import (RequestValidationError, TuneRequest,
                        configure_cache, tune)
 from repro.tune import DEFAULT_SPACE, run_tune
+from repro.tune.space import candidate_key
 from repro.tune.leaderboard import (markdown_summary, result_json,
                                     workload_leaderboard)
 from repro.tune.strategies import make_strategy, strategy_names
@@ -70,7 +71,7 @@ class TestBudget:
         spent; every distinct candidate is scored exactly once."""
         result = _run(_request(strategy="grid", budget=50), tmp_path)
         sub = DEFAULT_SPACE.subspace(SMALL_KNOBS)
-        distinct = {sub.canonical(a).key() for a in sub.grid()}
+        distinct = {candidate_key(sub.canonical(a)) for a in sub.grid()}
         assert result.evaluated == len(distinct) == 9
 
 
@@ -112,8 +113,9 @@ class TestValidation:
         assert "machine.comm_latency" in message
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(RequestValidationError):
-            _request(workloads=("nonesuch",)).validate()
+        for workloads in (("nonesuch",), (5,), (["ks"],)):
+            with pytest.raises(RequestValidationError):
+                _request(workloads=workloads).validate()
 
     def test_empty_workloads_rejected(self):
         with pytest.raises(RequestValidationError):
@@ -161,3 +163,66 @@ class TestSpace:
         assert tuple(sub.names()) == SMALL_KNOBS
         with pytest.raises(ValueError):
             DEFAULT_SPACE.subspace(("nope",))
+
+
+#: Dedupe keys of a few ``DEFAULT_SPACE`` assignments.  They are the
+#: leaderboard's ``key`` field and its tie-break order, so they must
+#: stay byte-identical.
+GOLDEN_CANDIDATE_KEYS = [
+    ({}, "('gremio', False, 'identity', None, ())"),
+    ({"technique": "dswp", "partitioner.split_threshold": 2.0},
+     "('dswp', False, 'identity', None, ())"),
+    ({"coco": True, "partitioner.split_threshold": 2.0,
+      "partitioner.occupancy_factor": 1.0},
+     "('gremio', True, 'identity', None, "
+     "(('partitioner.occupancy_factor', 1.0), "
+     "('partitioner.split_threshold', 2.0)))"),
+    ({"topology": "quad-2x2", "placer": "affinity",
+      "machine.comm_latency": 4, "machine.sa_queue_size": 8,
+      "machine.sa_access_latency": 2},
+     "('gremio', False, 'affinity', 'quad-2x2', "
+     "(('machine.comm_latency', 4), ('machine.sa_access_latency', 2), "
+     "('machine.sa_queue_size', 8)))"),
+    ({"technique": "dswp", "machine.sa_queue_size": 32,
+      "machine.comm_latency": 1},
+     "('dswp', False, 'identity', None, (('machine.comm_latency', 1),))"),
+]
+
+
+class TestCandidateKeys:
+    @pytest.mark.parametrize("partial,expected", GOLDEN_CANDIDATE_KEYS)
+    def test_keys_byte_identical(self, partial, expected):
+        assignment = DEFAULT_SPACE.assignment(partial)
+        assert candidate_key(DEFAULT_SPACE.canonical(assignment)) \
+            == expected
+
+    def test_partitioner_knobs_default_to_gremio(self):
+        """Each ``partitioner.*`` knob defaults to the keyword default
+        of ``GremioPartitioner`` — the one place that states it."""
+        import inspect
+        from repro.partition.gremio import GremioPartitioner
+        parameters = inspect.signature(GremioPartitioner.__init__).parameters
+        knobs = [knob for knob in DEFAULT_SPACE
+                 if knob.name.startswith("partitioner.")]
+        assert knobs
+        for knob in knobs:
+            field = knob.name.split(".", 1)[1]
+            assert knob.default == parameters[field].default, knob.name
+
+
+def test_cli_smoke_search_is_the_bench_spec_search(monkeypatch):
+    """``repro tune --smoke`` runs TUNE-E1's smoke search."""
+    import repro.api
+    from repro.api import TuneResult
+    from repro.bench import SMOKE
+    from repro.bench.specs.tune import search_request
+    from repro.cli import main
+    requests = []
+
+    def fake_tune(request, **_options):
+        requests.append(request)
+        return TuneResult(request=request)
+
+    monkeypatch.setattr(repro.api, "tune", fake_tune)
+    assert main(["tune", "--smoke", "--seed", "0"]) == 0
+    assert requests == [search_request(SMOKE)]

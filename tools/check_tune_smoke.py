@@ -29,7 +29,12 @@ import subprocess
 import sys
 import tempfile
 
-SMOKE_WORKLOADS = ("adpcmdec", "ks")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from repro.bench import SMOKE  # noqa: E402
+from repro.bench.specs.tune import search_request  # noqa: E402
+
+SMOKE_WORKLOADS = search_request(SMOKE).workloads
 ARTIFACTS = tuple(["tune_result.json", "tune_summary.md"]
                   + ["leaderboard_%s.json" % name
                      for name in SMOKE_WORKLOADS])
@@ -42,15 +47,14 @@ class TuneSmokeError(AssertionError):
 def run_tune_cli(out_dir: str, cache_dir: str, jobs: int) -> None:
     """One ``repro tune --smoke --seed 0`` invocation writing into
     ``out_dir`` against an isolated artifact cache."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(root, "src")]
+        [os.path.join(ROOT, "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     command = [sys.executable, "-m", "repro", "tune", "--smoke",
                "--seed", "0", "--jobs", str(jobs), "--out", out_dir]
-    completed = subprocess.run(command, env=env, cwd=root,
+    completed = subprocess.run(command, env=env, cwd=ROOT,
                                stdout=subprocess.PIPE,
                                stderr=subprocess.STDOUT, text=True)
     if completed.returncode != 0:
